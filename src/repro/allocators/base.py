@@ -73,10 +73,10 @@ class Allocator(ABC):
         aligned allotment array.  An implementation must produce exactly the
         allotments (and evolve exactly the internal state, e.g. rotation
         counters) that ``allocate({ids[i]: requests[i], ...}, total)`` would —
-        the simulator mixes both entry points across quanta and the batched
-        path's bit-for-bit artifact guarantee depends on them agreeing.  The
-        base implementation returns ``None``: no array path, the caller falls
-        back to the mapping interface.
+        the serial reference loop calls the mapping form, the windowed loop
+        this one, and their bit-for-bit agreement depends on it.  The base
+        implementation returns ``None``: no array path, so the simulator runs
+        the set on the serial loop.  An override must return an array.
         """
         return None
 

@@ -15,7 +15,8 @@ Everything here is deterministic by construction: group membership is a
 pure function of the admission order and the rebalancing history, every
 scan runs in sorted job-id order, and ties break toward the lowest group
 index / lowest job id.  The same simulation therefore produces identical
-traces whether it runs flat, sharded over 2 workers, or sharded over 8.
+traces whether it runs in one machine-wide window, sharded over 2 workers,
+or sharded over 8.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class HierarchicalAllocator(Allocator):
     # ------------------------------------------------------------------
     # sharded-executor protocol: the executor replays exactly the per-call
     # front half (begin_window) and counter bookkeeping (advance_window)
-    # the flat path's allocate_batch calls would perform, while the group
+    # the machine-wide allocate_batch calls would perform, while the group
     # waterfalls themselves run inside the per-group workers.
 
     def begin_window(
@@ -225,7 +226,7 @@ class HierarchicalAllocator(Allocator):
 
     def advance_window(self, quanta: int) -> None:
         """Account ``quanta`` machine quanta executed inside a sharded
-        window (the flat path's per-quantum calls advance the same
+        window (machine-wide per-quantum calls advance the same
         counter, so rebalancing boundaries land on identical quanta)."""
         self._quantum += int(quanta)
 

@@ -195,8 +195,8 @@ def _multi_superstep_off(scale: str) -> int:
 
 
 def _run_hier(scale: str, batch: BatchChoice) -> int:
-    """Multiprogrammed loop under the hierarchical allocator (flat loop,
-    no sharding): gates the grouped waterfall + rebalancing cost against
+    """Multiprogrammed loop under the hierarchical allocator (one
+    machine-wide window, no sharding): gates the grouped waterfall + rebalancing cost against
     the centralized DEQ scenarios on the identical saturated job sets."""
     from ..allocators.hierarchical import HierarchicalAllocator
 
@@ -243,8 +243,8 @@ def _giant(scale: str) -> "GiantScenario":
 
 
 def _run_giant(scale: str, shards: int | None) -> int:
-    """Drive the giant-scale workload flat (``shards=None``) or through the
-    windowed sharded executor; units are job-quanta covered (byte-identical
+    """Drive the giant-scale workload in one in-process machine-wide window
+    (``shards=None``) or through per-group windows on shard workers; units are job-quanta covered (byte-identical
     either way — the recorded seconds are the sharding speedup evidence)."""
     sc = _giant(scale)
     result = simulate_job_set(
@@ -258,7 +258,7 @@ def _run_giant(scale: str, shards: int | None) -> int:
 
 
 def _multi_giant_flat(scale: str) -> int:
-    """Giant-scale workload on the flat centralized loop (the denominator
+    """Giant-scale workload in one machine-wide window (the denominator
     of the sharding speedup recorded in the committed baselines)."""
     return _run_giant(scale, None)
 
@@ -388,7 +388,7 @@ SCENARIOS: tuple[Scenario, ...] = (
     ),
     Scenario(
         "multi-giant-flat",
-        "giant-scale sharding workload, flat centralized loop",
+        "giant-scale sharding workload, one machine-wide window",
         _multi_giant_flat,
     ),
     Scenario(

@@ -99,7 +99,7 @@ def _positive_int(value: str) -> int:
 
 
 def _shard_spec(value: str) -> int | str:
-    """``--shards`` validator: ``auto`` or an integer >= 1 (1 = flat loop)."""
+    """``--shards`` validator: ``auto`` or an integer >= 1 (1 = in-process)."""
     if value == "auto":
         return "auto"
     try:
@@ -110,7 +110,7 @@ def _shard_spec(value: str) -> int | str:
         ) from None
     if count < 1:
         raise argparse.ArgumentTypeError(
-            f"shard count must be >= 1 (1 means the flat loop), got {count}"
+            f"shard count must be >= 1 (1 means no shard workers), got {count}"
         )
     return count
 
@@ -837,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_shard_spec,
         default=None,
         metavar="N",
-        help="shard workers ('auto' = all cores; default: flat loop)",
+        help="shard workers ('auto' = all cores; default: in-process)",
     )
     p.add_argument("--csv", default=None, help="write per-job rows to CSV")
     p.set_defaults(func=_cmd_giant)

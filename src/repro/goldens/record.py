@@ -171,9 +171,9 @@ def dag_scenario(
 
     Each job is a random layered unit-task dag flattened into an explicit
     edge list — see :func:`_layered_edges` for the two structures.  With
-    ``engine="reference"`` the jobs are non-batchable, so the fixture
-    exercises the serial loop's fallback executors and the replay
-    harness's ``sharded``-path skip.
+    ``engine="reference"`` the jobs are non-batchable, so every
+    ``batch="auto"`` replay runs the serial reference loop and the replay
+    harness skips the ``sharded`` path.
     """
     rng = np.random.default_rng([seed, index])
     releases = staggered_releases(num_jobs, release_gap)
@@ -214,8 +214,8 @@ def default_scenarios() -> tuple[ScenarioSpec, ...]:
     + rotation active), the AGreedy policy, the round-robin allocator,
     staggered arrivals (admission at quantum boundaries), dag-structured
     jobs on the batched dag kernel (barrier-layered, level-major), and
-    non-batchable dag jobs pinned to the reference heap engine (the serial
-    loop's fallback path; the replay harness skips the ``sharded`` path
+    non-batchable dag jobs pinned to the reference heap engine (run on the
+    serial reference loop; the replay harness skips the ``sharded`` path
     for that fixture).
     """
     return (

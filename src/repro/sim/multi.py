@@ -11,41 +11,51 @@ step for accounting purposes (no further waste accrues), but they become
 re-allocatable only at the next boundary — the conservative reading of the
 paper's quantum-granularity reallocation.
 
-Execution backends
-------------------
-``batch="auto"`` (the default) routes every job whose structure is
-counts-determined through the multi-job batched kernel
-(:mod:`repro.sim.multi_batched`): one numpy step loop advances all of them
-per quantum, with the remaining jobs falling back to their per-job executors
-inside the same quantum.  ``batch="off"`` forces the serial per-job loop for
-everything.  Both paths produce bit-identical traces — the kernel replays
-the same closed-form chunk sequence as the per-job engines (see the kernel
-module docstring for the argument, and ``tests/test_sim_multi_batched.py``
-for the cross-validation).
+Execution paths
+---------------
+A set runs on one of two loops, with bit-identical traces either way:
 
-On the kernel path, records are emitted *columnar*: each quantum appends one
-group of aligned arrays to a :class:`~repro.sim.superstep.QuantumLog`, and
-finished traces get array-backed :class:`~repro.core.columnar.TraceColumns`
-views instead of eagerly-built record lists.
+- the *serial reference loop* (one executor per job, one mapping
+  ``allocate`` call per quantum) is the oracle.  It runs every set under
+  ``batch="off"``, and every set holding a job that is not
+  counts-determined (:func:`~repro.sim.multi_batched.segment_profile` is
+  ``None``: reference-engine dags, executor factories, strict-mode
+  ``engine="auto"`` dags) or driven by an allocator with no array-native
+  ``allocate_batch``;
+- the *windowed loop* (:func:`repro.sim.sharded.simulate_windowed`) runs
+  every other set on the multi-job batched kernel
+  (:mod:`repro.sim.multi_batched`): one numpy step loop advances all jobs
+  per quantum, in windows that end at admission and rebalancing barriers.
+  Records are emitted *columnar* into a
+  :class:`~repro.sim.superstep.QuantumLog`, and finished traces get
+  array-backed :class:`~repro.core.columnar.TraceColumns` views instead of
+  eagerly-built record lists.
+
+``shards`` only chooses how the windowed loop splits and runs its groups:
+``None`` or ``1`` runs one machine-wide window in-process; ``N >= 2`` (or
+``"auto"``, one worker per core) splits a hierarchical allocator into
+per-group windows dispatched to supervised shard workers, and rejects a set
+the windowed loop cannot run.  The kernel replays the same closed-form
+chunk sequence as the per-job engines (see the kernel module docstring for
+the argument, and ``tests/test_sim_multi_batched.py`` for the
+cross-validation).
 
 Supersteps
 ----------
-``superstep="auto"`` (the default) adds multi-quantum fast-forwarding on top
-of the kernel path.  Between *events* — a job completing, an arrival
-admission, or a feedback-driven request change — the simulation checks
-whether the next quantum is a literal fixed point of the previous one: the
-feedback recurrences hold every request bit-identical
-(:meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`; a policy
-with only a scalar form forces ``K = 1``), the allocator certifies its grants
-repeat (:meth:`~repro.core.allocators.base.Allocator.allocation_fixed_point`),
-and every job's remaining segment chunks sustain identical pure quanta
-(regime-1 sustain / regime-2 drain closed forms in
-:mod:`repro.sim.superstep`).  When all hold, ``K`` quanta advance at once —
-state moves by closed form and the ``K`` identical records land as one
-repeat-group in the log.  ``superstep="off"`` disables only the
-fast-forwarding; either setting produces byte-identical traces and
-artifacts, because a superstep engages exactly when the per-quantum path
-would have produced those ``K`` identical quanta anyway.
+``superstep="auto"`` (the default) adds multi-quantum fast-forwarding to the
+windowed loop.  Between *events* — a job completing, an arrival admission,
+or a feedback-driven request change — the loop checks whether the next
+quantum is a literal fixed point of the previous one: the feedback
+recurrences hold every request bit-identical
+(:meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`), the
+allocator certifies its grants repeat
+(:meth:`~repro.core.allocators.base.Allocator.allocation_fixed_point`), and
+every job's remaining segment chunks sustain identical pure quanta (closed
+forms in :mod:`repro.sim.superstep`).  When all hold, ``K`` quanta advance
+at once and their ``K`` identical records land as one repeat-group in the
+log.  ``superstep="off"`` disables only the fast-forwarding; both settings
+produce byte-identical traces, because a superstep engages exactly when
+the per-quantum path would have produced those ``K`` quanta anyway.
 """
 
 from __future__ import annotations
@@ -54,21 +64,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Literal, Sequence, cast
 
-import numpy as np
-
-from ..allocators.base import (
-    Allocator,
-    validate_allocation,
-    validate_allocation_arrays,
-)
+from ..allocators.base import Allocator, validate_allocation
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..engine.base import JobExecutor
+from ..runtime.supervisor import resolve_workers
 from .jobs import JobSpec, make_executor
 from .metrics import makespan, mean_response_time
-from .multi_batched import MultiBatchKernel, QuantumBatch, segment_profile
+from .multi_batched import segment_profile
+from .sharded import Profile, simulate_windowed
 from .single import run_quantum_with_overhead
-from .superstep import QuantumGroup, QuantumLog
 
 __all__ = ["MultiJobResult", "SUPERSTEP_ENV_VAR", "simulate_job_set"]
 
@@ -109,222 +114,12 @@ class MultiJobResult:
         return sum(t.total_work for t in self.traces.values())
 
 
-def _scalar_feedback(
-    kernel: MultiBatchKernel,
-    positions: Sequence[int],
-    group: QuantumGroup,
-    length: int,
-    start_step: int,
-) -> None:
-    """Per-record feedback for kernel slots whose policy has no vectorized
-    form — rebuilds each slot's record from the quantum's emitted columns
-    (identical values, so an identical next request)."""
-    for pos in positions:
-        slot = kernel.slots[pos]
-        record = QuantumRecord(
-            index=int(group.index0[pos]),
-            request=float(group.request[pos]),
-            request_int=int(group.request_int[pos]),
-            available=int(group.available[pos]),
-            allotment=int(group.allotment[pos]),
-            work=int(group.work[pos]),
-            span=float(group.span[pos]),
-            steps=int(group.steps[pos]),
-            quantum_length=length,
-            start_step=start_step,
-        )
-        kernel.request[pos] = slot.policy.next_request(record)
-
-
-def _batch_feedback(
-    kernel: MultiBatchKernel,
-    group: QuantumGroup,
-    req_int: np.ndarray,
-    alloc_arr: np.ndarray,
-    batch_out: QuantumBatch,
-    finished_pos: list[int],
-    length: int,
-    start: int,
-) -> bool:
-    """Post-quantum feedback over the kernel's slots, vectorized per policy
-    instance (experiment job sets share one policy object across jobs, so
-    the common case is one whole-array batch call); returns whether any
-    slot fell back to scalar feedback.  Requests computed for slots that
-    just finished are discarded with the slot, exactly like the serial
-    loop, which never updates a finished job's request.
-    """
-    nk = len(kernel)
-    scalar_fb = False
-    uniform = kernel.uniform_policy
-    if uniform is not None:
-        nxt = uniform.next_request_batch(
-            request=kernel.request,
-            request_int=req_int,
-            allotment=alloc_arr,
-            work=batch_out.work,
-            span=batch_out.span,
-            steps=batch_out.steps,
-        )
-        if nxt is None:
-            scalar_fb = True
-            fin_set = set(finished_pos)
-            _scalar_feedback(
-                kernel,
-                [pos for pos in range(nk) if pos not in fin_set],
-                group,
-                length,
-                start,
-            )
-        else:
-            kernel.request = nxt
-    else:
-        groups: dict[int, list[int]] = {}
-        fin_set = set(finished_pos)
-        for pos in range(nk):
-            if pos not in fin_set:
-                groups.setdefault(id(kernel.slots[pos].policy), []).append(pos)
-        for positions in groups.values():
-            policy = kernel.slots[positions[0]].policy
-            sub = np.asarray(positions, dtype=np.int64)
-            nxt = policy.next_request_batch(
-                request=kernel.request[sub],
-                request_int=req_int[sub],
-                allotment=alloc_arr[sub],
-                work=batch_out.work[sub],
-                span=batch_out.span[sub],
-                steps=batch_out.steps[sub],
-            )
-            if nxt is None:
-                scalar_fb = True
-                _scalar_feedback(kernel, positions, group, length, start)
-            else:
-                kernel.request[sub] = nxt
-    return scalar_fb
-
-
-def _requests_hold(
-    kernel: MultiBatchKernel,
-    alloc_arr: np.ndarray,
-    req_int: np.ndarray,
-    work: np.ndarray,
-    span: np.ndarray,
-    steps: np.ndarray,
-    quanta: int,
-) -> bool:
-    """Whether every slot's feedback recurrence, fed the predicted repeated
-    record ``quanta`` times, leaves its request bit-identical (see
-    :meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`)."""
-    uniform = kernel.uniform_policy
-    if uniform is not None:
-        return (
-            uniform.advance_request_batch(
-                request=kernel.request,
-                request_int=req_int,
-                allotment=alloc_arr,
-                work=work,
-                span=span,
-                steps=steps,
-                quanta=quanta,
-            )
-            is not None
-        )
-    groups: dict[int, list[int]] = {}
-    for pos, slot in enumerate(kernel.slots):
-        groups.setdefault(id(slot.policy), []).append(pos)
-    request = kernel.request
-    for positions in groups.values():
-        policy = kernel.slots[positions[0]].policy
-        sub = np.asarray(positions, dtype=np.int64)
-        nxt = policy.advance_request_batch(
-            request=request[sub],
-            request_int=req_int[sub],
-            allotment=alloc_arr[sub],
-            work=work[sub],
-            span=span[sub],
-            steps=steps[sub],
-            quanta=quanta,
-        )
-        if nxt is None:
-            return False
-    return True
-
-
-def _attempt_superstep(
-    kernel: MultiBatchKernel,
-    log: QuantumLog,
-    allocator: Allocator,
-    group: QuantumGroup,
-    req_int: np.ndarray,
-    avail: np.ndarray,
-    alloc_arr: np.ndarray,
-    processors: int,
-    length: int,
-    start: int,
-    *,
-    next_release: int | None,
-    budget: int,
-) -> int:
-    """Fast-forward up to ``budget`` quanta past the one that just executed
-    at ``start``; returns how many were skipped (0 when any fixed-point
-    check fails).
-
-    The checks, in order: the quantum's feedback left every request at its
-    pre-quantum value (else next quantum's allocation inputs differ); every
-    slot's remaining chunk sustains ``K >= 1`` pure quanta under the same
-    allotment (closed form, also bounding ``K``); no pending release lands
-    inside the window (admissions happen at boundaries ``<= t``, so quanta
-    starting at ``start+L .. start+K*L`` need ``next_release > start+K*L``);
-    the feedback recurrences hold the requests fixed over the predicted
-    records; and the allocator certifies (and state-advances through) ``K``
-    repeats of its grants.  Everything that passes is exact, so the emitted
-    repeat-group and the fast-forwarded arena state are byte-identical to
-    executing the ``K`` quanta one at a time.
-    """
-    if kernel.request.tobytes() != group.request.tobytes():
-        return 0
-    plan = kernel.superstep_plan(alloc_arr, length)
-    if plan is None:
-        return 0
-    limit = int(plan.quanta.min())
-    if next_release is not None:
-        limit = min(limit, (next_release - start - 1) // length)
-    limit = min(limit, budget)
-    if limit < 1:
-        return 0
-    steps_pred = np.full(len(kernel.slots), length, dtype=np.int64)
-    if not _requests_hold(
-        kernel, alloc_arr, req_int, plan.delta, plan.span, steps_pred, limit
-    ):
-        return 0
-    ids_sorted, order = kernel.allocation_order()
-    k = allocator.allocation_fixed_point(
-        ids_sorted, req_int[order], alloc_arr[order], processors, limit
-    )
-    if k < 1:
-        return 0
-    log.append_quantum(
-        start_step=start + length,
-        repeat=k,
-        index0=kernel.next_q,
-        request=group.request,
-        request_int=req_int,
-        available=avail,
-        allotment=alloc_arr,
-        work=plan.delta,
-        span=plan.span,
-        steps=steps_pred,
-    )
-    kernel.apply_superstep(k, plan, alloc_arr, length)
-    return k
-
-
 @dataclass(slots=True)
 class _ActiveJob:
     spec: JobSpec
     executor: JobExecutor
     trace: JobTrace
     request: float
-    seq: int
     next_q: int = 1
 
 
@@ -347,20 +142,13 @@ def simulate_job_set(
 
     Job ids default to the spec's position in ``specs``; explicit
     ``JobSpec.job_id`` values must be unique.  ``strict=True`` enables the
-    engines' per-step invariant checking for every job.  ``batch`` selects
-    the execution backend and ``superstep`` the multi-quantum fast-forwarding
-    on top of it (see the module docstring); results do not depend on either.
-    ``superstep=None`` (the default) resolves to :data:`SUPERSTEP_ENV_VAR`
-    if set, else ``"auto"``.
-
-    ``shards`` selects the *sharded* executor (:mod:`repro.sim.sharded`):
-    ``None`` or ``1`` runs the centralized per-quantum loop below; ``N >= 2``
-    (or ``"auto"`` for one worker per core) advances each allocation group in
-    a window of quanta per supervised worker dispatch, meeting at the
-    rebalancing/admission barriers.  Traces are byte-identical either way —
-    sharding, like batching and supersteps, is an execution choice, not a
-    policy choice.  ``task_timeout``/``retries`` apply to the sharded
-    dispatch only (they thread through ``runtime.run_supervised``).
+    engines' per-step invariant checking for every job.  ``batch``,
+    ``superstep`` and ``shards`` are execution choices, not policy choices
+    (see the module docstring for which loop runs a set); results do not
+    depend on them.  ``superstep=None`` (the default) resolves to
+    :data:`SUPERSTEP_ENV_VAR` if set, else ``"auto"``.  ``task_timeout`` and
+    ``retries`` apply to the sharded dispatch only (they thread through
+    ``runtime.run_supervised``).
     """
     if superstep is None:
         superstep = cast(
@@ -383,194 +171,137 @@ def simulate_job_set(
             raise ValueError(f"unknown shards mode {shards!r}; pick 'auto' or N >= 1")
         if shards < 1:
             raise ValueError("shard count must be >= 1 (or 'auto')")
-    if shards == "auto" or (isinstance(shards, int) and shards > 1):
+    # Shard workers for per-group windows; None runs one in-process window.
+    workers: int | None = None
+    if shards == "auto":
+        workers = resolve_workers(0)
+    elif isinstance(shards, int) and shards > 1:
+        workers = shards
+    array_native = type(allocator).allocate_batch is not Allocator.allocate_batch
+    if workers is not None:
         if batch == "off":
             raise ValueError(
                 "sharded execution runs on the batched kernel; "
                 "batch='off' requires shards=None or 1"
             )
-        from .sharded import simulate_job_set_sharded
-
-        return simulate_job_set_sharded(
-            specs,
-            allocator,
-            processors,
-            quantum_length=quantum_length,
-            max_quanta=max_quanta,
-            overhead=overhead,
-            strict=strict,
-            superstep=superstep,
-            shards=shards,
-            task_timeout=task_timeout,
-            retries=retries,
-        )
+        if not array_native:
+            raise ValueError(
+                "sharded execution requires an array-native allocator "
+                f"(no allocate_batch override on {type(allocator).__name__})"
+            )
     pending: list[tuple[int, int, JobSpec]] = []  # (release, id, spec)
     seen_ids: set[int] = set()
+    profiles: dict[int, Profile] | None = (
+        {} if batch == "auto" and array_native else None
+    )
+    interned: dict[Profile, Profile] = {}
     for i, spec in enumerate(specs):
         jid = spec.job_id if spec.job_id is not None else i
         if jid in seen_ids:
             raise ValueError(f"duplicate job id {jid}")
         seen_ids.add(jid)
         pending.append((spec.release_time, jid, spec))
+        if profiles is None:
+            continue
+        profile = segment_profile(spec, strict=strict)
+        if profile is None:
+            if workers is not None:
+                raise ValueError(
+                    f"job {jid} is not batchable; sharded execution requires "
+                    "counts-determined jobs (run with shards=None to use the "
+                    "serial reference loop)"
+                )
+            profiles = None
+        else:
+            # Intern by value: giant job sets repeat a handful of shapes, and
+            # slots sharing one profile tuple let pickle's memo collapse the
+            # per-window worker payload from O(jobs x segments) to O(shapes).
+            profiles[jid] = interned.setdefault(profile, profile)
     pending.sort(key=lambda item: (item[0], item[1]))
-    released = {jid: rel for rel, jid, _ in pending}
 
-    kernel = MultiBatchKernel(strict=strict) if batch == "auto" else None
-    log = QuantumLog(quantum_length) if kernel is not None else None
-    layout_dirty = True
-    do_superstep = superstep == "auto"
-    fallback: dict[int, _ActiveJob] = {}
+    if profiles is None:
+        done, quanta = _simulate_serial(
+            pending,
+            allocator,
+            processors,
+            quantum_length=quantum_length,
+            max_quanta=max_quanta,
+            overhead=overhead,
+            strict=strict,
+        )
+    else:
+        done, quanta = simulate_windowed(
+            pending,
+            profiles,
+            allocator,
+            processors,
+            quantum_length=quantum_length,
+            max_quanta=max_quanta,
+            overhead=overhead,
+            strict=strict,
+            superstep=superstep == "auto",
+            workers=workers,
+            task_timeout=task_timeout,
+            retries=retries,
+        )
+    return MultiJobResult(
+        traces=done,
+        processors=processors,
+        quantum_length=quantum_length,
+        quanta_elapsed=quanta,
+        released={jid: rel for rel, jid, _ in pending},
+    )
+
+
+def _simulate_serial(
+    pending: Sequence[tuple[int, int, JobSpec]],
+    allocator: Allocator,
+    processors: int,
+    *,
+    quantum_length: int,
+    max_quanta: int,
+    overhead: ReallocationOverhead,
+    strict: bool,
+) -> tuple[dict[int, JobTrace], int]:
+    """The serial reference loop: one executor per job and one mapping
+    ``allocate`` call per quantum; returns the finished traces and the
+    quanta elapsed."""
+    active: dict[int, _ActiveJob] = {}
     done: dict[int, JobTrace] = {}
     t = 0
     quanta = 0
-    seq = 0
     cursor = 0  # next admission index into the sorted release list
     L = quantum_length
 
-    while (
-        cursor < len(pending)
-        or fallback
-        or (kernel is not None and len(kernel) > 0)
-    ):
+    while cursor < len(pending) or active:
         if quanta >= max_quanta:
             raise RuntimeError(f"job set did not finish within {max_quanta} quanta")
         # Admit jobs released at or before this boundary.
         while cursor < len(pending) and pending[cursor][0] <= t:
             rel, jid, spec = pending[cursor]
             cursor += 1
-            trace = JobTrace(quantum_length=L, release_time=rel, job_id=jid)
-            profile = (
-                segment_profile(spec, strict=strict) if kernel is not None else None
-            )
-            if profile is not None:
-                assert kernel is not None
-                kernel.admit(
-                    jid=jid,
-                    seq=seq,
-                    spec=spec,
-                    trace=trace,
-                    profile=profile,
-                    request=spec.feedback.first_request(),
-                )
-                layout_dirty = True
-            else:
-                executor = make_executor(
+            active[jid] = _ActiveJob(
+                spec=spec,
+                executor=make_executor(
                     spec.job, spec.discipline, strict=strict, engine=spec.engine
-                )
-                fallback[jid] = _ActiveJob(
-                    spec=spec,
-                    executor=executor,
-                    trace=trace,
-                    request=spec.feedback.first_request(),
-                    seq=seq,
-                )
-            seq += 1
-        nk = len(kernel) if kernel is not None else 0
-        if not fallback and nk == 0:
+                ),
+                trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
+                request=spec.feedback.first_request(),
+            )
+        if not active:
             # Fast-forward to the boundary at/after the next release.
             next_release = pending[cursor][0]
             t = max(t + L, ((next_release + L - 1) // L) * L)
             continue
 
-        # One machine-wide allocation over every active job.  When the kernel
-        # holds the whole active set its array representation carries straight
-        # through allocation: requests go to the allocator's array-native
-        # entry point (id-sorted, as its mapping path would scan them) and the
-        # validated grants scatter back to slot order — no per-quantum dicts.
-        # Any fallback job, or an allocator without an array path, reverts to
-        # the mapping interface in admission order (content-identical either
-        # way; order preserved for fidelity to the serial loop under
-        # order-sensitive allocators).
-        alloc_arr: np.ndarray | None = None
-        array_grants = False
-        if nk:
-            assert kernel is not None
-            kernel_req_int = kernel.integer_requests()
-            if not fallback:
-                ids_sorted, order = kernel.allocation_order()
-                req_sorted = kernel_req_int[order]
-                grants = allocator.allocate_batch(ids_sorted, req_sorted, processors)
-                if grants is not None:
-                    validate_allocation_arrays(
-                        ids_sorted, req_sorted, grants, processors
-                    )
-                    alloc_arr = np.empty(nk, dtype=np.int64)
-                    alloc_arr[order] = grants
-                    array_grants = True
-        if alloc_arr is None:
-            if nk:
-                assert kernel is not None
-                kri = kernel_req_int.tolist()
-                if fallback:
-                    by_seq = [
-                        (slot.seq, slot.jid, ri)
-                        for slot, ri in zip(kernel.slots, kri)
-                    ]
-                    for jid, job in fallback.items():
-                        by_seq.append((job.seq, jid, integer_request(job.request)))
-                    by_seq.sort()
-                    requests = {jid: ri for _, jid, ri in by_seq}
-                else:
-                    requests = dict(zip(kernel.jids, kri))
-            else:
-                requests = {
-                    jid: integer_request(job.request) for jid, job in fallback.items()
-                }
-            alloc = allocator.allocate(requests, processors)
-            validate_allocation(requests, alloc, processors)
-            if nk:
-                assert kernel is not None
-                alloc_arr = np.fromiter(
-                    map(alloc.__getitem__, kernel.jids), dtype=np.int64, count=nk
-                )
+        # One machine-wide allocation over every active job, in admission
+        # order.
+        requests = {jid: integer_request(job.request) for jid, job in active.items()}
+        alloc = allocator.allocate(requests, processors)
+        validate_allocation(requests, alloc, processors)
 
-        finished_jobs: list[tuple[int, int, JobTrace]] = []  # (seq, id, trace)
-
-        scalar_fb = False
-        if nk:
-            assert kernel is not None
-            assert alloc_arr is not None
-            assert log is not None
-            batch_out = kernel.execute_quantum(alloc_arr, L, overhead)
-            # Under a partitioning allocator the processors "available" to a
-            # job are exactly its (possibly trimmed) share when deprived;
-            # when satisfied the machine-wide P upper-bounds availability.
-            avail = np.where(alloc_arr < kernel_req_int, alloc_arr, processors)
-            # Columnar record emission: one vectorized validation pass over
-            # the quantum's aligned columns, appended to the run-wide log as
-            # a single group — no per-slot python, no record objects.  The
-            # group snapshots ``index0``/``request`` before the bump and the
-            # in-place feedback writes below; the other columns are fresh
-            # arrays this iteration never touches again.
-            if layout_dirty:
-                log.set_layout(kernel.jids)
-                layout_dirty = False
-            group = log.append_quantum(
-                start_step=t,
-                repeat=1,
-                index0=kernel.next_q,
-                request=kernel.request,
-                request_int=kernel_req_int,
-                available=avail,
-                allotment=alloc_arr,
-                work=batch_out.work,
-                span=batch_out.span,
-                steps=batch_out.steps,
-            )
-            kernel.bump_quantum()
-            finished_pos = np.flatnonzero(batch_out.finished).tolist()
-            scalar_fb = _batch_feedback(
-                kernel, group, kernel_req_int, alloc_arr, batch_out,
-                finished_pos, L, t,
-            )
-            for pos in finished_pos:
-                slot = kernel.slots[pos]
-                finished_jobs.append((slot.seq, slot.jid, slot.trace))
-            if finished_pos:
-                kernel.remove(finished_pos)
-                layout_dirty = True
-
-        for jid, job in fallback.items():
+        finished: list[int] = []
+        for jid, job in active.items():
             a = alloc[jid]
             prev_a = job.trace.records[-1].allotment if job.trace.records else None
             ex = run_quantum_with_overhead(job.executor, a, L, prev_a, overhead)
@@ -589,53 +320,12 @@ def simulate_job_set(
             job.trace.append(record)
             job.next_q += 1
             if ex.finished:
-                finished_jobs.append((job.seq, jid, job.trace))
+                finished.append(jid)
             else:
                 job.request = job.spec.feedback.next_request(record)
-        # Finished traces land in admission order, matching the serial
-        # loop's active-dict iteration order byte for byte.
-        for _seq, jid, trace in sorted(finished_jobs):
-            fallback.pop(jid, None)
-            done[jid] = trace
-        # Superstep: with no event this quantum — nothing finished, no
-        # fallback jobs, grants from the array path, no scalar feedback —
-        # try to fast-forward through the quanta the whole system provably
-        # repeats.  ``skipped`` quanta were emitted and applied wholesale.
-        skipped = 0
-        if (
-            do_superstep
-            and nk
-            and array_grants
-            and not scalar_fb
-            and not fallback
-            and not finished_jobs
-        ):
-            assert kernel is not None
-            assert log is not None
-            assert alloc_arr is not None
-            skipped = _attempt_superstep(
-                kernel,
-                log,
-                allocator,
-                group,
-                kernel_req_int,
-                avail,
-                alloc_arr,
-                processors,
-                L,
-                t,
-                next_release=pending[cursor][0] if cursor < len(pending) else None,
-                budget=max_quanta - quanta - 1,
-            )
-        t += (skipped + 1) * L
-        quanta += skipped + 1
-
-    if log is not None:
-        log.build_traces(done)
-    return MultiJobResult(
-        traces=done,
-        processors=processors,
-        quantum_length=L,
-        quanta_elapsed=quanta,
-        released=released,
-    )
+        # Finished traces land in admission order.
+        for jid in finished:
+            done[jid] = active.pop(jid).trace
+        t += L
+        quanta += 1
+    return done, quanta

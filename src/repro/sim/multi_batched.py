@@ -23,9 +23,9 @@ execution is fully described by a ``(width, levels)`` segment profile:
   including the permuted-chain structures PR 5 lifted into eligibility).
 
 Everything else (reference-engine dags, executor factories such as work
-stealing, strict-mode ``engine="auto"`` dags) falls back per job to the
-existing executors, interleaved with the batched group inside the same
-quantum — see :func:`segment_profile`.
+stealing, strict-mode ``engine="auto"`` dags) is not batchable, and a set
+holding such a job runs on the serial reference loop — see
+:func:`segment_profile`.
 
 Why the vectorization is exact
 ------------------------------
@@ -75,9 +75,8 @@ def segment_profile(
     returned precisely when the executor the serial path would build is a
     closed-form engine whose results the kernel reproduces bit-for-bit.  A
     non-level-major dag with ``engine="batched"`` also returns ``None`` — the
-    fallback path's ``make_executor`` then raises the canonical
-    :class:`~repro.engine.batched.UnsupportedDagStructure` at admission,
-    matching the serial loop's behaviour.
+    serial loop's ``make_executor`` then raises the canonical
+    :class:`~repro.engine.batched.UnsupportedDagStructure` at admission.
     """
     job = spec.job
     if isinstance(job, PhasedJob):

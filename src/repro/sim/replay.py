@@ -1,14 +1,14 @@
 """Execution-path replay hooks for the golden-trace harness.
 
-The multiprogrammed simulator has four execution paths that are
-bit-identical by contract: the serial per-job reference loop, the batched
-numpy kernel, the kernel with multi-quantum superstep fast-forwarding on
-top, and the windowed sharded executor dispatching per-group windows
-through supervised workers.  :func:`replay_path` pins one of them
-explicitly — including ``superstep`` — so a replay can never be perturbed
-by the ambient :data:`~repro.sim.multi.SUPERSTEP_ENV_VAR` override.  One
-golden fixture replayed through all four paths therefore proves four-way
-identity against the recorded reference run.
+The multiprogrammed simulator has two loops (see :mod:`repro.sim.multi`):
+the serial reference loop and the windowed loop on the batched kernel.  A
+replay pins one of four named paths through them — the serial loop, the
+windowed loop with supersteps off, with supersteps on, and with per-group
+windows dispatched to two shard workers — passing ``batch``, ``superstep``
+and ``shards`` explicitly, so a replay can never be perturbed by the
+ambient :data:`~repro.sim.multi.SUPERSTEP_ENV_VAR` override.  One golden
+fixture replayed through all four paths therefore proves four-way identity
+against the recorded reference run.
 """
 
 from __future__ import annotations

@@ -1,81 +1,277 @@
-"""Sharded execution of one multiprogrammed simulation.
+"""The windowed loop: the batched kernel's only per-quantum loop.
 
-:func:`repro.sim.multi.simulate_job_set` advances the whole machine one
-quantum at a time: one allocation over every active job, one kernel step,
-one feedback pass.  Under a :class:`~repro.allocators.hierarchical.
-HierarchicalAllocator` that loop is needlessly synchronous — each group's
-waterfall reads and writes only group-local state, and membership can only
-change at an admission boundary or a rebalancing boundary.  This module
-exploits that: between barriers, every group advances a whole *window* of
-quanta independently, one supervised worker dispatch per group
-(:func:`repro.runtime.run_supervised` supplies the timeouts, bounded
-retries, and fault injection the experiment fan-out already uses), and the
-coordinator gathers the evolved group states, merges the emitted columnar
-quanta, and runs the membership/rebalancing step before the next window.
+:func:`repro.sim.multi.simulate_job_set` hands every set it does not run on
+the serial reference loop to :func:`simulate_windowed`.  Membership changes
+only at admission boundaries and (under a :class:`~repro.allocators.
+hierarchical.HierarchicalAllocator`) rebalancing boundaries, so the run is
+cut at those barriers into *windows*.  Each allocation group advances a
+whole window through :func:`run_group_window`'s body — per quantum one
+array-native allocation, one kernel step, one columnar log append and one
+vectorized feedback pass, with supersteps fast-forwarding through quanta
+the group provably repeats.  Between windows the coordinator admits
+arrivals, merges the emitted quanta and migrates slots between groups.
 
-Why the results are byte-identical to the flat loop
----------------------------------------------------
-Every operation a window worker performs is one the flat loop performs on
-the same values in the same order, restricted to the group:
+``shards`` only chooses how the groups are split and run:
 
-- allocation: the flat path's ``HierarchicalAllocator.allocate_batch``
-  gathers each group's members in sorted-id order and runs the group's
-  inner waterfall against its fixed budget — exactly the call the worker
-  makes directly;
-- execution and feedback: the kernel's chunk math and the policies' batch
-  recurrences are elementwise per slot, so a group-sized call returns the
-  same bits as the group's rows of a machine-wide call;
-- supersteps: a worker fast-forwards its group through quanta whose
-  group-local allocation is a certified fixed point
-  (:meth:`~repro.allocators.base.Allocator.fixed_point_probe`), advancing
-  the inner allocator's state exactly as the skipped per-quantum calls
-  would.  The flat loop, needing *every* group at a fixed point at once,
-  executes those quanta one by one — producing the identical records the
-  superstep emits as one repeat-group.  This is also why sharded execution
-  wins even on one core: one churning group no longer pins the stable
-  groups to per-quantum execution.
+- ``None`` or ``1``: every allocator, a hierarchical one included, is one
+  group the size of ``P`` using the allocator's machine-wide
+  ``allocate_batch`` and ``allocation_fixed_point``; the window body runs
+  in-process, with no supervision, fault plan or pickling;
+- ``N >= 2`` or ``"auto"``: a hierarchical allocator splits into one window
+  per group, dispatched through :func:`repro.runtime.run_supervised`
+  (timeouts, bounded retries, fault injection) over one persistent
+  :class:`~repro.runtime.supervisor.WorkerPool`; any other allocator stays
+  one machine-wide group.
 
-Membership changes only at barriers, where the coordinator runs the same
-``begin_window`` front half (sync + rebalance) the flat path's per-quantum
-calls would run, and migrates whole slots between group kernels
-(:meth:`~repro.sim.multi_batched.MultiBatchKernel.export_slots`).  Worker
-count is therefore invisible: groups are dispatched and gathered in group
-order, ``run_supervised`` preserves it, and retried units re-run pure
-inputs (a pool retry re-pickles the coordinator's pristine task; a serial
-fault injects before the unit body runs).
+Why per-group windows are byte-identical to one machine-wide group
+------------------------------------------------------------------
+A group window performs the machine-wide window's operations on the same
+values in the same order, restricted to the group.  Allocation:
+``HierarchicalAllocator.allocate_batch`` runs each group's inner waterfall
+over its members in sorted-id order against the group's fixed budget —
+exactly the call the group window makes.  Execution and feedback: the
+kernel's chunk math and the policies' batch recurrences are elementwise per
+slot.  Supersteps: a group window fast-forwards through quanta whose
+group-local allocation is a certified fixed point
+(:meth:`~repro.allocators.base.Allocator.fixed_point_probe`); the
+machine-wide window, needing *every* group at a fixed point at once,
+executes those quanta one by one, emitting the identical records.  That is
+also why per-group windows win even on one core: one churning group no
+longer pins the stable groups to per-quantum execution.
+
+At barriers the coordinator runs the same ``begin_window`` front half (sync
++ rebalance) the machine-wide ``allocate_batch`` calls would run.  Groups
+are dispatched and gathered in group order, ``run_supervised`` preserves
+it, and retried units re-run pure inputs (a pool retry re-pickles the
+coordinator's pristine task; a serial fault injects before the unit body
+runs), so the worker count is invisible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..allocators.base import Allocator, validate_allocation_arrays
 from ..allocators.hierarchical import HierarchicalAllocator
-from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
-from ..core.types import JobTrace, integer_request
+from ..core.overhead import ReallocationOverhead
+from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..runtime.checkpoint import unit_key
-from ..runtime.supervisor import WorkerPool, resolve_workers, run_supervised
+from ..runtime.supervisor import WorkerPool, run_supervised
 from .jobs import JobSpec
-from .multi_batched import MultiBatchKernel, segment_profile
-from .superstep import QuantumLog
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .multi import MultiJobResult
+from .multi_batched import MultiBatchKernel, QuantumBatch
+from .superstep import QuantumGroup, QuantumLog
 
 __all__ = [
     "GroupWindowTask",
     "GroupWindowResult",
     "run_group_window",
-    "simulate_job_set_sharded",
+    "simulate_windowed",
 ]
+
+#: A batchable job's ``(width, levels)`` segment profile.
+Profile = tuple[tuple[int, int], ...]
+
+
+def _scalar_feedback(
+    kernel: MultiBatchKernel,
+    positions: Sequence[int],
+    group: QuantumGroup,
+    length: int,
+    start_step: int,
+) -> None:
+    """Per-record feedback for kernel slots whose policy has no vectorized
+    form — rebuilds each slot's record from the quantum's emitted columns
+    (identical values, so an identical next request)."""
+    for pos in positions:
+        slot = kernel.slots[pos]
+        record = QuantumRecord(
+            index=int(group.index0[pos]),
+            request=float(group.request[pos]),
+            request_int=int(group.request_int[pos]),
+            available=int(group.available[pos]),
+            allotment=int(group.allotment[pos]),
+            work=int(group.work[pos]),
+            span=float(group.span[pos]),
+            steps=int(group.steps[pos]),
+            quantum_length=length,
+            start_step=start_step,
+        )
+        kernel.request[pos] = slot.policy.next_request(record)
+
+
+def _batch_feedback(
+    kernel: MultiBatchKernel,
+    group: QuantumGroup,
+    req_int: np.ndarray,
+    alloc_arr: np.ndarray,
+    batch_out: QuantumBatch,
+    finished_pos: list[int],
+    length: int,
+    start: int,
+) -> bool:
+    """Post-quantum feedback over the kernel's slots, vectorized per policy
+    instance (experiment job sets share one policy object across jobs, so
+    the common case is one whole-array batch call); returns whether any
+    slot fell back to scalar feedback.  Requests computed for slots that
+    just finished are discarded with the slot, exactly like the serial
+    loop, which never updates a finished job's request.
+    """
+    uniform = kernel.uniform_policy
+    if uniform is not None:
+        nxt = uniform.next_request_batch(
+            request=kernel.request,
+            request_int=req_int,
+            allotment=alloc_arr,
+            work=batch_out.work,
+            span=batch_out.span,
+            steps=batch_out.steps,
+        )
+        if nxt is not None:
+            kernel.request = nxt
+            return False
+    fin_set = set(finished_pos)
+    live = [pos for pos in range(len(kernel)) if pos not in fin_set]
+    if uniform is not None:
+        _scalar_feedback(kernel, live, group, length, start)
+        return True
+    groups: dict[int, list[int]] = {}
+    for pos in live:
+        groups.setdefault(id(kernel.slots[pos].policy), []).append(pos)
+    scalar_fb = False
+    for positions in groups.values():
+        policy = kernel.slots[positions[0]].policy
+        sub = np.asarray(positions, dtype=np.int64)
+        nxt = policy.next_request_batch(
+            request=kernel.request[sub],
+            request_int=req_int[sub],
+            allotment=alloc_arr[sub],
+            work=batch_out.work[sub],
+            span=batch_out.span[sub],
+            steps=batch_out.steps[sub],
+        )
+        if nxt is None:
+            scalar_fb = True
+            _scalar_feedback(kernel, positions, group, length, start)
+        else:
+            kernel.request[sub] = nxt
+    return scalar_fb
+
+
+def _requests_hold(
+    kernel: MultiBatchKernel,
+    alloc_arr: np.ndarray,
+    req_int: np.ndarray,
+    work: np.ndarray,
+    span: np.ndarray,
+    steps: np.ndarray,
+    quanta: int,
+) -> bool:
+    """Whether every slot's feedback recurrence, fed the predicted repeated
+    record ``quanta`` times, leaves its request bit-identical (see
+    :meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`)."""
+    uniform = kernel.uniform_policy
+    if uniform is not None:
+        return (
+            uniform.advance_request_batch(
+                request=kernel.request,
+                request_int=req_int,
+                allotment=alloc_arr,
+                work=work,
+                span=span,
+                steps=steps,
+                quanta=quanta,
+            )
+            is not None
+        )
+    groups: dict[int, list[int]] = {}
+    for pos, slot in enumerate(kernel.slots):
+        groups.setdefault(id(slot.policy), []).append(pos)
+    request = kernel.request
+    for positions in groups.values():
+        policy = kernel.slots[positions[0]].policy
+        sub = np.asarray(positions, dtype=np.int64)
+        nxt = policy.advance_request_batch(
+            request=request[sub],
+            request_int=req_int[sub],
+            allotment=alloc_arr[sub],
+            work=work[sub],
+            span=span[sub],
+            steps=steps[sub],
+            quanta=quanta,
+        )
+        if nxt is None:
+            return False
+    return True
+
+
+def _attempt_superstep(
+    kernel: MultiBatchKernel,
+    log: QuantumLog,
+    allocator: Allocator,
+    group: QuantumGroup,
+    req_int: np.ndarray,
+    avail: np.ndarray,
+    alloc_arr: np.ndarray,
+    processors: int,
+    length: int,
+    start: int,
+    *,
+    max_skip: int,
+) -> int:
+    """Fast-forward up to ``max_skip`` quanta (the rest of the window, which
+    ends before the next admission) past the one that just executed at
+    ``start``; returns how many were skipped (0 when any check fails).
+
+    The checks, in order: the quantum's feedback left every request at its
+    pre-quantum value; every slot's remaining chunk sustains ``K >= 1`` pure
+    quanta under the same allotment (closed form, also bounding ``K``); the
+    feedback recurrences hold the requests fixed over the predicted
+    records; and the allocator certifies (and state-advances through) ``K``
+    repeats of its grants.  All are exact, so the emitted repeat-group and
+    the fast-forwarded arena state are byte-identical to executing the
+    ``K`` quanta one at a time.
+    """
+    if kernel.request.tobytes() != group.request.tobytes():
+        return 0
+    plan = kernel.superstep_plan(alloc_arr, length)
+    if plan is None:
+        return 0
+    limit = min(int(plan.quanta.min()), max_skip)
+    if limit < 1:
+        return 0
+    steps_pred = np.full(len(kernel.slots), length, dtype=np.int64)
+    if not _requests_hold(
+        kernel, alloc_arr, req_int, plan.delta, plan.span, steps_pred, limit
+    ):
+        return 0
+    ids_sorted, order = kernel.allocation_order()
+    k = allocator.allocation_fixed_point(
+        ids_sorted, req_int[order], alloc_arr[order], processors, limit
+    )
+    if k < 1:
+        return 0
+    log.append_quantum(
+        start_step=start + length,
+        repeat=k,
+        index0=kernel.next_q,
+        request=group.request,
+        request_int=req_int,
+        available=avail,
+        allotment=alloc_arr,
+        work=plan.delta,
+        span=plan.span,
+        steps=steps_pred,
+    )
+    kernel.apply_superstep(k, plan, alloc_arr, length)
+    return k
 
 
 @dataclass(slots=True)
 class GroupWindowTask:
-    """One group's window of quanta: the unit of sharded dispatch."""
+    """One group's window of quanta: the unit of windowed execution."""
 
     group: int
     kernel: MultiBatchKernel
@@ -84,7 +280,7 @@ class GroupWindowTask:
     """The group's processor budget (what its waterfall divides)."""
     processors: int
     """Machine-wide ``P`` (caps the records' ``available`` field, exactly
-    as the flat loop computes it)."""
+    as the serial loop computes it)."""
     quantum_length: int
     start: int
     """Machine time at the window's first quantum boundary."""
@@ -107,27 +303,21 @@ class GroupWindowResult:
     log: QuantumLog
     finished: list[tuple[int, int, int, JobTrace]]
     """``(machine quantum, admission seq, job id, trace)`` per finished
-    job — sorting the union across groups reproduces the flat loop's
+    job — sorting the union across groups reproduces the serial loop's
     finished-trace insertion order."""
     executed: int
     """Quanta actually executed (< ``quanta`` only if the group emptied)."""
 
 
-def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
-    """Advance one group through its window — the flat loop's per-quantum
-    body, restricted to the group (see the module docstring for why that
-    restriction is bitwise-invisible).
+def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
+    """The batched per-quantum loop: advance one group through its window.
 
     Mutates the task's kernel/allocator in place and hands them back: under
     pool dispatch they are this worker's pickled copies, and under serial
     dispatch fault injection fires before this body runs, so a retried unit
     always starts from pristine state.
     """
-    # Local import: repro.sim.multi imports this module lazily, so the
-    # reverse edge must also be deferred to keep import order free.
-    from .multi import _attempt_superstep, _batch_feedback
-
-    kernel = task.kernel
+    kernel: MultiBatchKernel = task.kernel
     allocator = task.allocator
     L = task.quantum_length
     log = QuantumLog(L)
@@ -141,16 +331,22 @@ def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
         ids_sorted, order = kernel.allocation_order()
         req_sorted = req_int[order]
         grants = allocator.allocate_batch(ids_sorted, req_sorted, task.budget)
-        if grants is None:  # guarded at simulate entry; defensive here
+        if grants is None:  # routed at simulate entry; defensive here
             raise ValueError(
-                "sharded execution requires an array-native allocator "
+                "windowed execution requires an array-native allocator "
                 "(allocate_batch returned None)"
             )
         validate_allocation_arrays(ids_sorted, req_sorted, grants, task.budget)
         alloc_arr = np.empty(nk, dtype=np.int64)
         alloc_arr[order] = grants
         batch_out = kernel.execute_quantum(alloc_arr, L, task.overhead)
+        # Under a partitioning allocator the processors "available" to a
+        # job are exactly its (possibly trimmed) share when deprived; when
+        # satisfied the machine-wide P upper-bounds availability.
         avail = np.where(alloc_arr < req_int, alloc_arr, task.processors)
+        # The group snapshots ``index0``/``request`` before the bump and the
+        # in-place feedback writes below; the other columns are fresh
+        # arrays this iteration never touches again.
         if layout_dirty:
             log.set_layout(kernel.jids)
             layout_dirty = False
@@ -179,6 +375,9 @@ def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
         if finished_pos:
             kernel.remove(finished_pos)
             layout_dirty = True
+        # Superstep: with no event this quantum — nothing finished, no
+        # scalar feedback — try to fast-forward through the quanta the
+        # group provably repeats.
         skipped = 0
         if (
             task.superstep
@@ -197,8 +396,7 @@ def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
                 task.budget,
                 L,
                 t,
-                next_release=None,  # windows end before the next admission
-                budget=task.quanta - executed - 1,
+                max_skip=task.quanta - executed - 1,
             )
         t += (skipped + 1) * L
         executed += skipped + 1
@@ -212,108 +410,74 @@ def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
     )
 
 
-def _has_array_path(allocator: Allocator) -> bool:
-    return type(allocator).allocate_batch is not Allocator.allocate_batch
+def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
+    """Advance one group through its window: the unit a shard worker runs
+    under :func:`run_supervised`.
+
+    Pooled dispatch looks this name up at call time, so a wrapper installed
+    on the module sees exactly the dispatched windows and can ship data
+    back on their results; in-process windows call :func:`_advance_window`
+    directly, since nothing would carry such data back from them.
+    """
+    return _advance_window(task)
 
 
-def simulate_job_set_sharded(
-    specs: Sequence[JobSpec],
+def simulate_windowed(
+    pending: Sequence[tuple[int, int, JobSpec]],
+    profiles: Mapping[int, Profile],
     allocator: Allocator,
     processors: int,
     *,
-    quantum_length: int = 1000,
-    max_quanta: int = 10_000_000,
-    overhead: ReallocationOverhead = NO_OVERHEAD,
-    strict: bool = False,
-    superstep: Literal["auto", "off"] = "auto",
-    shards: int | Literal["auto"] = "auto",
-    task_timeout: float | None = None,
-    retries: int | None = None,
-) -> "MultiJobResult":
-    """Window-barrier sharded twin of
-    :func:`repro.sim.multi.simulate_job_set` (call that with ``shards=`` set
-    rather than this directly).  Byte-identical traces at any shard count.
+    quantum_length: int,
+    max_quanta: int,
+    overhead: ReallocationOverhead,
+    strict: bool,
+    superstep: bool,
+    workers: int | None,
+    task_timeout: float | None,
+    retries: int | None,
+) -> tuple[dict[int, JobTrace], int]:
+    """Run a validated, fully batchable job set window by window; returns
+    the finished traces (in the serial loop's insertion order) and the
+    quanta elapsed.
 
-    Requirements beyond the flat loop's: every job must be batchable (the
-    per-group windows run on the kernel path only) and the allocator must
-    have an array-native ``allocate_batch``.  A
-    :class:`HierarchicalAllocator` shards over its groups; any other
-    array-native allocator runs as a single group spanning the machine
-    (sharding then buys no parallelism, but the windowed path — and its
-    group-local supersteps — still applies, which is what the golden-trace
-    ``sharded`` replay path exercises on the flat-allocator fixtures).
+    ``pending`` is the ``(release, job id, spec)`` list sorted by release
+    then id, ``profiles`` every job's segment profile, and ``allocator``
+    must have an array-native ``allocate_batch``.  ``workers=None`` runs a
+    single machine-wide window in-process; a worker count splits a
+    :class:`HierarchicalAllocator` into per-group windows dispatched through
+    :func:`run_supervised` (``task_timeout``/``retries`` apply there).
     """
-    from .multi import MultiJobResult
-
-    if processors < 1:
-        raise ValueError("need at least one processor")
-    if quantum_length < 1:
-        raise ValueError("quantum length must be >= 1")
-    if not specs:
-        raise ValueError("job set is empty")
-    if not _has_array_path(allocator):
-        raise ValueError(
-            "sharded execution requires an array-native allocator "
-            f"(no allocate_batch override on {type(allocator).__name__})"
-        )
-    workers = resolve_workers(0 if shards == "auto" else int(shards))
-
-    pending: list[tuple[int, int, JobSpec]] = []
-    seen_ids: set[int] = set()
-    profiles: dict[int, tuple[tuple[int, int], ...]] = {}
-    interned: dict[
-        tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]
-    ] = {}
-    for i, spec in enumerate(specs):
-        jid = spec.job_id if spec.job_id is not None else i
-        if jid in seen_ids:
-            raise ValueError(f"duplicate job id {jid}")
-        seen_ids.add(jid)
-        profile = segment_profile(spec, strict=strict)
-        if profile is None:
-            raise ValueError(
-                f"job {jid} is not batchable; sharded execution requires "
-                "counts-determined jobs (run with shards=None to use the "
-                "fallback path)"
-            )
-        # Intern by value: giant job sets repeat a handful of shapes, and
-        # slots sharing one profile tuple let pickle's memo collapse the
-        # per-window worker payload from O(jobs x segments) to O(shapes).
-        profiles[jid] = interned.setdefault(profile, profile)
-        pending.append((spec.release_time, jid, spec))
-    pending.sort(key=lambda item: (item[0], item[1]))
-    released = {jid: rel for rel, jid, _ in pending}
-
-    hier = allocator if isinstance(allocator, HierarchicalAllocator) else None
-    do_superstep = superstep == "auto"
+    hier = (
+        allocator
+        if workers is not None and isinstance(allocator, HierarchicalAllocator)
+        else None
+    )
     L = quantum_length
     log = QuantumLog(L)
     done: dict[int, JobTrace] = {}
-    kernels: list[MultiBatchKernel] = []
-    budgets: list[int] = []
-    if hier is None:
-        kernels.append(MultiBatchKernel(strict=strict))
-        budgets.append(processors)
+    # A hierarchical allocator's group kernels are built at the first barrier.
+    kernels: list[MultiBatchKernel] = (
+        [] if hier is not None else [MultiBatchKernel(strict=strict)]
+    )
+    budgets: list[int] = [] if hier is not None else [processors]
     t = 0
     quanta = 0
-    seq = 0
-    cursor = 0
+    cursor = 0  # next admission index into ``pending`` (the admission seq)
 
     # One pool outlives every window barrier: per-window forking would
     # otherwise dominate the dispatch cost on short windows.
-    shared_pool = WorkerPool(workers) if workers > 1 else None
+    shared_pool = WorkerPool(workers) if workers is not None and workers > 1 else None
     try:
         while cursor < len(pending) or any(len(k) > 0 for k in kernels):
             if quanta >= max_quanta:
                 raise RuntimeError(f"job set did not finish within {max_quanta} quanta")
-            # Admissions at this boundary (same order the flat loop admits in).
-            arrivals: list[tuple[int, JobSpec, int]] = []  # (jid, spec, seq)
+            # Admissions at this boundary are ``pending[first:cursor]``.
+            first = cursor
             while cursor < len(pending) and pending[cursor][0] <= t:
-                _rel, jid, spec = pending[cursor]
                 cursor += 1
-                arrivals.append((jid, spec, seq))
-                seq += 1
-            if not arrivals and all(len(k) == 0 for k in kernels):
+            if first == cursor and all(len(k) == 0 for k in kernels):
+                # Fast-forward to the boundary at/after the next release.
                 next_release = pending[cursor][0]
                 t = max(t + L, ((next_release + L - 1) // L) * L)
                 continue
@@ -325,7 +489,7 @@ def simulate_job_set_sharded(
                 id_req: list[tuple[int, int]] = []
                 for kernel in kernels:
                     id_req.extend(zip(kernel.jids, kernel.integer_requests().tolist()))
-                for jid, spec, _s in arrivals:
+                for _rel, jid, spec in pending[first:cursor]:
                     id_req.append((jid, integer_request(spec.feedback.first_request())))
                 id_req.sort()
                 ids_arr = np.array([j for j, _ in id_req], dtype=np.int64)
@@ -346,17 +510,13 @@ def simulate_job_set_sharded(
                     if moving:
                         for state in kernel.export_slots(moving):
                             kernels[membership[state.jid]].import_slot(state)
-                group_of = membership
-            else:
-                group_of = {jid: 0 for jid, _spec, _s in arrivals}
-            for jid, spec, s in arrivals:
-                kernels[group_of[jid]].admit(
+            for s in range(first, cursor):
+                rel, jid, spec = pending[s]
+                kernels[membership[jid] if hier is not None else 0].admit(
                     jid=jid,
                     seq=s,
                     spec=spec,
-                    trace=JobTrace(
-                        quantum_length=L, release_time=released[jid], job_id=jid
-                    ),
+                    trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
                     profile=profiles[jid],
                     request=spec.feedback.first_request(),
                 )
@@ -384,31 +544,34 @@ def simulate_job_set_sharded(
                     start=t,
                     quanta=window,
                     start_quantum=quanta,
-                    superstep=do_superstep,
+                    superstep=superstep,
                     overhead=overhead,
                 )
                 for g, kernel in enumerate(kernels)
                 if len(kernel) > 0
             ]
-            keys = [
-                unit_key(
-                    "shard-window",
-                    {"group": task.group, "start": task.start, "quanta": task.quanta},
-                )
-                for task in tasks
-            ]
-            outcome = run_supervised(
-                run_group_window,
-                tasks,
-                workers=min(workers, len(tasks)),
-                keys=keys,
-                task_timeout=task_timeout,
-                retries=retries,
-                pool=shared_pool,
-            )
+            if workers is not None:
+                keys = [
+                    unit_key(
+                        "shard-window",
+                        {"group": task.group, "start": task.start, "quanta": task.quanta},
+                    )
+                    for task in tasks
+                ]
+                results = run_supervised(
+                    run_group_window,
+                    tasks,
+                    workers=min(workers, len(tasks)),
+                    keys=keys,
+                    task_timeout=task_timeout,
+                    retries=retries,
+                    pool=shared_pool,
+                ).results
+            else:
+                results = [_advance_window(task) for task in tasks]
             executed = 0
             window_finished: list[tuple[int, int, int, JobTrace]] = []
-            for result in outcome.results:
+            for result in results:
                 kernels[result.group] = result.kernel
                 if hier is not None:
                     hier.set_group_allocator(result.group, result.allocator)
@@ -423,15 +586,8 @@ def simulate_job_set_sharded(
                 hier.advance_window(executed)
             t += executed * L
             quanta += executed
-
     finally:
         if shared_pool is not None:
             shared_pool.close()
     log.build_traces(done)
-    return MultiJobResult(
-        traces=done,
-        processors=processors,
-        quantum_length=L,
-        quanta_elapsed=quanta,
-        released=released,
-    )
+    return done, quanta

@@ -481,9 +481,13 @@ def audit_multi_result(
                     )
                 )
             if satisfied:
+                # DEQ's last round grants ``share`` or ``share + 1``, so a job
+                # whose request is exactly ``share + 1`` and that drew the
+                # rotating bonus is satisfied one processor above a deprived
+                # job: allow the same one-processor slack as above.
                 worst = min(allots)
                 best_satisfied = max(a for _, a in satisfied)
-                if best_satisfied > worst:
+                if best_satisfied > worst + 1:
                     out.append(
                         Violation(
                             V.V_DEQ_UNFAIR,

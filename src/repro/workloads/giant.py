@@ -9,11 +9,12 @@ executes quantum by quantum.  Every other group holds long single-phase
 *stable* jobs whose A-Control requests reach their bitwise fixed point
 within a few quanta, after which whole windows collapse into supersteps.
 
-Under the flat loop one churning group pins the entire machine to
-per-quantum execution (a machine-wide superstep needs *every* slot at a
-fixed point).  Under sharded execution the stable groups fast-forward
-their windows independently while only group 0 pays the per-quantum cost —
-the core-count-independent speedup the giant bench scenario measures.
+In one machine-wide window (``shards=None``) one churning group pins the
+entire machine to per-quantum execution (a machine-wide superstep needs
+*every* slot at a fixed point).  In per-group windows (``shards >= 2``) the
+stable groups fast-forward their windows independently while only group 0
+pays the per-quantum cost — the core-count-independent speedup the giant
+bench scenario measures.
 
 Job ids are assigned so membership is predictable: admission fills groups
 round-robin in sorted-id order (equal budgets, ties to the lowest index),
@@ -47,7 +48,7 @@ _CHURN_NARROW = 3
 _CHURN_WIDE = 7
 _CHURN_PHASE_LEVELS = 900
 #: One churner per this many group-0 slots: a single churner already pins
-#: its whole group (and, under the flat loop, the whole machine) to
+#: its whole group (and, in a machine-wide window, the whole machine) to
 #: per-quantum execution, so most of group 0 can stay stable jobs.
 _CHURN_STRIDE = 4
 

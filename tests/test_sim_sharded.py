@@ -1,11 +1,13 @@
-"""Byte-identity proof of the sharded executor against the flat loop.
+"""Byte-identity proof of sharded execution against the serial oracle.
 
 ``simulate_job_set(..., shards=N)`` advances each allocation group through a
-window of quanta per supervised worker dispatch; ``shards=None`` is the flat
-centralized per-quantum loop.  The claim mirrors the batch/superstep claims:
-traces are *bit-identical* at any shard count, on every workload — mid-run
-releases, migrations at rebalancing boundaries, fault-injected dispatches,
-serial and pooled workers, superstep on and off.
+window of quanta per supervised worker dispatch; ``shards=None`` runs the
+same window body as one machine-wide group in-process.  Both are therefore
+also compared with ``batch="off"``, the serial reference loop, which shares
+no code with the windowed loop.  The claim mirrors the batch/superstep
+claims: traces are *bit-identical* at any shard count, on every workload —
+mid-run releases, migrations at rebalancing boundaries, fault-injected
+dispatches, serial and pooled workers, superstep on and off.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ def assert_identical(a: MultiJobResult, b: MultiJobResult) -> None:
         assert list(trace.records) == list(b.traces[jid].records), f"job {jid}"
 
 
+def oracle(specs, make_allocator, processors, **kwargs) -> MultiJobResult:
+    """The serial reference loop's run of the same set."""
+    return simulate_job_set(
+        specs, make_allocator(), processors, batch="off", **kwargs
+    )
+
+
 def hier(**overrides) -> HierarchicalAllocator:
     params = dict(group_size=12, rebalance_interval=8, imbalance_threshold=0.2)
     params.update(overrides)
@@ -78,6 +87,7 @@ class TestHierarchicalShardIdentity:
             specs, hier(), 48, quantum_length=100, shards=shards
         )
         assert_identical(flat, sharded)
+        assert_identical(flat, oracle(specs, hier, 48, quantum_length=100))
 
     def test_auto_shards(self):
         specs = random_specs(12, seed=7)
@@ -86,6 +96,7 @@ class TestHierarchicalShardIdentity:
             specs, hier(), 36, quantum_length=50, shards="auto"
         )
         assert_identical(flat, sharded)
+        assert_identical(flat, oracle(specs, hier, 36, quantum_length=50))
 
     def test_superstep_off_also_identical(self):
         specs = random_specs(16, seed=23)
@@ -96,18 +107,21 @@ class TestHierarchicalShardIdentity:
             specs, hier(), 48, quantum_length=100, superstep="off", shards=3
         )
         assert_identical(flat, sharded)
+        assert_identical(flat, oracle(specs, hier, 48, quantum_length=100))
 
     def test_migrations_cross_windows(self):
         """A tight rebalancing interval forces job migrations between
         windows (slots exported from one group kernel into another)."""
         specs = random_specs(20, seed=55, max_release=1)
-        allocator = hier(rebalance_interval=2, imbalance_threshold=0.05)
+
+        def tight() -> HierarchicalAllocator:
+            return hier(rebalance_interval=2, imbalance_threshold=0.05)
+
+        allocator = tight()
         flat = simulate_job_set(specs, allocator, 40, quantum_length=80)
-        allocator2 = hier(rebalance_interval=2, imbalance_threshold=0.05)
-        sharded = simulate_job_set(
-            specs, allocator2, 40, quantum_length=80, shards=4
-        )
+        sharded = simulate_job_set(specs, tight(), 40, quantum_length=80, shards=4)
         assert_identical(flat, sharded)
+        assert_identical(flat, oracle(specs, tight, 40, quantum_length=80))
         # the scenario actually rebalanced: membership moved at least once
         assert allocator.group_count > 1
 
@@ -119,12 +133,16 @@ class TestHierarchicalShardIdentity:
             specs, hier(), 32, quantum_length=60, overhead=oh, shards=2
         )
         assert_identical(flat, sharded)
+        assert_identical(
+            flat, oracle(specs, hier, 32, quantum_length=60, overhead=oh)
+        )
 
     def test_agreedy_policy(self):
         specs = random_specs(12, seed=31, policy=AGreedy())
         flat = simulate_job_set(specs, hier(), 36, quantum_length=70)
         sharded = simulate_job_set(specs, hier(), 36, quantum_length=70, shards=3)
         assert_identical(flat, sharded)
+        assert_identical(flat, oracle(specs, hier, 36, quantum_length=70))
 
     def test_late_releases_hit_idle_machine(self):
         """Job gaps exercise the coordinator's idle fast-forward."""
@@ -138,12 +156,15 @@ class TestHierarchicalShardIdentity:
             specs, hier(group_size=8), 16, quantum_length=100, shards=2
         )
         assert_identical(flat, sharded)
+        assert_identical(
+            flat,
+            oracle(specs, lambda: hier(group_size=8), 16, quantum_length=100),
+        )
 
 
 class TestFlatAllocatorsSharded:
     """Non-hierarchical array-native allocators run as a single group
-    spanning the machine — the windowed execution (and its group-local
-    supersteps) must still reproduce the flat loop exactly."""
+    spanning the machine, also when dispatched through the supervisor."""
 
     @pytest.mark.parametrize(
         "make", [DynamicEquiPartitioning, RoundRobinAllocator]
@@ -155,12 +176,13 @@ class TestFlatAllocatorsSharded:
             specs, make(), 40, quantum_length=100, shards=2
         )
         assert_identical(flat, sharded)
+        assert_identical(flat, oracle(specs, make, 40, quantum_length=100))
 
 
 class TestFaultTolerance:
     def test_identity_under_injected_faults(self, monkeypatch):
         """Transient worker faults retry the window from pristine state;
-        the gathered traces stay byte-identical to the clean flat run."""
+        the gathered traces stay byte-identical to the clean runs."""
         specs = random_specs(16, seed=13)
         flat = simulate_job_set(specs, hier(), 36, quantum_length=100)
         monkeypatch.setenv(
@@ -170,6 +192,7 @@ class TestFaultTolerance:
             specs, hier(), 36, quantum_length=100, shards=4, retries=3
         )
         assert_identical(flat, sharded)
+        assert_identical(flat, oracle(specs, hier, 36, quantum_length=100))
 
 
 class TestValidation:
@@ -180,11 +203,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown shards mode"):
             simulate_job_set(specs, hier(), 16, shards="many")  # type: ignore[arg-type]
 
-    def test_shards_one_is_the_flat_loop(self):
+    def test_shards_one_is_the_in_process_window(self):
         specs = random_specs(6, seed=2)
         flat = simulate_job_set(specs, hier(), 16, quantum_length=100)
         one = simulate_job_set(specs, hier(), 16, quantum_length=100, shards=1)
         assert_identical(flat, one)
+        assert_identical(flat, oracle(specs, hier, 16, quantum_length=100))
 
     def test_batch_off_conflicts_with_sharding(self):
         specs = random_specs(4, seed=1)
@@ -229,4 +253,11 @@ class TestScaleSmoke:
             quantum_length=100, shards=4,
         )
         assert_identical(flat, sharded)
+        assert_identical(
+            flat,
+            oracle(
+                specs, lambda: hier(group_size=64, rebalance_interval=25), 512,
+                quantum_length=100,
+            ),
+        )
         assert len(flat.traces) == 200

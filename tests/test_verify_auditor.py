@@ -23,7 +23,7 @@ from repro.dag.builders import fork_join_from_phases
 from repro.engine.explicit import ExplicitExecutor
 from repro.engine.phased import PhasedJob
 from repro.sim.jobs import JobSpec
-from repro.sim.multi import simulate_job_set
+from repro.sim.multi import MultiJobResult, simulate_job_set
 from repro.sim.single import simulate_job
 from repro.verify import violations as V
 from repro.verify.auditor import (
@@ -340,6 +340,50 @@ class TestMultiprogrammedAudit:
                     assert V.V_RESERVATION in report.codes()
                     return
         pytest.fail("no boundary with idle processors to forge against")
+
+
+    @staticmethod
+    def one_boundary(requests: dict[int, int], allots: dict[int, int], total: int):
+        """A single-quantum run whose boundary holds ``allots``."""
+        traces = {}
+        for jid, req in requests.items():
+            a = allots[jid]
+            trace = JobTrace(quantum_length=L, job_id=jid)
+            trace.append(
+                QuantumRecord(
+                    index=1,
+                    request=float(req),
+                    request_int=req,
+                    available=a if a < req else total,
+                    allotment=a,
+                    work=a * L,
+                    span=float(L),
+                    steps=L,
+                    quantum_length=L,
+                    start_step=0,
+                )
+            )
+            traces[jid] = trace
+        return MultiJobResult(traces=traces, processors=total, quantum_length=L)
+
+    def test_rotating_bonus_to_satisfied_job_is_fair(self):
+        """DEQ's last round grants share or share+1: a job requesting
+        exactly share+1 that draws the bonus is satisfied one processor
+        above the deprived jobs, which is still a fair allocation."""
+        requests = {0: 11, 1: 20, 2: 20}
+        allots = DynamicEquiPartitioning().allocate(requests, 31)
+        assert allots == {0: 11, 1: 10, 2: 10}
+        report = audit_multi_result(self.one_boundary(requests, allots, 31))
+        assert report.checked(V.V_DEQ_UNFAIR)
+        assert V.V_DEQ_UNFAIR not in report.codes(), report.summary()
+
+    def test_satisfied_job_two_above_deprived_is_unfair(self):
+        requests = {0: 12, 1: 20, 2: 20}
+        allots = {0: 12, 1: 10, 2: 10}
+        report = audit_multi_result(
+            self.one_boundary(requests, allots, 32), non_reserving=False
+        )
+        assert V.V_DEQ_UNFAIR in report.codes()
 
 
 class TestStrictMode:

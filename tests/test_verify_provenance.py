@@ -374,7 +374,7 @@ class TestSeededMutations:
         hits = [
             f
             for f in payload["findings"]
-            if f["code"] == "ABG341" and f["path"].endswith("multi.py")
+            if f["code"] == "ABG341" and f["path"].endswith("sharded.py")
         ]
         assert len(hits) == 1
         assert "jids" in hits[0]["message"]
@@ -392,7 +392,7 @@ class TestSeededMutations:
         hits = [
             f
             for f in payload["findings"]
-            if f["code"] in ("ABG341", "ABG344") and f["path"].endswith("multi.py")
+            if f["code"] in ("ABG341", "ABG344") and f["path"].endswith("sharded.py")
         ]
         assert hits, payload["findings"]
         assert any("append_quantum" in f["message"] for f in hits)
