@@ -1,18 +1,19 @@
-"""Columnar backing store for :class:`~repro.core.types.JobTrace`.
+"""Column store of :class:`~repro.core.types.JobTrace`.
 
-The batched simulation kernel (:mod:`repro.sim.multi_batched`) computes every
-quantum's measurements as aligned numpy arrays.  Materializing a
-:class:`~repro.core.types.QuantumRecord` per job-quantum just to sum a few
-fields afterwards is what bounded full-scale fig6; instead the kernel hands
-each finished job a :class:`TraceColumns` — one array per record field — and
-the trace answers its aggregates straight from the arrays, building the
-identical record objects only if someone actually iterates them.
+A trace holds one job's per-quantum history as one aligned numpy array per
+:class:`~repro.core.types.QuantumRecord` field.  The batched simulation
+kernel (:mod:`repro.sim.multi_batched`) emits those arrays directly; the
+serial paths append one validated record at a time, and the store packs the
+appended rows into its arrays on :meth:`TraceColumns.freeze`.  Aggregates,
+serialization, diffing and auditing all read the arrays; record objects are
+built only when someone asks for them, through
+:meth:`TraceColumns.build_records`.
 
 Bit-identity contract
 ---------------------
-Every value in the columns is exactly the value the per-record path would
-have stored (the kernel emits the same arrays either way), and every
-aggregate here replays the per-record computation's arithmetic:
+Every value in the columns is exactly the value the record would hold
+(``tolist`` turns int64 and float64 entries back into the same python
+scalars), and every aggregate here replays the per-record arithmetic:
 
 - integer reductions (steps, work, waste) are exact in int64, so numpy sums
   equal the python sums;
@@ -22,73 +23,121 @@ aggregate here replays the per-record computation's arithmetic:
   differently;
 - per-row derived values (``avg_parallelism``) repeat the record property's
   python-scalar arithmetic.
-
-``build_records`` routes through
-:func:`~repro.core.types.quantum_records_from_columns`, so materialized
-records re-validate the same invariants the scalar constructor enforces.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Sequence
+
 import numpy as np
 
-from .types import QuantumRecord, quantum_records_from_columns
+if TYPE_CHECKING:  # types.py imports this module at load time
+    from .types import QuantumRecord
 
-__all__ = ["TraceColumns"]
+__all__ = ["RECORD_FIELDS", "TraceColumns"]
+
+RECORD_FIELDS = (
+    "index",
+    "request",
+    "request_int",
+    "available",
+    "allotment",
+    "work",
+    "span",
+    "steps",
+    "quantum_length",
+    "start_step",
+)
+"""The record fields, in column, constructor and serialization order."""
+
+_DTYPES = tuple(
+    np.float64 if name in ("request", "span") else np.int64 for name in RECORD_FIELDS
+)
+_ALLOTMENT = RECORD_FIELDS.index("allotment")
+_row_of = attrgetter(*RECORD_FIELDS)
 
 
 class TraceColumns:
     """One job's whole per-quantum history as aligned columns.
 
-    ``index`` and ``start_step`` are per-row (a job's quanta are contiguous
-    but start at job-specific absolute steps); ``quantum_length`` is the
-    machine-wide constant ``L``.  The arrays may be views into a larger
-    simulation-wide buffer — they are never mutated after construction.
+    Every field is per-row, ``quantum_length`` too: the single-job loop may
+    vary ``L`` from quantum to quantum.  The arrays may be views into a
+    larger simulation-wide buffer; they are never written after
+    construction.  :meth:`append` queues rows that only reach the arrays at
+    :meth:`freeze` — :attr:`JobTrace.columns <repro.core.types.JobTrace.columns>`
+    always hands out a frozen store.
     """
 
-    __slots__ = (
-        "quantum_length",
-        "index",
-        "request",
-        "request_int",
-        "available",
-        "allotment",
-        "work",
-        "span",
-        "steps",
-        "start_step",
-    )
+    __slots__ = (*RECORD_FIELDS, "_tail")
 
-    def __init__(
-        self,
-        *,
-        quantum_length: int,
-        index: np.ndarray,
-        request: np.ndarray,
-        request_int: np.ndarray,
-        available: np.ndarray,
-        allotment: np.ndarray,
-        work: np.ndarray,
-        span: np.ndarray,
-        steps: np.ndarray,
-        start_step: np.ndarray,
-    ) -> None:
-        self.quantum_length = quantum_length
-        self.index = index
-        self.request = request
-        self.request_int = request_int
-        self.available = available
-        self.allotment = allotment
-        self.work = work
-        self.span = span
-        self.steps = steps
-        self.start_step = start_step
+    def __init__(self, **columns: np.ndarray) -> None:
+        if columns.keys() != set(RECORD_FIELDS):
+            raise TypeError(f"TraceColumns needs exactly the columns {RECORD_FIELDS}")
+        for name in RECORD_FIELDS:
+            setattr(self, name, columns[name])
+        self._tail: list[tuple[Any, ...]] = []
+
+    @classmethod
+    def empty(cls) -> "TraceColumns":
+        return cls(**{n: np.empty(0, dtype=t) for n, t in zip(RECORD_FIELDS, _DTYPES)})
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[Any, ...]]) -> "TraceColumns":
+        """Columns of ``rows``, each a tuple of field values in
+        :data:`RECORD_FIELDS` order (no validation)."""
+        if not rows:
+            return cls.empty()
+        columns = zip(RECORD_FIELDS, _DTYPES, zip(*rows))
+        return cls(**{name: np.array(col, dtype=dtype) for name, dtype, col in columns})
 
     def __len__(self) -> int:
-        return int(self.index.size)
+        return int(self.index.size) + len(self._tail)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceColumns):
+            return NotImplemented
+        a, b = self.freeze(), other.freeze()
+        return len(a) == len(b) and all(
+            np.array_equal(getattr(a, name), getattr(b, name)) for name in RECORD_FIELDS
+        )
 
     # ------------------------------------------------------------------
-    # Aggregates (the values JobTrace computes from its record list)
+    # Building (the serial simulation paths)
+    # ------------------------------------------------------------------
+
+    def append(self, record: "QuantumRecord") -> None:
+        """Queue an already-validated record's fields as the next row."""
+        tail = self._tail
+        if tail:
+            last: int | None = tail[-1][0]
+        else:
+            last = int(self.index[-1]) if self.index.size else None
+        if last is not None and record.index != last + 1:
+            raise ValueError("quantum records must be appended in order")
+        if last is None and record.index != 1:
+            raise ValueError("first quantum record must have index 1")
+        tail.append(_row_of(record))
+
+    def last_allotment(self) -> int | None:
+        """``a(q)`` of the latest row, appended or packed; None when empty."""
+        if self._tail:
+            allotment: int = self._tail[-1][_ALLOTMENT]
+            return allotment
+        return int(self.allotment[-1]) if self.allotment.size else None
+
+    def freeze(self) -> "TraceColumns":
+        """Pack the appended rows into the arrays; returns ``self``."""
+        if self._tail:
+            packed = TraceColumns.from_rows(self._tail)
+            for name in RECORD_FIELDS:
+                joined = (getattr(self, name), getattr(packed, name))
+                setattr(self, name, np.concatenate(joined))
+            self._tail = []
+        return self
+
+    # ------------------------------------------------------------------
+    # Aggregates (the values JobTrace reports)
     # ------------------------------------------------------------------
 
     def total_steps(self) -> int:
@@ -141,18 +190,23 @@ class TraceColumns:
 
     # ------------------------------------------------------------------
 
-    def build_records(self) -> list[QuantumRecord]:
-        """Materialize the identical record list the per-record path would
-        have appended (vectorized validation, trusted construction)."""
+    def build_records(self, start: int = 0, stop: int | None = None) -> list["QuantumRecord"]:
+        """Rows ``start:stop`` as :class:`QuantumRecord` objects (vectorized
+        validation, trusted construction) — the only place records are
+        built from a trace."""
+        from .types import quantum_records_from_columns
+
+        self.freeze()
+        rows = slice(start, stop)
         return quantum_records_from_columns(
-            index=self.index.tolist(),
-            request=self.request,
-            request_int=self.request_int,
-            available=self.available,
-            allotment=self.allotment,
-            work=self.work,
-            span=self.span,
-            steps=self.steps,
-            quantum_length=self.quantum_length,
-            start_step=self.start_step.tolist(),
+            index=self.index[rows].tolist(),
+            request=self.request[rows],
+            request_int=self.request_int[rows],
+            available=self.available[rows],
+            allotment=self.allotment[rows],
+            work=self.work[rows],
+            span=self.span[rows],
+            steps=self.steps[rows],
+            quantum_length=self.quantum_length[rows].tolist(),
+            start_step=self.start_step[rows].tolist(),
         )

@@ -23,16 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-if TYPE_CHECKING:  # annotation-only: keep numpy off this module's import path
-    import numpy as np
+import numpy as np
 
-    from .columnar import TraceColumns
+from .columnar import RECORD_FIELDS, TraceColumns
 
 __all__ = [
     "QuantumRecord",
     "JobTrace",
+    "columns_valid",
     "integer_request",
     "quantum_records_from_columns",
     "transition_factor_of_series",
@@ -161,54 +161,25 @@ class QuantumRecord:
         return self.work_efficiency
 
 
-_RECORD_SETTERS = tuple(
-    QuantumRecord.__dict__[name].__set__
-    for name in (
-        "index",
-        "request",
-        "request_int",
-        "available",
-        "allotment",
-        "work",
-        "span",
-        "steps",
-        "quantum_length",
-        "start_step",
-    )
-)
+_RECORD_SETTERS = tuple(QuantumRecord.__dict__[name].__set__ for name in RECORD_FIELDS)
 """Direct slot-descriptor writers, bound once — the trusted batch
 constructor's way around the frozen dataclass's per-field
 ``object.__setattr__`` calls."""
 
 
-def quantum_records_from_columns(
+def columns_valid(
     *,
-    index: Sequence[int],
-    request: "np.ndarray",
-    request_int: "np.ndarray",
-    available: "np.ndarray",
-    allotment: "np.ndarray",
-    work: "np.ndarray",
-    span: "np.ndarray",
-    steps: "np.ndarray",
-    quantum_length: int,
-    start_step: int | Sequence[int],
-) -> list[QuantumRecord]:
-    """Construct one :class:`QuantumRecord` per row of aligned columns.
-
-    The batched simulation kernel produces a whole quantum's records as
-    aligned numpy columns; materializing them through the scalar constructor
-    would re-validate row by row in python.  This constructor instead checks
-    every :meth:`QuantumRecord.__post_init__` invariant once, vectorized over
-    the columns, and then builds the (identical) instances through direct
-    slot writes.  If any row is invalid, construction falls back to the
-    scalar constructor so the offending row raises exactly the error —
-    message, row order — the serial path would.
-
-    ``start_step`` is a scalar when the rows are one machine-wide quantum
-    (every job starts together) and a per-row sequence when the rows are one
-    job's whole columnar trace (each quantum starts at its own step).
-    """
+    index: Sequence[int] | np.ndarray,
+    request_int: np.ndarray,
+    available: np.ndarray,
+    allotment: np.ndarray,
+    work: np.ndarray,
+    span: np.ndarray,
+    steps: np.ndarray,
+    quantum_length: int | np.ndarray,
+) -> bool:
+    """Whether every row of aligned columns passes
+    :meth:`QuantumRecord.__post_init__`, checked vectorized."""
     valid = (
         (allotment >= 0)
         & (available >= 0)
@@ -221,6 +192,39 @@ def quantum_records_from_columns(
         & (span >= 0.0)
         & (span <= work + 1e-9)
     )
+    return bool(valid.all()) and (len(index) == 0 or int(np.min(index)) >= 1)
+
+
+def quantum_records_from_columns(
+    *,
+    index: Sequence[int],
+    request: np.ndarray,
+    request_int: np.ndarray,
+    available: np.ndarray,
+    allotment: np.ndarray,
+    work: np.ndarray,
+    span: np.ndarray,
+    steps: np.ndarray,
+    quantum_length: int | Sequence[int],
+    start_step: int | Sequence[int],
+) -> list[QuantumRecord]:
+    """Construct one :class:`QuantumRecord` per row of aligned columns.
+
+    Materializing records through the scalar constructor would re-validate
+    row by row in python.  This constructor instead checks every
+    :meth:`QuantumRecord.__post_init__` invariant once, vectorized over the
+    columns (:func:`columns_valid`), and then builds the (identical)
+    instances through direct slot writes.  If any row is invalid,
+    construction falls back to the scalar constructor so the offending row
+    raises exactly the error — message, row order — the serial path would.
+
+    ``quantum_length`` and ``start_step`` are scalars when the rows are one
+    machine-wide quantum (every job starts together) and per-row sequences
+    when the rows are one job's trace (each quantum starts at its own step).
+    """
+    lengths = (
+        repeat(quantum_length) if isinstance(quantum_length, int) else quantum_length
+    )
     starts = repeat(start_step) if isinstance(start_step, int) else start_step
     rows = zip(
         index,
@@ -231,40 +235,28 @@ def quantum_records_from_columns(
         work.tolist(),
         span.tolist(),
         steps.tolist(),
+        lengths,
         starts,
     )
-    if not valid.all() or (len(index) and min(index) < 1):
-        return [
-            QuantumRecord(i, d, di, p, a, t1, tinf, st, quantum_length, s0)
-            for i, d, di, p, a, t1, tinf, st, s0 in rows
-        ]
+    if not columns_valid(
+        index=index,
+        request_int=request_int,
+        available=available,
+        allotment=allotment,
+        work=work,
+        span=span,
+        steps=steps,
+        quantum_length=np.asarray(quantum_length, dtype=np.int64),
+    ):
+        return [QuantumRecord(*row) for row in rows]
     new = object.__new__
-    (
-        s_index,
-        s_request,
-        s_request_int,
-        s_available,
-        s_allotment,
-        s_work,
-        s_span,
-        s_steps,
-        s_quantum_length,
-        s_start_step,
-    ) = _RECORD_SETTERS
+    setters = _RECORD_SETTERS
     out: list[QuantumRecord] = []
     append = out.append
-    for i, d, di, p, a, t1, tinf, st, s0 in rows:
+    for row in rows:
         r = new(QuantumRecord)
-        s_index(r, i)
-        s_request(r, d)
-        s_request_int(r, di)
-        s_available(r, p)
-        s_allotment(r, a)
-        s_work(r, t1)
-        s_span(r, tinf)
-        s_steps(r, st)
-        s_quantum_length(r, quantum_length)
-        s_start_step(r, s0)
+        for setter, value in zip(setters, row):
+            setter(r, value)
         append(r)
     return out
 
@@ -275,79 +267,49 @@ class JobTrace:
     Aggregates the measurements the paper's evaluation reports: running time,
     wasted processor cycles, and the measured transition factor.
 
-    Backing stores
-    --------------
-    A trace is either *record-backed* (a plain list of
-    :class:`QuantumRecord`, appended as the serial simulation paths run) or
-    *columnar* — the batched simulation kernel attaches a
-    :class:`~repro.core.columnar.TraceColumns` of aligned per-quantum arrays
-    via :meth:`attach_columns`.  Columnar traces answer every aggregate
-    (running time, work, waste, series) straight from the arrays, and
-    materialize the identical record list lazily on first access to
-    :attr:`records` — the fig5/fig6 artifact writers that only need sums
-    never pay for record objects at all.  Either backing produces
-    bit-identical values.
+    Column store
+    ------------
+    A trace keeps its quanta in exactly one place: a
+    :class:`~repro.core.columnar.TraceColumns` of aligned per-field arrays.
+    The batched kernel hands a finished job its columns whole; the serial
+    paths :meth:`append` validated records, whose fields the store packs
+    into its arrays on first read.  Every aggregate (running time, work,
+    waste, series), serialization, diffing and auditing reads the arrays.
+    :attr:`records`, iteration and ``trace[q]`` are read-only row views:
+    each call builds fresh :class:`QuantumRecord` objects through
+    :meth:`~repro.core.columnar.TraceColumns.build_records`, and nothing
+    written to them reaches the trace.
     """
 
-    __slots__ = ("quantum_length", "release_time", "job_id", "_records", "_columns")
+    __slots__ = ("quantum_length", "release_time", "job_id", "_columns")
 
     def __init__(
         self,
         quantum_length: int,
-        records: list[QuantumRecord] | None = None,
+        columns: TraceColumns | None = None,
         release_time: int = 0,
         job_id: int | None = None,
     ) -> None:
         self.quantum_length = quantum_length
-        self._records: list[QuantumRecord] = records if records is not None else []
+        self._columns = columns if columns is not None else TraceColumns.empty()
         self.release_time = release_time
         self.job_id = job_id
-        self._columns: "TraceColumns | None" = None
 
-    # ------------------------------------------------------------------
-    # Backing-store management
-    # ------------------------------------------------------------------
+    @property
+    def columns(self) -> TraceColumns:
+        """The column store, with every appended row packed in."""
+        return self._columns.freeze()
 
     @property
     def records(self) -> list[QuantumRecord]:
-        """The record list, materialized from the columnar backing on first
-        access (and from then on the live, mutable backing)."""
-        cols = self._columns
-        if cols is not None:
-            self._columns = None
-            self._records = cols.build_records()
-        return self._records
-
-    @records.setter
-    def records(self, records: list[QuantumRecord]) -> None:
-        self._columns = None
-        self._records = records
-
-    @property
-    def has_columns(self) -> bool:
-        """Whether the trace is still columnar (records not yet built)."""
-        return self._columns is not None
-
-    def attach_columns(self, columns: "TraceColumns") -> None:
-        """Adopt a columnar backing store.  Only an empty trace can adopt
-        one — mixing an existing record list with arrays would make the
-        lazily-built view ambiguous."""
-        if self._records or self._columns is not None:
-            raise ValueError("columnar backing requires an empty trace")
-        self._columns = columns
+        """A freshly built record per quantum, in order."""
+        return self.columns.build_records()
 
     def append(self, record: QuantumRecord) -> None:
-        if self.records and record.index != self._records[-1].index + 1:
-            raise ValueError("quantum records must be appended in order")
-        if not self._records and record.index != 1:
-            raise ValueError("first quantum record must have index 1")
-        self._records.append(record)
+        self._columns.append(record)
 
     def __len__(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return len(cols)
-        return len(self._records)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[QuantumRecord]:
         return iter(self.records)
@@ -356,7 +318,10 @@ class JobTrace:
         """1-based access mirroring the paper's ``q`` index."""
         if q < 1:
             raise IndexError("quantum index starts at 1")
-        return self.records[q - 1]
+        row = self.columns.build_records(q - 1, q)
+        if not row:
+            raise IndexError(f"trace has no quantum {q}")
+        return row[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JobTrace):
@@ -365,7 +330,7 @@ class JobTrace:
             self.quantum_length == other.quantum_length
             and self.release_time == other.release_time
             and self.job_id == other.job_id
-            and self.records == other.records
+            and self._columns == other._columns
         )
 
     def __repr__(self) -> str:
@@ -382,19 +347,14 @@ class JobTrace:
     @property
     def running_time(self) -> int:
         """Total time steps from the job's first quantum to completion."""
-        cols = self._columns
-        if cols is not None:
-            return cols.total_steps()
-        return sum(r.steps for r in self._records)
+        return self.columns.total_steps()
 
     @property
     def completion_time(self) -> int:
         """Absolute completion step (start of first quantum + running time)."""
         if len(self) == 0:
             return self.release_time
-        cols = self._columns
-        first = cols.first_start() if cols is not None else self._records[0].start_step
-        return first + self.running_time
+        return self.columns.first_start() + self.running_time
 
     @property
     def response_time(self) -> int:
@@ -403,37 +363,22 @@ class JobTrace:
 
     @property
     def total_work(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return cols.total_work()
-        return sum(r.work for r in self._records)
+        return self.columns.total_work()
 
     @property
     def total_span(self) -> float:
-        cols = self._columns
-        if cols is not None:
-            return cols.total_span()
-        return sum(r.span for r in self._records)
+        return self.columns.total_span()
 
     @property
     def total_waste(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return cols.total_waste()
-        return sum(r.waste for r in self._records)
+        return self.columns.total_waste()
 
     @property
     def full_quanta(self) -> list[QuantumRecord]:
         return [r for r in self.records if r.is_full]
 
     def avg_parallelism_series(self, *, full_only: bool = True) -> list[float]:
-        cols = self._columns
-        if cols is not None:
-            return cols.avg_parallelism_series(full_only=full_only)
-        recs: Iterable[QuantumRecord] = (
-            self.full_quanta if full_only else self._records
-        )
-        return [r.avg_parallelism for r in recs]
+        return self.columns.avg_parallelism_series(full_only=full_only)
 
     def measured_transition_factor(self) -> float:
         """Transition factor ``CL`` measured from the trace (Section 5.2):
@@ -443,16 +388,10 @@ class JobTrace:
         return transition_factor_of_series(series)
 
     def request_series(self) -> list[float]:
-        cols = self._columns
-        if cols is not None:
-            return cols.request_series()
-        return [r.request for r in self._records]
+        return self.columns.request_series()
 
     def allotment_series(self) -> list[int]:
-        cols = self._columns
-        if cols is not None:
-            return cols.allotment_series()
-        return [r.allotment for r in self._records]
+        return self.columns.allotment_series()
 
     @property
     def reallocation_count(self) -> int:
@@ -468,10 +407,7 @@ class JobTrace:
         total_steps = self.running_time
         if total_steps == 0:
             return 0.0
-        cols = self._columns
-        if cols is not None:
-            return cols.allotted_steps() / total_steps
-        return sum(r.allotment * r.steps for r in self._records) / total_steps
+        return self.columns.allotted_steps() / total_steps
 
 
 def transition_factor_of_series(parallelism: Sequence[float]) -> float:

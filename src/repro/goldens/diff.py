@@ -1,12 +1,13 @@
 """Divergence-point diffing of quantum traces.
 
 Given the recorded (golden) traces and a replay's traces,
-:func:`first_divergence` finds the *first diverging quantum* — ordered by
-the machine-wide time at which it started, then by job id — and reports a
-structured field-level diff: job id, quantum index, field name, expected
-vs got.  Floats are compared by their IEEE-754 bit patterns (``-0.0`` and
-``0.0`` are different answers; so are two NaNs with different payloads),
-matching the byte-identity contract the execution paths promise.
+:func:`first_divergence` compares their columns, vectorized, and finds the
+*first diverging quantum* — ordered by the machine-wide time at which it
+started, then by job id — and reports a structured field-level diff: job
+id, quantum index, field name, expected vs got.  Floats are compared by
+their IEEE-754 bit patterns (``-0.0`` and ``0.0`` are different answers; so
+are two NaNs with different payloads), matching the byte-identity contract
+the execution paths promise.
 
 Divergence kinds:
 
@@ -21,21 +22,24 @@ Divergence kinds:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..core.types import JobTrace, QuantumRecord
-from ..io.traces import _RECORD_FIELDS as RECORD_FIELDS
+import numpy as np
+
+from ..core.columnar import RECORD_FIELDS
+from ..core.types import JobTrace
 
 __all__ = ["RECORD_FIELDS", "FieldDiff", "TraceDivergence", "first_divergence"]
 
 
-def _values_equal(a: float | int, b: float | int) -> bool:
-    """Bit-exact comparison: ints exactly, floats by their byte patterns."""
-    if isinstance(a, float) or isinstance(b, float):
-        return struct.pack("<d", float(a)) == struct.pack("<d", float(b))
-    return a == b
+def _differs(expected: np.ndarray, got: np.ndarray) -> np.ndarray:
+    """Row mask of a column pair: ints compared exactly, floats by their
+    IEEE-754 bit patterns."""
+    if expected.dtype.kind == "f" or got.dtype.kind == "f":
+        expected = expected.astype(np.float64).view(np.uint64)
+        got = got.astype(np.float64).view(np.uint64)
+    return expected != got
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,14 +105,6 @@ class TraceDivergence:
         }
 
 
-def _record_diffs(expected: QuantumRecord, got: QuantumRecord) -> tuple[FieldDiff, ...]:
-    return tuple(
-        FieldDiff(field=name, expected=getattr(expected, name), got=getattr(got, name))
-        for name in RECORD_FIELDS
-        if not _values_equal(getattr(expected, name), getattr(got, name))
-    )
-
-
 def _job_divergence(
     job_id: int,
     expected: JobTrace,
@@ -134,37 +130,43 @@ def _job_divergence(
                 f"got {got.release_time}"
             ),
         )
-    exp_records = expected.records
-    got_records = got.records
-    shared = min(len(exp_records), len(got_records))
+    exp_cols, got_cols = expected.columns, got.columns
+    n_exp, n_got = len(exp_cols), len(got_cols)
+    shared = min(n_exp, n_got)
     if horizon is not None:
         shared = min(shared, horizon)
-    for pos in range(shared):
-        diffs = _record_diffs(exp_records[pos], got_records[pos])
-        if diffs:
-            rec = exp_records[pos]
-            return TraceDivergence(
-                kind="field",
-                job_id=job_id,
-                quantum=rec.index,
-                position=pos,
-                start_step=rec.start_step,
-                fields=diffs,
-            )
-    if len(exp_records) != len(got_records) and (
-        horizon is None or shared < horizon
-    ):
-        longer = exp_records if len(exp_records) > len(got_records) else got_records
-        rec = longer[shared]
+    masks = [
+        (name, _differs(getattr(exp_cols, name)[:shared], getattr(got_cols, name)[:shared]))
+        for name in RECORD_FIELDS
+    ]
+    mismatch = np.logical_or.reduce([mask for _, mask in masks])
+    if mismatch.any():
+        pos = int(mismatch.argmax())
+        return TraceDivergence(
+            kind="field",
+            job_id=job_id,
+            quantum=int(exp_cols.index[pos]),
+            position=pos,
+            start_step=int(exp_cols.start_step[pos]),
+            fields=tuple(
+                FieldDiff(
+                    field=name,
+                    expected=getattr(exp_cols, name)[pos].item(),
+                    got=getattr(got_cols, name)[pos].item(),
+                )
+                for name, mask in masks
+                if mask[pos]
+            ),
+        )
+    if n_exp != n_got and (horizon is None or shared < horizon):
+        longer = exp_cols if n_exp > n_got else got_cols
         return TraceDivergence(
             kind="quantum-count",
             job_id=job_id,
-            quantum=rec.index,
+            quantum=int(longer.index[shared]),
             position=shared,
-            start_step=rec.start_step,
-            detail=(
-                f"expected {len(exp_records)} quanta, got {len(got_records)}"
-            ),
+            start_step=int(longer.start_step[shared]),
+            detail=f"expected {n_exp} quanta, got {n_got}",
         )
     return None
 

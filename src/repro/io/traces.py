@@ -30,7 +30,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..core.types import JobTrace, QuantumRecord
+import numpy as np
+
+from ..core.columnar import RECORD_FIELDS, TraceColumns
+from ..core.types import JobTrace, QuantumRecord, columns_valid
 from ..runtime import write_atomic
 
 __all__ = [
@@ -55,19 +58,6 @@ SCHEMA_VERSION = 1
 
 #: Schema of the golden-bundle envelope (scenario + traces + provenance).
 GOLDEN_SCHEMA_VERSION = 1
-
-_RECORD_FIELDS = (
-    "index",
-    "request",
-    "request_int",
-    "available",
-    "allotment",
-    "work",
-    "span",
-    "steps",
-    "quantum_length",
-    "start_step",
-)
 
 #: Record fields carrying integer counts (bools are rejected: JSON ``true``
 #: in a count field is a corruption, not a one).
@@ -101,35 +91,77 @@ def _require_finite(value: Any, path: str) -> float:
 
 
 def trace_to_dict(trace: JobTrace) -> dict[str, Any]:
+    columns = trace.columns
+    rows = zip(*(getattr(columns, name).tolist() for name in RECORD_FIELDS))
     return {
         "schema": SCHEMA_VERSION,
         "quantum_length": trace.quantum_length,
         "release_time": trace.release_time,
         "job_id": trace.job_id,
-        "records": [
-            {f: getattr(rec, f) for f in _RECORD_FIELDS} for rec in trace.records
-        ],
+        "records": [dict(zip(RECORD_FIELDS, row)) for row in rows],
     }
 
 
-def _record_from_dict(raw: Any, path: str) -> QuantumRecord:
-    """One validated :class:`QuantumRecord` from a JSON object at ``path``."""
+def _record_values(raw: Any, path: str) -> tuple[Any, ...]:
+    """One record's type-checked field values from a JSON object at ``path``."""
     if not isinstance(raw, dict):
         raise ValueError(f"field {path} must be an object, got {type(raw).__name__}")
-    values: dict[str, Any] = {}
-    for name in _RECORD_FIELDS:
+    values = []
+    for name in RECORD_FIELDS:
         if name not in raw:
             raise ValueError(f"missing field {path}.{name}")
         value = raw[name]
         where = f"{path}.{name}"
         if name in _INT_RECORD_FIELDS:
-            values[name] = _require_int(value, where)
+            values.append(_require_int(value, where))
         else:
-            values[name] = _require_finite(value, where)
+            values.append(_require_finite(value, where))
+    return tuple(values)
+
+
+def _replay(rows: list[tuple[Any, ...]], where: str) -> None:
+    """Append ``rows`` one record at a time: raises the error the first bad
+    row's constructor or quantum-order check raises, if any."""
+    columns = TraceColumns.empty()
+    for i, values in enumerate(rows):
+        try:
+            columns.append(QuantumRecord(*values))
+        except ValueError as exc:
+            raise ValueError(f"invalid record at {where}.records[{i}]: {exc}") from None
+
+
+def _columns_from_records(records: list[Any], where: str) -> TraceColumns:
+    """Validated columns of a JSON record list.
+
+    Field types are checked row by row; the record invariants and the
+    quantum order are checked vectorized.  Any failure replays the rows
+    before it one record at a time, so the error raised is the first one in
+    row order — exactly what building the trace record by record raises.
+    """
+    rows: list[tuple[Any, ...]] = []
     try:
-        return QuantumRecord(**values)
-    except ValueError as exc:
-        raise ValueError(f"invalid record at {path}: {exc}") from None
+        for i, raw in enumerate(records):
+            rows.append(_record_values(raw, f"{where}.records[{i}]"))
+    except ValueError:
+        _replay(rows, where)
+        raise
+    try:
+        columns = TraceColumns.from_rows(rows)
+    except OverflowError:
+        raise ValueError(f"a count in {where}.records exceeds the int64 range") from None
+    in_order = np.array_equal(columns.index, np.arange(1, len(rows) + 1, dtype=np.int64))
+    if not in_order or not columns_valid(
+        index=columns.index,
+        request_int=columns.request_int,
+        available=columns.available,
+        allotment=columns.allotment,
+        work=columns.work,
+        span=columns.span,
+        steps=columns.steps,
+        quantum_length=columns.quantum_length,
+    ):
+        _replay(rows, where)
+    return columns
 
 
 def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
@@ -144,21 +176,17 @@ def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
     job_id = data.get("job_id")
     if job_id is not None:
         job_id = _require_int(job_id, f"{where}.job_id")
-    trace = JobTrace(
-        quantum_length=_require_int(data["quantum_length"], f"{where}.quantum_length"),
-        release_time=_require_int(data.get("release_time", 0), f"{where}.release_time"),
-        job_id=job_id,
-    )
+    quantum_length = _require_int(data["quantum_length"], f"{where}.quantum_length")
+    release_time = _require_int(data.get("release_time", 0), f"{where}.release_time")
     records = data.get("records")
     if not isinstance(records, list):
         raise ValueError(f"field {where}.records must be a list, got {records!r}")
-    for i, raw in enumerate(records):
-        record = _record_from_dict(raw, f"{where}.records[{i}]")
-        try:
-            trace.append(record)
-        except ValueError as exc:
-            raise ValueError(f"invalid record at {where}.records[{i}]: {exc}") from None
-    return trace
+    return JobTrace(
+        quantum_length,
+        _columns_from_records(records, where),
+        release_time=release_time,
+        job_id=job_id,
+    )
 
 
 def save_trace(trace: JobTrace, path: str | Path) -> Path:

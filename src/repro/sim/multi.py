@@ -27,9 +27,9 @@ A set runs on one of two loops, with bit-identical traces either way:
   (:mod:`repro.sim.multi_batched`): one numpy step loop advances all jobs
   per quantum, in windows that end at admission and rebalancing barriers.
   Records are emitted *columnar* into a
-  :class:`~repro.sim.superstep.QuantumLog`, and finished traces get
-  array-backed :class:`~repro.core.columnar.TraceColumns` views instead of
-  eagerly-built record lists.
+  :class:`~repro.sim.superstep.QuantumLog`, whose arrays become the
+  finished traces' :class:`~repro.core.columnar.TraceColumns` without a
+  record object ever being built.
 
 ``shards`` only chooses how the windowed loop splits and runs its groups:
 ``None`` or ``1`` runs one machine-wide window in-process; ``N >= 2`` (or
@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Sequence, cast
 
 from ..allocators.base import Allocator, validate_allocation
+from ..core.columnar import TraceColumns
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..engine.base import JobExecutor
@@ -118,7 +119,8 @@ class MultiJobResult:
 class _ActiveJob:
     spec: JobSpec
     executor: JobExecutor
-    trace: JobTrace
+    release_time: int
+    columns: TraceColumns
     request: float
     next_q: int = 1
 
@@ -285,7 +287,8 @@ def _simulate_serial(
                 executor=make_executor(
                     spec.job, spec.discipline, strict=strict, engine=spec.engine
                 ),
-                trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
+                release_time=rel,
+                columns=TraceColumns.empty(),
                 request=spec.feedback.first_request(),
             )
         if not active:
@@ -303,7 +306,7 @@ def _simulate_serial(
         finished: list[int] = []
         for jid, job in active.items():
             a = alloc[jid]
-            prev_a = job.trace.records[-1].allotment if job.trace.records else None
+            prev_a = job.columns.last_allotment()
             ex = run_quantum_with_overhead(job.executor, a, L, prev_a, overhead)
             record = QuantumRecord(
                 index=job.next_q,
@@ -317,7 +320,7 @@ def _simulate_serial(
                 quantum_length=L,
                 start_step=t,
             )
-            job.trace.append(record)
+            job.columns.append(record)
             job.next_q += 1
             if ex.finished:
                 finished.append(jid)
@@ -325,7 +328,8 @@ def _simulate_serial(
                 job.request = job.spec.feedback.next_request(record)
         # Finished traces land in admission order.
         for jid in finished:
-            done[jid] = active.pop(jid).trace
+            job = active.pop(jid)
+            done[jid] = JobTrace(L, job.columns.freeze(), job.release_time, jid)
         t += L
         quanta += 1
     return done, quanta

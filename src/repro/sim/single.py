@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from ..allocators.availability import ConstantAvailability
 from ..allocators.base import AvailabilityPolicy
+from ..core.columnar import TraceColumns
 from ..core.feedback import FeedbackPolicy
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.quantum_policy import FixedQuantumLength, QuantumLengthPolicy
@@ -99,8 +100,7 @@ def simulate_job(
     executor = make_executor(job, discipline, strict=strict, engine=engine)
     if executor.finished:
         raise ValueError("job is already finished; pass a fresh executor or description")
-    records: list[QuantumRecord] = []
-
+    columns = TraceColumns.empty()
     d = feedback.first_request()
     prev: QuantumRecord | None = None
     t = 0
@@ -129,13 +129,11 @@ def simulate_job(
             quantum_length=length,
             start_step=t,
         )
-        records.append(record)
+        columns.append(record)
         t += ex.steps
         d = feedback.next_request(record)
         prev = record
         q += 1
 
-    trace = JobTrace(quantum_length=records[0].quantum_length, job_id=job_id)
-    for record in records:
-        trace.append(record)
-    return trace
+    columns.freeze()
+    return JobTrace(int(columns.quantum_length[0]), columns, job_id=job_id)

@@ -18,9 +18,9 @@ lift the kernel to whole-*run* granularity:
     simulation loop appends one *group* of aligned column arrays (O(1) python,
     no per-slot work), and a superstep of ``K`` identical quanta appends one
     group with ``repeat=K``.  At the end of the run :meth:`QuantumLog.build_traces`
-    expands and sorts the groups once, vectorized, and attaches a
-    :class:`~repro.core.columnar.TraceColumns` view to every kernel job's
-    trace — records themselves are never built unless someone iterates them.
+    expands and sorts the groups once, vectorized, and gives every kernel
+    job a trace backed by its :class:`~repro.core.columnar.TraceColumns`
+    view — records themselves are never built unless someone asks for them.
 
 :func:`pure_quantum_counts`
     The closed form behind multi-quantum fast-forwarding.  A quantum is
@@ -53,12 +53,12 @@ lift the kernel to whole-*run* granularity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import MutableMapping, Sequence
 
 import numpy as np
 
 from ..core.columnar import TraceColumns
-from ..core.types import JobTrace, quantum_records_from_columns
+from ..core.types import JobTrace, columns_valid, quantum_records_from_columns
 
 __all__ = [
     "SuperstepArena",
@@ -303,20 +303,17 @@ class QuantumLog:
         exactly the quantum that produced it.
         """
         quantum_length = self.quantum_length
-        valid = (
-            (allotment >= 0)
-            & (available >= 0)
-            & (allotment <= available)
-            & (allotment <= request_int)
-            & (steps >= 0)
-            & (steps <= quantum_length)
-            & (work >= 0)
-            & (work <= allotment * steps)
-            & (span >= 0.0)
-            & (span <= work + 1e-9)
-        )
         index0 = index0.copy()
-        if not valid.all() or (index0.size and int(index0.min()) < 1):
+        if not columns_valid(
+            index=index0,
+            request_int=request_int,
+            available=available,
+            allotment=allotment,
+            work=work,
+            span=span,
+            steps=steps,
+            quantum_length=quantum_length,
+        ):
             # Raise the scalar constructor's error for the first bad row.
             quantum_records_from_columns(
                 index=index0.tolist(),
@@ -374,9 +371,10 @@ class QuantumLog:
 
     # ------------------------------------------------------------------
 
-    def build_traces(self, traces: Mapping[int, JobTrace]) -> None:
-        """Expand the groups once, sort rows by job, and attach a
-        :class:`TraceColumns` view to every job's trace.
+    def build_traces(self, traces: MutableMapping[int, JobTrace]) -> None:
+        """Expand the groups once, sort rows by job, and replace every
+        logged job's (empty) trace with one backed by its
+        :class:`TraceColumns` view.
 
         Group order is chronological and rows within a superstep group are
         slot-major (slot ``i``'s ``K`` quanta are consecutive), so a stable
@@ -421,27 +419,22 @@ class QuantumLog:
         jid_all = np.concatenate(jid_parts)
         order = np.argsort(jid_all, kind="stable")
         jid_sorted = jid_all[order]
-        idx_sorted = np.concatenate(idx_parts)[order]
-        start_sorted = np.concatenate(start_parts)[order]
-        cols_sorted = {
+        cols = {
             name: np.concatenate(parts)[order]
             for name, parts in value_parts.items()
         }
+        cols["index"] = np.concatenate(idx_parts)[order]
+        cols["start_step"] = np.concatenate(start_parts)[order]
+        # One zero-stride column of L shared by every job's slice.
+        cols["quantum_length"] = np.broadcast_to(np.int64(L), jid_sorted.shape)
         bounds = np.flatnonzero(np.diff(jid_sorted)) + 1
         starts = np.concatenate(([0], bounds, [jid_sorted.size]))
         for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
             jid = int(jid_sorted[a])
-            traces[jid].attach_columns(
-                TraceColumns(
-                    quantum_length=L,
-                    index=idx_sorted[a:b],
-                    request=cols_sorted["request"][a:b],
-                    request_int=cols_sorted["request_int"][a:b],
-                    available=cols_sorted["available"][a:b],
-                    allotment=cols_sorted["allotment"][a:b],
-                    work=cols_sorted["work"][a:b],
-                    span=cols_sorted["span"][a:b],
-                    steps=cols_sorted["steps"][a:b],
-                    start_step=start_sorted[a:b],
-                )
+            empty = traces[jid]
+            traces[jid] = JobTrace(
+                empty.quantum_length,
+                TraceColumns(**{name: col[a:b] for name, col in cols.items()}),
+                release_time=empty.release_time,
+                job_id=empty.job_id,
             )

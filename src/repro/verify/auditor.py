@@ -124,13 +124,25 @@ def audit_trace(
         V.V_SPAN_EXCEEDS_WORK,
     ]
 
-    records = trace.records
-    if not records:
+    cols = trace.columns
+    n = len(cols)
+    if not n:
         return AuditReport(violations=(), checks=tuple(checks))
+    # Python scalars, never numpy ones: they end up in the violations.
+    index = cols.index.tolist()
+    request = cols.request.tolist()
+    request_int = cols.request_int.tolist()
+    available = cols.available.tolist()
+    allotment = cols.allotment.tolist()
+    work = cols.work.tolist()
+    span = cols.span.tolist()
+    steps = cols.steps.tolist()
+    quantum_length = cols.quantum_length.tolist()
 
     # --- per-quantum structural invariants --------------------------------
-    for i, rec in enumerate(records):
-        q = rec.index
+    for i in range(n):
+        q, d, d_int, p, a = index[i], request[i], request_int[i], available[i], allotment[i]
+        t1, tinf, st, ql = work[i], span[i], steps[i], quantum_length[i]
         if q != i + 1:
             out.append(
                 Violation(
@@ -140,129 +152,127 @@ def audit_trace(
                     quantum=q,
                 )
             )
-        expected_int = integer_request(rec.request)
-        if rec.request_int != expected_int:
+        expected_int = integer_request(d)
+        if d_int != expected_int:
             out.append(
                 Violation(
                     V.V_REQUEST_NOT_CEIL,
-                    f"request_int {rec.request_int} != ceil(d)={expected_int} "
-                    f"for d={rec.request!r}",
+                    f"request_int {d_int} != ceil(d)={expected_int} for d={d!r}",
                     job_id=jid,
                     quantum=q,
-                    measured=rec.request_int,
+                    measured=d_int,
                     bound=expected_int,
                 )
             )
-        if rec.allotment > rec.available:
+        if a > p:
             out.append(
                 Violation(
                     V.V_ALLOTMENT_EXCEEDS_AVAILABLE,
-                    f"a(q)={rec.allotment} > p(q)={rec.available}",
+                    f"a(q)={a} > p(q)={p}",
                     job_id=jid,
                     quantum=q,
-                    measured=rec.allotment,
-                    bound=rec.available,
+                    measured=a,
+                    bound=p,
                 )
             )
-        if rec.allotment > rec.request_int:
+        if a > d_int:
             out.append(
                 Violation(
                     V.V_ALLOTMENT_EXCEEDS_REQUEST,
-                    f"allocator not conservative: a(q)={rec.allotment} > "
-                    f"ceil(d(q))={rec.request_int}",
+                    f"allocator not conservative: a(q)={a} > ceil(d(q))={d_int}",
                     job_id=jid,
                     quantum=q,
-                    measured=rec.allotment,
-                    bound=rec.request_int,
+                    measured=a,
+                    bound=d_int,
                 )
             )
-        if rec.steps > rec.quantum_length:
+        if st > ql:
             out.append(
                 Violation(
                     V.V_STEPS_EXCEED_QUANTUM,
-                    f"steps={rec.steps} > L={rec.quantum_length}",
+                    f"steps={st} > L={ql}",
                     job_id=jid,
                     quantum=q,
-                    measured=rec.steps,
-                    bound=rec.quantum_length,
+                    measured=st,
+                    bound=ql,
                 )
             )
-        if rec.steps < rec.quantum_length and i != len(records) - 1:
+        if st < ql and i != n - 1:
             out.append(
                 Violation(
                     V.V_EARLY_STOP_NOT_LAST,
-                    f"quantum stopped at {rec.steps}/{rec.quantum_length} steps "
+                    f"quantum stopped at {st}/{ql} steps "
                     "but is not the job's final quantum",
                     job_id=jid,
                     quantum=q,
                 )
             )
-        if rec.work > rec.allotment * rec.steps:
+        if t1 > a * st:
             out.append(
                 Violation(
                     V.V_WORK_EXCEEDS_CAPACITY,
-                    f"T1(q)={rec.work} > a(q)*steps={rec.allotment * rec.steps}",
+                    f"T1(q)={t1} > a(q)*steps={a * st}",
                     job_id=jid,
                     quantum=q,
-                    measured=rec.work,
-                    bound=rec.allotment * rec.steps,
+                    measured=t1,
+                    bound=a * st,
                 )
             )
         # Greedy non-idling: while the job is unfinished every step schedules
         # min(a, ready) >= 1 ready tasks, so a quantum's work is at least its
         # step count.  (Reallocation overhead deliberately breaks this; audit
         # overhead-free runs, which is what the paper models.)
-        if rec.work < rec.steps:
+        if t1 < st:
             out.append(
                 Violation(
                     V.V_IDLE_WITH_READY_TASKS,
-                    f"greedy non-idling broken: T1(q)={rec.work} < steps={rec.steps} "
+                    f"greedy non-idling broken: T1(q)={t1} < steps={st} "
                     "(an unfinished job always has a ready task)",
                     job_id=jid,
                     quantum=q,
-                    measured=rec.work,
-                    bound=rec.steps,
+                    measured=t1,
+                    bound=st,
                 )
             )
-        if rec.span > rec.work + atol:
+        if tinf > t1 + atol:
             out.append(
                 Violation(
                     V.V_SPAN_EXCEEDS_WORK,
-                    f"Tinf(q)={rec.span} > T1(q)={rec.work}",
+                    f"Tinf(q)={tinf} > T1(q)={t1}",
                     job_id=jid,
                     quantum=q,
-                    measured=rec.span,
-                    bound=float(rec.work),
+                    measured=tinf,
+                    bound=float(t1),
                 )
             )
 
     if exp.breadth_first:
         checks.append(V.V_SPAN_EXCEEDS_STEPS)
-        for rec in records:
-            if rec.span > rec.steps + atol:
+        for q, tinf, st in zip(index, span, steps):
+            if tinf > st + atol:
                 out.append(
                     Violation(
                         V.V_SPAN_EXCEEDS_STEPS,
                         f"beta(q) > 1 under breadth-first execution: "
-                        f"Tinf(q)={rec.span} > steps={rec.steps}",
+                        f"Tinf(q)={tinf} > steps={st}",
                         job_id=jid,
-                        quantum=rec.index,
-                        measured=rec.span,
-                        bound=float(rec.steps),
+                        quantum=q,
+                        measured=tinf,
+                        bound=float(st),
                     )
                 )
 
     # d(1) is assigned verbatim by FeedbackPolicy.first_request, never
     # computed, so exact comparison is the correct check here.
-    if records[0].request != 1.0:  # noqa: ABG102
+    if request[0] != 1.0:  # noqa: ABG102
         out.append(
             Violation(
                 V.V_FIRST_REQUEST,
-                f"d(1)={records[0].request!r} (the paper initializes every "
+                f"d(1)={request[0]!r} (the paper initializes every "
                 "policy at one processor)",
                 job_id=jid,
                 quantum=1,
-                measured=records[0].request,
+                measured=request[0],
                 bound=1.0,
             )
         )
@@ -315,19 +325,21 @@ def audit_trace(
     if exp.convergence_rate is not None:
         checks.append(V.V_ACONTROL_RECURRENCE)
         r = exp.convergence_rate
-        for prev, cur in zip(records, records[1:]):
-            a_prev = prev.avg_parallelism
+        for i in range(1, n):
+            d_prev = request[i - 1]
+            # A(q-1), with QuantumRecord.avg_parallelism's empty-quantum zero.
+            a_prev = 0.0 if span[i - 1] == 0 else work[i - 1] / span[i - 1]
             # An empty quantum carries no parallelism signal; the policy holds.
-            expected = prev.request if a_prev <= 0.0 else r * prev.request + (1.0 - r) * a_prev
-            if not _rel_close(cur.request, expected, rtol, atol):
+            expected = d_prev if a_prev <= 0.0 else r * d_prev + (1.0 - r) * a_prev
+            if not _rel_close(request[i], expected, rtol, atol):
                 out.append(
                     Violation(
                         V.V_ACONTROL_RECURRENCE,
-                        f"d({cur.index})={cur.request!r} != r*d(q-1)+(1-r)*A(q-1)"
+                        f"d({index[i]})={request[i]!r} != r*d(q-1)+(1-r)*A(q-1)"
                         f"={expected!r} with r={r}",
                         job_id=jid,
-                        quantum=cur.index,
-                        measured=cur.request,
+                        quantum=index[i],
+                        measured=request[i],
                         bound=expected,
                     )
                 )
@@ -425,34 +437,36 @@ def audit_multi_result(
     if non_reserving:
         checks.append(V.V_RESERVATION)
 
-    # Reconstruct machine-wide boundaries from the per-job records.
+    # Reconstruct machine-wide boundaries from the per-job columns.
     boundaries: dict[int, list[tuple[int, int, int]]] = {}
     for jid, trace in result.traces.items():
         release = result.released.get(jid, trace.release_time)
-        if trace.records and trace.records[0].start_step < release:
+        cols = trace.columns
+        starts = cols.start_step.tolist()
+        if starts and starts[0] < release:
             out.append(
                 Violation(
                     V.V_RELEASE_ORDER,
-                    f"first quantum starts at {trace.records[0].start_step} "
-                    f"before release at {release}",
+                    f"first quantum starts at {starts[0]} before release at {release}",
                     job_id=jid,
                     quantum=1,
                 )
             )
-        for rec in trace.records:
-            if rec.start_step % L != 0:
+        rows = zip(
+            cols.index.tolist(), starts, cols.allotment.tolist(), cols.request_int.tolist()
+        )
+        for q, start, a, d_int in rows:
+            if start % L != 0:
                 out.append(
                     Violation(
                         V.V_BOUNDARY_ALIGNMENT,
-                        f"quantum starts at {rec.start_step}, not a multiple "
+                        f"quantum starts at {start}, not a multiple "
                         f"of L={L} (machine-wide quanta are synchronized)",
                         job_id=jid,
-                        quantum=rec.index,
+                        quantum=q,
                     )
                 )
-            boundaries.setdefault(rec.start_step, []).append(
-                (jid, rec.allotment, rec.request_int)
-            )
+            boundaries.setdefault(start, []).append((jid, a, d_int))
 
     for start, entries in sorted(boundaries.items()):
         q = start // L + 1

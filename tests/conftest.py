@@ -6,12 +6,24 @@ import numpy as np
 import pytest
 
 from repro import Phase, PhasedJob
+from repro.core.columnar import TraceColumns
 from repro.core.types import QuantumRecord
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_records(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make building a record from a trace fail the test: everything the
+    test does must read the trace's columns."""
+
+    def refuse(self: TraceColumns, *args: object) -> None:
+        raise AssertionError("TraceColumns.build_records was called")
+
+    monkeypatch.setattr(TraceColumns, "build_records", refuse)
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.allocators.roundrobin import RoundRobinAllocator
 from repro.core.abg import AControl
 from repro.core.agreedy import AGreedy
+from repro.core.columnar import TraceColumns
 from repro.core.overhead import ReallocationOverhead
 from repro.core.reference import FixedRequest
 from repro.core.types import JobTrace, QuantumRecord
@@ -37,6 +38,21 @@ from repro.sim.superstep import (
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _count_build_records(monkeypatch) -> list[int]:
+    """Record the size of every ``TraceColumns.build_records`` call from
+    now on; the returned list stays empty while nothing builds a record."""
+    calls: list[int] = []
+    original = TraceColumns.build_records
+
+    def counted(self, *args):
+        built = original(self, *args)
+        calls.append(len(built))
+        return built
+
+    monkeypatch.setattr(TraceColumns, "build_records", counted)
+    return calls
 
 
 def assert_results_identical(a, b) -> None:
@@ -403,7 +419,7 @@ class TestQuantumLog:
             steps=np.full(n, 10, dtype=np.int64),
         )
 
-    def test_repeat_groups_expand_to_per_quantum_records(self):
+    def test_repeat_groups_expand_to_per_quantum_records(self, monkeypatch):
         log = QuantumLog(10)
         log.set_layout([5, 3])
         log.append_quantum(start_step=0, repeat=1, **self._group_cols(
@@ -417,8 +433,10 @@ class TestQuantumLog:
             5: JobTrace(quantum_length=10, job_id=5),
             3: JobTrace(quantum_length=10, job_id=3),
         }
+        calls = _count_build_records(monkeypatch)
         log.build_traces(traces)
-        assert traces[5].has_columns and traces[3].has_columns
+        assert len(traces[5]) == 4 and len(traces[3]) == 5
+        assert calls == []
         recs5 = traces[5].records
         assert [r.index for r in recs5] == [1, 2, 3, 4]
         assert [r.start_step for r in recs5] == [0, 10, 20, 30]
@@ -590,7 +608,7 @@ class TestSuperstepIdentity:
                 max_quanta=500, superstep="auto",
             )
 
-    def test_columnar_traces_lazy_until_records_read(self):
+    def test_columnar_traces_lazy_until_records_read(self, monkeypatch):
         policy = AControl(0.2)
         specs = [
             JobSpec(job=PhasedJob([(4, 3000)]), feedback=policy, job_id=0)
@@ -599,13 +617,13 @@ class TestSuperstepIdentity:
             specs, DynamicEquiPartitioning(), 16, quantum_length=20
         )
         trace = res.traces[0]
-        assert trace.has_columns
-        # aggregates answer from columns without materializing
+        calls = _count_build_records(monkeypatch)
+        # aggregates answer from columns without building records
         work = trace.total_work
         span = trace.total_span
-        assert trace.has_columns
-        recs = trace.records  # materializes
-        assert not trace.has_columns
+        assert calls == []
+        recs = trace.records  # builds a fresh row view
+        assert calls == [len(recs)]
         assert sum(r.work for r in recs) == work
         total = 0.0
         for r in recs:

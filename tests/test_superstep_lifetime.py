@@ -109,20 +109,22 @@ class TestSnapshotLifetimes:
 
 
 class TestEmptyLog:
-    def test_build_traces_is_a_noop(self):
+    def test_build_traces_is_a_noop(self, no_records):
         log = QuantumLog(L)
         assert len(log) == 0
         trace = JobTrace(L, job_id=1)
-        log.build_traces({1: trace})
-        assert not trace.has_columns
-        assert trace.records == []
+        traces = {1: trace}
+        log.build_traces(traces)
+        assert traces[1] is trace
+        assert len(trace) == 0 and trace.total_work == 0
 
-    def test_layout_only_log_is_still_empty(self):
+    def test_layout_only_log_is_still_empty(self, no_records):
         log = QuantumLog(L)
         log.set_layout([1, 2])
         trace = JobTrace(L, job_id=1)
-        log.build_traces({1: trace})
-        assert not trace.has_columns
+        traces = {1: trace}
+        log.build_traces(traces)
+        assert traces[1] is trace and len(trace) == 0
         assert len(log) == 0
 
 

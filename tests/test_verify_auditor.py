@@ -2,14 +2,14 @@
 
 Hand-built violating traces and tampered schedules must each surface their
 specific violation code; clean engine runs — including hypothesis-randomized
-fork-join workloads — must audit clean.  Forged records bypass
-``QuantumRecord.__post_init__`` on purpose: the whole point is to hand the
-auditor records the engines could never emit.
+fork-join workloads — must audit clean.  Forged rows are written straight
+into a trace's columns, bypassing ``QuantumRecord.__post_init__`` on
+purpose: the whole point is to hand the auditor quanta the engines could
+never emit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.core.abg import AControl
+from repro.core.columnar import RECORD_FIELDS, TraceColumns
 from repro.core.types import JobTrace, QuantumRecord
 from repro.dag.builders import fork_join_from_phases
 from repro.engine.explicit import ExplicitExecutor
@@ -38,19 +39,16 @@ L = 50
 RATE = 0.2
 
 
-def forge(rec: QuantumRecord, **overrides: object) -> QuantumRecord:
-    """Clone a record with fields overridden, skipping validation."""
-    clone = object.__new__(QuantumRecord)
-    for f in dataclasses.fields(QuantumRecord):
-        object.__setattr__(clone, f.name, overrides.get(f.name, getattr(rec, f.name)))
-    return clone
-
-
 def tamper(trace: JobTrace, q: int, **overrides: object) -> JobTrace:
-    """Copy of ``trace`` with quantum ``q`` forged."""
-    out = JobTrace(quantum_length=trace.quantum_length, job_id=trace.job_id)
-    out.records = [forge(r, **overrides) if r.index == q else r for r in trace.records]
-    return out
+    """Copy of ``trace`` with quantum ``q``'s fields overridden, written
+    straight into a fresh :class:`TraceColumns` so no record validation
+    runs."""
+    cols = trace.columns
+    forged = {name: getattr(cols, name).copy() for name in RECORD_FIELDS}
+    rows = forged["index"] == q
+    for name, value in overrides.items():
+        forged[name][rows] = value
+    return JobTrace(trace.quantum_length, TraceColumns(**forged), job_id=trace.job_id)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +102,7 @@ class TestForgedTraces:
         (v,) = report.by_code(V.V_ALLOTMENT_EXCEEDS_AVAILABLE)
         assert v.quantum == rec.index
         assert v.measured == a and v.bound == rec.available
+        assert type(v.measured) is int and type(v.bound) is int  # not numpy
 
     def test_over_allocation_beyond_request(self, clean_run):
         _, trace = clean_run
