@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 import subprocess
 import time
 import tracemalloc
@@ -44,7 +45,8 @@ __all__ = [
 ]
 
 #: Schema version of the BENCH_<rev>.json artifact.  2 added per-scenario
-#: ``peak_bytes``; schema-1 reports still load (peak reads as 0).
+#: ``peak_bytes``; schema-1 reports still load (peak reads as 0).  The
+#: optional ``nproc``/``dirty`` provenance keys read as None when absent.
 BENCH_SCHEMA = 2
 
 
@@ -73,6 +75,11 @@ class BenchReport:
     scale: str
     calibration_seconds: float
     timings: list[ScenarioTiming] = field(default_factory=list)
+    nproc: int | None = None
+    """CPUs the measuring process could run on; None in older reports."""
+    dirty: bool | None = None
+    """Whether the git tree had uncommitted changes (``rev`` then does not
+    name the measured code); None outside git and in older reports."""
 
     def timing(self, name: str) -> ScenarioTiming | None:
         for t in self.timings:
@@ -109,20 +116,37 @@ class MemRegression:
     """``current / baseline`` peak-heap ratio (>1 means more memory)."""
 
 
-def current_rev() -> str:
-    """Short git revision of the working tree, or ``"dev"`` outside git."""
+def _git(*args: str) -> str | None:
+    """stdout of a git command, or None when git fails or is missing."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=10,
             check=False,
         )
     except (OSError, subprocess.TimeoutExpired):
-        return "dev"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "dev"
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def current_rev() -> str:
+    """Short git revision of the working tree, or ``"dev"`` outside git."""
+    return _git("rev-parse", "--short", "HEAD") or "dev"
+
+
+def _tree_dirty() -> bool | None:
+    """Whether ``git status --porcelain`` lists any change; None outside git."""
+    status = _git("status", "--porcelain")
+    return None if status is None else bool(status)
+
+
+def _nproc() -> int | None:
+    """CPUs this process may run on, as ``nproc`` counts them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def measure_calibration(repeats: int = 3) -> float:
@@ -179,6 +203,8 @@ def run_bench(
         rev=rev if rev is not None else current_rev(),
         scale=scale,
         calibration_seconds=calibration,
+        nproc=_nproc(),
+        dirty=_tree_dirty(),
     )
     for scenario in SCENARIOS:
         seconds, units, peak = _time_scenario(scenario, scale, repeats)
@@ -205,6 +231,8 @@ def report_payload(
     payload: dict[str, Any] = {
         "schema": BENCH_SCHEMA,
         "rev": report.rev,
+        "dirty": report.dirty,
+        "nproc": report.nproc,
         "scale": report.scale,
         "calibration_seconds": report.calibration_seconds,
         "scenarios": [asdict(t) for t in report.timings],
@@ -237,6 +265,8 @@ def load_report(path: str | Path) -> BenchReport:
         rev=str(data["rev"]),
         scale=str(data["scale"]),
         calibration_seconds=float(data["calibration_seconds"]),
+        nproc=None if data.get("nproc") is None else int(data["nproc"]),
+        dirty=None if data.get("dirty") is None else bool(data["dirty"]),
     )
     for entry in data["scenarios"]:
         report.timings.append(

@@ -10,6 +10,27 @@ field path (``traces['3'].records[7].span``) instead of leaking a
 ``KeyError``/``TypeError`` from deep inside the record constructor — a
 corrupted or hand-edited fixture fails with a diagnosis, not a traceback.
 
+Column-wise IO
+--------------
+Trace files hold one JSON object per quantum, but neither direction builds
+those objects one field at a time:
+
+- **Writing.** ``json.dumps`` with an ``indent`` never uses CPython's C
+  encoder, so the private :func:`_dumps` encodes only the envelope (trace
+  headers, scenario, provenance) that way, with a placeholder for each
+  trace's ``"records"``.  It then splices in each record list, formatted
+  from the trace's columns with one ``%``-template per row.  The output is
+  byte for byte what ``json.dumps(..., indent=...)`` of
+  :func:`trace_to_dict` writes, ``NaN``/``Infinity`` spellings included.
+- **Reading.** :func:`_loads` parses with the plain C decoder, which keeps
+  the last of two duplicate keys.  Every key in the text is followed by a
+  ``:``, so the text's colon count equals the parsed payload's key count
+  exactly when no key was dropped and no string holds a colon.  On any
+  other count the text is parsed again with a hook that rejects the first
+  duplicate key.  Record fields are then type-checked per column; a trace
+  whose columns fail any check goes through the row-by-row checks, which
+  raise the first error in row order.
+
 Golden bundles
 --------------
 A *golden bundle* is the unit the regression harness (:mod:`repro.goldens`)
@@ -27,6 +48,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -90,16 +113,102 @@ def _require_finite(value: Any, path: str) -> float:
     return out
 
 
-def trace_to_dict(trace: JobTrace) -> dict[str, Any]:
-    columns = trace.columns
-    rows = zip(*(getattr(columns, name).tolist() for name in RECORD_FIELDS))
+def _trace_object(trace: JobTrace, records: Any) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "quantum_length": trace.quantum_length,
         "release_time": trace.release_time,
         "job_id": trace.job_id,
-        "records": [dict(zip(RECORD_FIELDS, row)) for row in rows],
+        "records": records,
     }
+
+
+def _record_dicts(columns: TraceColumns) -> list[dict[str, Any]]:
+    rows = zip(*(getattr(columns, name).tolist() for name in RECORD_FIELDS))
+    return [dict(zip(RECORD_FIELDS, row)) for row in rows]
+
+
+def trace_to_dict(trace: JobTrace) -> dict[str, Any]:
+    return _trace_object(trace, _record_dicts(trace.columns))
+
+
+# ---------------------------------------------------------------------------
+# Column-wise writer
+# ---------------------------------------------------------------------------
+
+#: Stands in for a record list while ``json.dumps`` encodes the envelope.
+_PLACEHOLDER = "\x00abg-records"
+_QUOTED_PLACEHOLDER = json.dumps(_PLACEHOLDER)
+
+
+def _json_floats(column: np.ndarray) -> list[str]:
+    """A float column's values as ``json`` spells them, ``NaN`` and
+    ``Infinity`` included.
+
+    The C encoder spells each distinct bit pattern once (``-0.0`` stays
+    apart from ``0.0``): a float's shortest ``repr`` costs several times an
+    int's, and a saturated set's ``span`` and ``request`` columns hold few
+    distinct values (docs/PERFORMANCE.md, "Trace JSON save and load").
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    result: list[str] = np.array(spelled, dtype=object)[inverse].tolist()
+    return result
+
+
+def _records_json(columns: TraceColumns, indent: int, depth: int) -> str:
+    """The record list ``json.dumps(..., indent=indent)`` writes for
+    ``columns`` when its key sits at nesting ``depth``.  ``%r`` of a python
+    int (what ``tolist`` returns) is the spelling ``json`` writes."""
+    if not len(columns):
+        return "[]"
+    item = " " * (indent * (depth + 1))
+    inner = " " * (indent * (depth + 2))
+    fields: list[str] = []
+    values: list[list[Any]] = []
+    for name in RECORD_FIELDS:
+        column = getattr(columns, name)
+        if column.dtype.kind == "f":
+            fields.append(f'{inner}"{name}": %s')
+            values.append(_json_floats(column))
+        else:
+            fields.append(f'{inner}"{name}": %r')
+            values.append(column.tolist())
+    row = item + "{\n" + ",\n".join(fields) + "\n" + item + "}"
+    rows = ",\n".join(map(row.__mod__, zip(*values)))
+    return "[\n" + rows + "\n" + " " * (indent * depth) + "]"
+
+
+def _dumps(payload: dict[str, Any], *, indent: int, depth: int) -> str:
+    """``json.dumps(payload, indent=indent)`` of a payload whose trace objects
+    hold their :class:`TraceColumns` as ``"records"``, each at nesting
+    ``depth``: the bytes are those of the same payload holding
+    :func:`trace_to_dict` record lists."""
+    held: list[TraceColumns] = []
+
+    def hold(value: Any) -> str:
+        if not isinstance(value, TraceColumns):
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
+        held.append(value)
+        return _PLACEHOLDER
+
+    head, *tails = json.dumps(payload, indent=indent, default=hold).split(
+        _QUOTED_PLACEHOLDER
+    )
+    if len(tails) != len(held):
+        # Some string of the envelope spells the placeholder too.
+        return json.dumps(payload, indent=indent, default=_record_dicts)
+    parts = [head]
+    for columns, tail in zip(held, tails):
+        parts += (_records_json(columns, indent, depth), tail)
+    return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Loading
+# ---------------------------------------------------------------------------
 
 
 def _record_values(raw: Any, path: str) -> tuple[Any, ...]:
@@ -130,14 +239,62 @@ def _replay(rows: list[tuple[Any, ...]], where: str) -> None:
             raise ValueError(f"invalid record at {where}.records[{i}]: {exc}") from None
 
 
+def _checked_columns(records: list[Any]) -> TraceColumns | None:
+    """Columns of a JSON record list if it passes every check, else None.
+
+    The checks of :func:`_record_values`, ``from_rows`` and :func:`_replay`,
+    made one column at a time.
+    """
+    if set(map(type, records)) != {dict}:
+        return None
+    arrays: dict[str, np.ndarray] = {}
+    for name in RECORD_FIELDS:
+        try:
+            values = list(map(itemgetter(name), records))
+        except KeyError:
+            return None
+        kinds = set(map(type, values))
+        try:
+            if name in _INT_RECORD_FIELDS:
+                if kinds != {int}:
+                    return None
+                arrays[name] = np.array(values, dtype=np.int64)
+            else:
+                if not kinds <= {int, float}:
+                    return None
+                arrays[name] = np.array(values, dtype=np.float64)
+                if not np.isfinite(arrays[name]).all():
+                    return None
+        except OverflowError:
+            return None
+    columns = TraceColumns(**arrays)
+    in_order = np.array_equal(columns.index, np.arange(1, len(records) + 1, dtype=np.int64))
+    if not in_order or not columns_valid(
+        index=columns.index,
+        request_int=columns.request_int,
+        available=columns.available,
+        allotment=columns.allotment,
+        work=columns.work,
+        span=columns.span,
+        steps=columns.steps,
+        quantum_length=columns.quantum_length,
+    ):
+        return None
+    return columns
+
+
 def _columns_from_records(records: list[Any], where: str) -> TraceColumns:
     """Validated columns of a JSON record list.
 
-    Field types are checked row by row; the record invariants and the
-    quantum order are checked vectorized.  Any failure replays the rows
-    before it one record at a time, so the error raised is the first one in
-    row order — exactly what building the trace record by record raises.
+    Field types, record invariants and the quantum order are checked per
+    column.  If any check fails, the fields are checked again row by row and
+    the rows before the first bad one are replayed one record at a time, so
+    the error raised is the first one in row order — exactly what building
+    the trace record by record raises.
     """
+    columns = _checked_columns(records)
+    if columns is not None:
+        return columns
     rows: list[tuple[Any, ...]] = []
     try:
         for i, raw in enumerate(records):
@@ -149,18 +306,7 @@ def _columns_from_records(records: list[Any], where: str) -> TraceColumns:
         columns = TraceColumns.from_rows(rows)
     except OverflowError:
         raise ValueError(f"a count in {where}.records exceeds the int64 range") from None
-    in_order = np.array_equal(columns.index, np.arange(1, len(rows) + 1, dtype=np.int64))
-    if not in_order or not columns_valid(
-        index=columns.index,
-        request_int=columns.request_int,
-        available=columns.available,
-        allotment=columns.allotment,
-        work=columns.work,
-        span=columns.span,
-        steps=columns.steps,
-        quantum_length=columns.quantum_length,
-    ):
-        _replay(rows, where)
+    _replay(rows, where)
     return columns
 
 
@@ -190,7 +336,7 @@ def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
 
 
 def save_trace(trace: JobTrace, path: str | Path) -> Path:
-    return write_atomic(path, json.dumps(trace_to_dict(trace), indent=2))
+    return write_atomic(path, _dumps(_trace_object(trace, trace.columns), indent=2, depth=1))
 
 
 def load_trace(path: str | Path) -> JobTrace:
@@ -228,10 +374,16 @@ def traces_from_payload(
     return out
 
 
+def _columns_payload(traces: dict[int, JobTrace]) -> dict[str, Any]:
+    """:func:`traces_payload` with each trace's columns in place of its
+    record list, for :func:`_dumps`."""
+    return {str(jid): _trace_object(traces[jid], traces[jid].columns) for jid in sorted(traces)}
+
+
 def save_traces(traces: dict[int, JobTrace], path: str | Path) -> Path:
     """Persist a multiprogrammed result's traces keyed by job id."""
-    payload = {"schema": SCHEMA_VERSION, "traces": traces_payload(traces)}
-    return write_atomic(path, json.dumps(payload, indent=2))
+    payload = {"schema": SCHEMA_VERSION, "traces": _columns_payload(traces)}
+    return write_atomic(path, _dumps(payload, indent=2, depth=3))
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -243,9 +395,38 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
+def _count_keys(value: Any) -> int:
+    """Keys of every JSON object in a parsed ``value``, nested ones included.
+
+    Walks one nesting level at a time, so a list of flat record objects
+    costs a few C-level passes rather than a python call per field.
+    """
+    total = 0
+    level = [value]
+    while not {dict, list}.isdisjoint(map(type, level)):
+        objects = [v for v in level if type(v) is dict]
+        lists = [v for v in level if type(v) is list]
+        total += sum(map(len, objects))
+        level = [*chain.from_iterable(map(dict.values, objects)), *chain.from_iterable(lists)]
+    return total
+
+
 def _loads(text: str) -> Any:
     """``json.loads`` that rejects duplicate object keys instead of silently
-    keeping the last one (a hand-edited fixture hazard)."""
+    keeping the last one (a hand-edited fixture hazard).
+
+    The C decoder keeps the last of two equal keys; a duplicate shows as a
+    payload with fewer keys than the text has colons, and so does a colon
+    inside a string.  Either way the text is parsed again with a hook that
+    raises on the first duplicate, as is a text the C decoder rejects.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError:
+        pass
+    else:
+        if _count_keys(data) == text.count(":"):
+            return data
     return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
 
 
@@ -297,8 +478,7 @@ def golden_digest(scenario: dict[str, Any], traces: dict[int, JobTrace]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def golden_bundle_payload(bundle: GoldenBundle) -> dict[str, Any]:
-    """The JSON envelope of one golden fixture file."""
+def _golden_envelope(bundle: GoldenBundle, traces: dict[str, Any]) -> dict[str, Any]:
     return {
         "schema": GOLDEN_SCHEMA_VERSION,
         "kind": "abg-golden-bundle",
@@ -306,12 +486,18 @@ def golden_bundle_payload(bundle: GoldenBundle) -> dict[str, Any]:
         "scenario": bundle.scenario,
         "provenance": bundle.provenance,
         "digest": bundle.digest,
-        "traces": traces_payload(bundle.traces),
+        "traces": traces,
     }
 
 
+def golden_bundle_payload(bundle: GoldenBundle) -> dict[str, Any]:
+    """The JSON envelope of one golden fixture file."""
+    return _golden_envelope(bundle, traces_payload(bundle.traces))
+
+
 def save_golden_bundle(path: str | Path, bundle: GoldenBundle) -> Path:
-    return write_atomic(path, json.dumps(golden_bundle_payload(bundle), indent=1))
+    payload = _golden_envelope(bundle, _columns_payload(bundle.traces))
+    return write_atomic(path, _dumps(payload, indent=1, depth=3))
 
 
 def load_golden_bundle(path: str | Path) -> GoldenBundle:

@@ -20,6 +20,7 @@ from repro.bench import (
     scenario_names,
     write_report,
 )
+from repro.bench import harness
 
 
 def _timing(
@@ -157,6 +158,37 @@ class TestReportRoundTrip:
         loaded = load_report(path)
         assert loaded.timings[0].peak_bytes == 0
         assert loaded.timings[0].normalized == 1.0
+
+    def test_provenance_roundtrip(self, tmp_path: Path):
+        report = _report("prov", {"x": 1.0})
+        report.nproc = 2
+        report.dirty = True
+        payload = report_payload(report)
+        assert (payload["nproc"], payload["dirty"]) == (2, True)
+        loaded = load_report(write_report(report, tmp_path))
+        assert (loaded.nproc, loaded.dirty) == (2, True)
+
+    def test_run_bench_stamps_provenance(self, monkeypatch: pytest.MonkeyPatch):
+        monkeypatch.setattr(harness, "SCENARIOS", ())
+        monkeypatch.setattr(harness, "_git", lambda *args: " M src/x.py")
+        report = run_bench(scale="smoke", repeats=1, rev="r")
+        assert report.dirty is True
+        assert report.nproc is not None and report.nproc >= 1
+        monkeypatch.setattr(harness, "_git", lambda *args: "")
+        assert run_bench(scale="smoke", repeats=1, rev="r").dirty is False
+        # outside git
+        monkeypatch.setattr(harness, "_git", lambda *args: None)
+        assert run_bench(scale="smoke", repeats=1, rev="r").dirty is None
+
+    def test_report_without_provenance_loads(self, tmp_path: Path):
+        """Reports written before the nproc/dirty stamp (the committed
+        baselines among them) still load; both read as unknown."""
+        payload = report_payload(_report("old", {"x": 1.0}))
+        del payload["nproc"], payload["dirty"]
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps(payload))
+        report = load_report(path)
+        assert report.nproc is None and report.dirty is None
 
     def test_committed_baselines_record_peak_memory(self):
         """The refreshed baselines carry schema-2 peak_bytes measurements."""
