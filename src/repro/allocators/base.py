@@ -157,7 +157,7 @@ def validate_allocation(
     the simulator's internal checks)."""
     if set(alloc) != set(requests):
         raise AssertionError("allocation must cover exactly the requesting jobs")
-    if sum(alloc.values()) > total:  # abg: allow[ABG312] reason=integer sum; order cannot change it
+    if sum(alloc.values()) > total:
         raise AssertionError("allocated more processors than exist")
     for j, a in alloc.items():
         if a < 0:

@@ -55,7 +55,7 @@ _DAG_CACHE: dict[str, Dag] = {}
 
 def _bench_dag(scale: str) -> Dag:
     if scale not in _DAG_CACHE:
-        _DAG_CACHE[scale] = fork_join_from_phases(_PHASES[scale])  # abg: allow[ABG201] reason=pure memoization: the cached dag is a deterministic function of `scale`, so every process computes the identical value and worker count cannot change any result
+        _DAG_CACHE[scale] = fork_join_from_phases(_PHASES[scale])
     return _DAG_CACHE[scale]
 
 
@@ -121,7 +121,7 @@ def _multi_sets(scale: str) -> list:
         rng = np.random.default_rng(314159)
         gen = JobSetGenerator(processors=128)
         count = 1 if scale == "smoke" else 3
-        _MULTI_SET_CACHE[scale] = [gen.generate(rng, target_load=24.0) for _ in range(count)]  # abg: allow[ABG201] reason=pure memoization: the cached job sets are a deterministic function of `scale` (fixed seed), so every process computes the identical value and worker count cannot change any result
+        _MULTI_SET_CACHE[scale] = [gen.generate(rng, target_load=24.0) for _ in range(count)]
     return _MULTI_SET_CACHE[scale]
 
 
@@ -236,9 +236,9 @@ def _giant(scale: str) -> "GiantScenario":
 
     if scale not in _GIANT_CACHE:
         if scale == "smoke":
-            _GIANT_CACHE[scale] = giant_scenario(groups=8, jobs_per_group=32, stable_quanta=100, rebalance_interval=100)  # abg: allow[ABG201] reason=pure memoization: the cached scenario is a deterministic function of `scale`, so every process computes the identical value and worker count cannot change any result
+            _GIANT_CACHE[scale] = giant_scenario(groups=8, jobs_per_group=32, stable_quanta=100, rebalance_interval=100)
         else:
-            _GIANT_CACHE[scale] = giant_scenario()  # abg: allow[ABG201] reason=pure memoization: the cached scenario is a deterministic function of `scale`, so every process computes the identical value and worker count cannot change any result
+            _GIANT_CACHE[scale] = giant_scenario()
     return _GIANT_CACHE[scale]
 
 
@@ -322,23 +322,6 @@ def _runner_resilience(scale: str) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _lint_deep(scale: str) -> int:
-    """Interprocedural flow analysis (summaries + call graph + fixpoint).
-
-    Cold run (no summary cache) so the timing covers the full analysis
-    cost a cache miss pays; smoke analyzes the verify layer only, default
-    the whole tree.  Units are functions analyzed.
-    """
-    from pathlib import Path
-
-    from ..verify.flow import analyze_paths
-
-    tree = Path(__file__).resolve().parent.parent
-    target = tree / "verify" if scale == "smoke" else tree
-    report = analyze_paths([target])
-    return report.stats["functions"]
-
-
 @dataclass(frozen=True, slots=True)
 class Scenario:
     """A named benchmark workload: ``run(scale)`` returns work units done."""
@@ -406,7 +389,6 @@ SCENARIOS: tuple[Scenario, ...] = (
         "supervised fan-out + journal + resume overhead",
         _runner_resilience,
     ),
-    Scenario("lint-deep", "interprocedural flow analysis, cold cache", _lint_deep),
 )
 
 

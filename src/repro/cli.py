@@ -17,7 +17,7 @@ Usage::
     python -m repro ablation-rate | ablation-quantum | ablation-discipline |
                     ablation-allocator
     python -m repro audit [--lint src/repro]
-    python -m repro lint [--deep] [--format json] [paths...]
+    python -m repro lint [--format json] [--explain ABGNNN] [paths...]
     python -m repro record-traces [--out fixtures/goldens] [--check]
                                   [--record-on-green]
                                   [--from-experiments SCALE] [--sets N]
@@ -30,13 +30,10 @@ Usage::
 Every command prints the rows/series the corresponding paper figure plots.
 ``audit`` (or the global ``--audit`` flag) replays the example workloads
 through the invariant auditor (``repro.verify``) and exits non-zero on any
-violation of the paper's model invariants.  ``lint`` runs the file-local
-determinism rules (``ABG1xx``); with ``--deep`` it additionally runs the
-interprocedural purity/parallel-safety analysis (``ABG2xx``,
-``repro.verify.flow``) plus the kernel-parity and numerical-determinism
-passes (``ABG3xx``, ``repro.verify.flow.kernel``) and emits one unified
-report.  ``lint --deep --strict-roots`` also fails on pool-dispatch
-payloads the analysis cannot resolve.  ``record-traces`` /
+violation of the paper's model invariants.  ``lint`` runs the
+determinism rules (``ABG1xx``) over every file and the numeric rules
+``ABG311``/``ABG313`` over the array-kernel modules
+(``repro.verify.lint``).  ``record-traces`` /
 ``verify-traces`` drive the golden-trace regression harness
 (``repro.goldens``, rules ``ABG401``-``ABG404``): recording known-good
 fixtures, replaying them on every execution path with a first-divergence
@@ -582,43 +579,24 @@ def _cmd_lint(args: argparse.Namespace) -> str:
 
         text = explain(args.explain)
         if text is None:
-            raise SystemExit(
+            print(
                 f"error: unknown rule {args.explain!r}; valid codes are "
-                "listed in docs/STATIC_ANALYSIS.md"
+                "listed in docs/STATIC_ANALYSIS.md",
+                file=sys.stderr,
             )
+            raise SystemExit(2)
         return text
 
-    paths = args.paths or ["src/repro"]
     try:
-        findings = lint_paths(paths)
+        findings = lint_paths(args.paths or ["src/repro"])
     except FileNotFoundError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-    stats = None
-    if args.deep:
-        from .verify.flow import SummaryCache, analyze_paths
-
-        cache = None if args.no_cache else SummaryCache(args.cache)
-        deep = analyze_paths(paths, cache=cache, strict_roots=args.strict_roots)
-        findings = sorted(
-            [*findings, *deep.findings],
-            key=lambda f: (f.path, f.line, f.col, f.code),
-        )
-        stats = deep.stats
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
     if args.format == "json":
-        text = json.dumps(findings_payload(findings, stats=stats), indent=1)
+        text = json.dumps(findings_payload(findings), indent=1)
     else:
         text = render_findings(findings)
-        if stats is not None:
-            text += (
-                f"\ndeep: {stats['modules']} modules, "
-                f"{stats['functions']} functions, {stats['roots']} roots, "
-                f"{stats['reachable']} worker-reachable, "
-                f"{stats['kernel_files']} kernel files "
-                f"(cache: {stats['cache_hits']} hit, "
-                f"{stats['cache_misses']} miss)"
-            )
     status = exit_code(findings)
     if status:
         print(text)
@@ -975,29 +953,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the determinism lint (ABG1xx); --deep adds the "
-        "interprocedural purity/parallel-safety analysis (ABG2xx) and the "
-        "kernel-parity/numerical-determinism passes (ABG3xx)",
+        help="run the determinism lint (ABG1xx) and the kernel-module "
+        "numeric rules (ABG311, ABG313)",
     )
     p.add_argument(
         "paths",
         nargs="*",
         metavar="PATH",
         help="files/directories to analyze (default: src/repro)",
-    )
-    p.add_argument(
-        "--deep",
-        action="store_true",
-        help="also build the call graph from the worker-dispatch roots and "
-        "check every reachable function (rules ABG201-ABG333), plus the "
-        "scalar<->batched kernel-parity and numerical-determinism passes",
-    )
-    p.add_argument(
-        "--strict-roots",
-        action="store_true",
-        help="with --deep: fail (ABG333) on pool-dispatch payloads the "
-        "analysis cannot resolve to a function, instead of trusting the "
-        "declared root patterns to cover them",
     )
     p.add_argument(
         "--explain",
@@ -1012,17 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format (json follows the schema in docs/STATIC_ANALYSIS.md)",
-    )
-    p.add_argument(
-        "--cache",
-        default=".abg_cache/flow-summaries.json",
-        metavar="PATH",
-        help="effect-summary cache file for --deep (content-hash keyed)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the summary cache",
     )
     p.set_defaults(func=_cmd_lint)
 

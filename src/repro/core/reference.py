@@ -58,8 +58,9 @@ class OracleFeedback(FeedbackPolicy):
     bounds what any parallelism-feedback policy can achieve.
     """
 
-    #: Scalar-only by design (ABG301 contract marker): each request calls
-    #: back into the live executor, so there is no array form to vectorize.
+    #: Scalar-only by design: each request calls back into the live
+    #: executor, so there is no array form to vectorize.  The feedback
+    #: parity test accepts a ``None`` batch result only with this marker.
     batch_fallback = True
 
     def __init__(self, parallelism_source: Callable[[], float]):

@@ -11,7 +11,7 @@ sweep can resume by skipping exactly the units whose records survived.
 
 Determinism argument: because keys hash the *inputs* and the work units
 are pure functions of those inputs (the ``--jobs``/``--workers`` contract
-enforced by ``repro.verify.flow``), replaying a journaled payload is
+that ``tests/test_parallel_runner.py`` checks), replaying a journaled payload is
 bit-identical to re-executing the unit.  Corrupt or truncated records
 (impossible under the atomic writer, but possible from external tampering)
 are treated as absent, never an error — the unit simply re-runs.

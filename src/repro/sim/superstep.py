@@ -274,7 +274,7 @@ class QuantumLog:
         admission/removal; cheap relative to how rarely membership changes)."""
         # np.array, not np.asarray: the caller hands in its *live* slot
         # layout (the kernel keeps appending/compacting it), so the stored
-        # epoch must own its memory (ABG341)
+        # epoch must own its memory
         self._layouts.append(np.array(jids, dtype=np.int64))
         self._epoch += 1
 

@@ -7,14 +7,12 @@ Two mechanically-checkable guarantees back this reproduction:
   greedy non-idling, exact ``A(q)`` accounting, DAG precedence, the
   A-Control recurrence, DEQ fairness, and the Theorem 3/4 bounds — and
   reports structured violations;
-- the **lint pass** (:mod:`repro.verify.lint`) enforces repo-specific
-  determinism rules (no unseeded randomness, no float equality, no
-  hash-order iteration, ``__all__`` consistency) over the source tree;
-- the **flow analysis** (:mod:`repro.verify.flow`) proves the fan-out
-  determinism contract interprocedurally: it builds a call graph from the
-  worker-dispatched entry points and checks every reachable function for
-  purity, explicit seed flow, ordered iteration, and picklable pool
-  payloads (rules ``ABG2xx``, ``python -m repro lint --deep``).
+- the **lint pass** (:mod:`repro.verify.lint`, ``python -m repro lint``)
+  enforces repo-specific determinism rules (no unseeded randomness, no
+  float equality, no hash-order iteration, ``__all__`` consistency) over
+  the source tree, plus two numeric rules on the array-kernel modules
+  (stable ``argsort``, explicit ``dtype=``) that tests cannot reliably
+  reach.
 
 See docs/ARCHITECTURE.md ("Verification layer") for the invariant-to-theorem
 map, and CONTRIBUTING.md for how to run both locally.
@@ -37,7 +35,6 @@ if TYPE_CHECKING:
         audit_trace,
     )
     from .findings import exit_code, findings_payload, render_findings
-    from .flow import FlowReport, analyze_paths
     from .lint import LintFinding, check_file, check_source, lint_paths
     from .scenarios import (
         AuditScenario,
@@ -50,12 +47,10 @@ if TYPE_CHECKING:
 __all__ = [
     "AuditReport",
     "AuditScenario",
-    "FlowReport",
     "InvariantError",
     "LintFinding",
     "TraceExpectations",
     "Violation",
-    "analyze_paths",
     "audit_dag_schedule",
     "audit_multi_result",
     "audit_scenarios",
@@ -91,8 +86,6 @@ _EXPORT_MODULE = {
     "exit_code": "findings",
     "findings_payload": "findings",
     "render_findings": "findings",
-    "FlowReport": "flow",
-    "analyze_paths": "flow",
 }
 
 

@@ -4,14 +4,14 @@
 severity + one-line summary); this module is the *human* registry: per
 rule, the hazard it guards against, a minimal example that fires it, and
 what a justified suppression looks like.  ``docs/STATIC_ANALYSIS.md``
-renders the same material as prose — ``tests/test_verify_provenance.py``
+renders the same material as prose — ``tests/test_verify_lint.py``
 checks that every code in :data:`RULES` has a catalogue entry and that
 every catalogue code is mentioned in the doc, so the three surfaces
 cannot drift silently.
 
 Usage::
 
-    python -m repro lint --explain ABG341
+    python -m repro lint --explain ABG311
     from repro.verify.catalogue import CATALOGUE, explain
 """
 
@@ -107,209 +107,30 @@ CATALOGUE: dict[str, RuleEntry] = {
             "Never suppress; fix the list.",
         ),
         _entry(
-            "ABG201",
-            "Each worker process has its own globals; a write that "
-            "feeds any later result diverges between --workers 1 and "
-            "--workers N.",
-            "def work(u):\n    CACHE[u.key] = u  # module global",
-            "Acceptable only for pure memoization where the cached "
-            "value is a function of its key alone (see "
-            "bench/scenarios.py); the reason must state that property.",
-        ),
-        _entry(
-            "ABG202",
-            "Call-to-call aliasing inside a worker makes results depend "
-            "on how tasks were batched onto processes.",
-            "def work(u, acc=[]): ...",
-            "Rarely justified; use None + in-body construction instead.",
-        ),
-        _entry(
-            "ABG211",
-            "Per-factor child streams (default_rng([seed, factor])) are "
-            "what make sweep jobs independent of sweep composition; a "
-            "seedless generator breaks that independence.",
-            "rng = np.random.default_rng()  # on a worker path",
-            "Only for code provably outside any result path; say so.",
-        ),
-        _entry(
-            "ABG212",
-            "A seed from ambient state (pid, time, env) reintroduces "
-            "nondeterminism through the back door.",
-            "rng = default_rng(os.getpid())",
-            "Acceptable when the 'seed' is a literal the analysis "
-            "failed to trace; the reason must name the constant.",
-        ),
-        _entry(
-            "ABG221",
-            "Interprocedural upgrade of ABG104: set-typed locals and "
-            "parameters iterated on a parallel path leak hash order "
-            "into results.",
-            "def work(keys: set): \n    for k in keys: total += w[k]",
-            "Same bar as ABG104: the reason must say why order cannot "
-            "affect the result.",
-        ),
-        _entry(
-            "ABG231",
-            "Pool dispatch must ship module-level functions and plain "
-            "data; lambdas, nested functions, and open handles either "
-            "fail to pickle or smuggle process-local state.",
-            "pool.submit(lambda: run(u))",
-            "Never suppress; lift the callee to module level.",
-        ),
-        _entry(
             "ABG290",
-            "Suppressions are part of the proof surface; one without a "
-            "justification is itself a finding.",
-            "x = f()  # abg: allow[ABG201]",
+            "Suppressions are part of the reviewed surface; one without "
+            "a justification is itself a finding.",
+            "if d == 0.5:  # abg: allow[ABG102]",
             "Not suppressible; add the reason= clause.",
-        ),
-        _entry(
-            "ABG301",
-            "The batched engine silently falls back to the scalar loop "
-            "for that policy — a perf cliff that looks like a slow "
-            "machine, not a bug.",
-            "class P(FeedbackPolicy):\n    def next_request(self, job): ...",
-            "Prefer `batch_fallback = True` on the class over a "
-            "suppression — it records scalar-only-by-design where the "
-            "parity pass can see it.",
-        ),
-        _entry(
-            "ABG302",
-            "The two kernel sides compute different semantics: the "
-            "subclass's scalar math against the ancestor's batched math.",
-            "class P(Base):\n    def next_request(self, job):  # no *_batch override\n        ...",
-            "Acceptable only when the override is a pure refactor with "
-            "identical math; the reason must assert equivalence.",
-        ),
-        _entry(
-            "ABG303",
-            "Keyword calls and the scalar<->batched fallback break "
-            "asymmetrically when the two sides disagree on parameter "
-            "names or defaults.",
-            "def allocate(self, jobs, cap=None): ...\ndef allocate_batch(self, jobs, limit=None): ...",
-            "Never suppress; align the signatures.",
-        ),
-        _entry(
-            "ABG304",
-            "Naming says 'kernel pair', the registry says otherwise — "
-            "either the pair should be contract-guarded or the twin "
-            "naming is misleading.",
-            "class W:\n    def generate(self): ...\n    def generate_batch(self): ...",
-            "The advisory tier exists for plural helpers that merely "
-            "look like kernel twins (see workloads/forkjoin.py); the "
-            "reason must say what the *_batch method actually is.",
         ),
         _entry(
             "ABG311",
             "Tie order under the default introsort follows memory "
             "layout; equal keys permute nondeterministically, and "
-            "indirect sorts carry that tie order into results.",
+            "indirect sorts carry that tie order into results.  Test "
+            "data may never produce the ties that expose it.",
             "order = np.argsort(keys)",
             "Acceptable when keys are provably distinct; the reason "
             "must say why ties cannot occur.",
         ),
         _entry(
-            "ABG312",
-            "Float addition does not commute in rounding; dict order is "
-            "insertion order, so reducing over a dict view bakes "
-            "insertion history into the sum.",
-            "total = sum(spans.values())",
-            "Acceptable for exact arithmetic (int sums, see "
-            "allocators/base.py); the reason must state the dtype.",
-        ),
-        _entry(
             "ABG313",
             "Integer array constructors default to the platform C long "
             "(32-bit on Windows), so index arithmetic widens "
-            "differently across platforms.",
+            "differently across platforms, and CI runs on Linux only.",
             "idx = np.arange(n)  # kernel module",
             "Acceptable for float-literal constructors where the dtype "
             "is unambiguous; prefer writing dtype= anyway.",
-        ),
-        _entry(
-            "ABG314",
-            "out= aliasing a ufunc input overwrites operands still "
-            "being read; a shared module-level array stored without "
-            ".copy() makes every instance share one mutable buffer.",
-            "np.add(a, b, out=a[1:])",
-            "Acceptable when the aliasing is element-wise safe "
-            "(same-index in/out); the reason must argue that safety.",
-        ),
-        _entry(
-            "ABG315",
-            "Column order follows dict insertion order, which nothing "
-            "canonicalized; the same data can produce differently "
-            "ordered columns.",
-            "col = np.fromiter(d.values(), dtype=np.float64)",
-            "Acceptable when the dict is built in canonical order by "
-            "construction; the reason must name that invariant.",
-        ),
-        _entry(
-            "ABG331",
-            "Attribute-level upgrade of ABG201: CONFIG.limits.x = ... "
-            "diverges between worker counts just like a direct global "
-            "write.",
-            "def work(u):\n    CONFIG.limits.max_q = u.q",
-            "Same bar as ABG201: pure memoization only, stated in the "
-            "reason.",
-        ),
-        _entry(
-            "ABG332",
-            "The supervised pool retries failed units — a mutation that "
-            "lands before the raise replays on retry, double-applying "
-            "the effect.",
-            "def work(u):\n    u.jobs.pop()\n    if bad: raise RuntimeError",
-            "Acceptable when the mutation is idempotent; the reason "
-            "must argue idempotence.",
-        ),
-        _entry(
-            "ABG333",
-            "An unresolvable pool callee escapes the proved worker set; "
-            "nothing downstream of it is checked.",
-            "pool.submit(registry[name], unit)",
-            "Prefer a DEFAULT_ROOT_PATTERNS entry for registry dispatch "
-            "over a suppression, so the callees stay inside the proved "
-            "set.",
-        ),
-        _entry(
-            "ABG341",
-            "The callee stores a statically-possible view of a buffer "
-            "the caller's class keeps mutating in place; later writes "
-            "through the arena silently rewrite the 'recorded' data.",
-            "log.set_layout(kernel.jids)   # callee stores np.asarray(jids)\nkernel.admit(job)              # mutates jids in place",
-            "Acceptable when the callee is known to consume the view "
-            "before the next mutation; prefer an explicit .copy() at "
-            "the boundary — the reason must state the lifetime argument.",
-        ),
-        _entry(
-            "ABG342",
-            "Cross-call generalization of ABG314: when the out= target "
-            "and an input resolve to the same buffer through a call "
-            "boundary, partial results overwrite operands still being "
-            "read.",
-            "def step(self):\n    scale(self.work, out=self.work_view)  # both alias one arena column",
-            "Acceptable only for provably element-wise same-index "
-            "aliasing; the reason must argue that safety.",
-        ),
-        _entry(
-            "ABG343",
-            "Write-after-borrow: a stored view of a buffer the owning "
-            "class mutates in place goes stale the moment the class "
-            "writes again — the stored 'snapshot' tracks the live data.",
-            "self.snapshot = self._arena.work[: self.n]  # arena later written in place",
-            "Acceptable when the store is an intentional live window "
-            "(a borrow, not a snapshot); the reason must say the "
-            "consumer expects live data.",
-        ),
-        _entry(
-            "ABG344",
-            "A view of a doubling/resize-managed buffer dangles after "
-            "the next reallocation: the owner's writes land in the new "
-            "buffer while the stored view still reads the old one.",
-            "self.window = self._arena.slots[:n]  # arena doubles on demand",
-            "Acceptable only when no reallocation can occur during the "
-            "view's lifetime (e.g. capacity pre-sized); the reason "
-            "must state that bound.",
         ),
         _entry(
             "ABG401",

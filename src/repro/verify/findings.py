@@ -1,14 +1,10 @@
 """Shared finding model for the ABG static-analysis passes.
 
-All analysis layers — the file-local lint (:mod:`repro.verify.lint`,
-rules ``ABG1xx``), the interprocedural flow analysis
-(:mod:`repro.verify.flow`, rules ``ABG2xx``), and the kernel-parity /
-numerical-determinism passes (:mod:`repro.verify.flow.kernel`, rules
-``ABG3xx``), and the golden-trace replay harness (:mod:`repro.goldens`,
-rules ``ABG4xx``) — report the same
+The lint pass (:mod:`repro.verify.lint`, rules ``ABG1xx``, ``ABG290``,
+``ABG311``, ``ABG313``) and the golden-trace replay harness
+(:mod:`repro.goldens`, rules ``ABG4xx``) report the same
 :class:`LintFinding` record, draw severities from the same registry, and
-honor the same suppression comments, so ``python -m repro lint`` can emit
-one unified report with a single exit-code policy.
+share one exit-code policy.
 
 Suppression syntax
 ------------------
@@ -17,16 +13,15 @@ Two comment forms silence findings on their line:
 
 - ``# noqa`` / ``# noqa: ABG102,ABG104`` — the legacy file-local form; a
   bare ``noqa`` silences every rule on the line.
-- ``# abg: allow[ABG201] reason=<free text>`` — the justification-required
+- ``# abg: allow[ABG311] reason=<free text>`` — the justification-required
   form shared by every ABG rule.  The ``reason=`` clause is mandatory: an
   ``allow`` without a non-empty reason does **not** suppress anything and
   is itself reported as ``ABG290``.
 
 Exit-code policy (shared by every entry point): ``0`` when no finding of
 severity ``"error"`` exists, ``1`` otherwise, ``2`` on usage errors.
-Almost every rule is an ``"error"``; the ``"warning"`` tier carries the
-advisory rules (currently ``ABG304``), which are reported but never flip
-the exit code.
+Every rule in :data:`RULES` is an ``"error"``; a ``"warning"`` finding is
+reported but never flips the exit code.
 """
 
 from __future__ import annotations
@@ -48,7 +43,8 @@ __all__ = [
     "exit_code",
 ]
 
-#: Every rule either layer can emit: code -> (severity, one-line summary).
+#: Every rule the lint or the golden harness can emit: code -> (severity,
+#: one-line summary).
 #: The long-form catalogue with paper anchors lives in docs/STATIC_ANALYSIS.md.
 RULES: dict[str, tuple[str, str]] = {
     "ABG100": ("error", "source file does not parse"),
@@ -57,29 +53,9 @@ RULES: dict[str, tuple[str, str]] = {
     "ABG103": ("error", "mutable default argument"),
     "ABG104": ("error", "iteration over a syntactic set display/call without sorted()"),
     "ABG105": ("error", "__all__ inconsistent with module definitions"),
-    "ABG201": ("error", "module-global or closure state written on a worker-dispatched path"),
-    "ABG202": ("error", "mutable default argument on a worker-reachable function"),
-    "ABG211": ("error", "ambient RNG on a parallel path (seedless default_rng or global state)"),
-    "ABG212": ("error", "RNG seed on a parallel path not derived from a seed parameter"),
-    "ABG221": ("error", "hash-order set iteration on a parallel path without sorted()"),
-    "ABG231": ("error", "unpicklable or handle-bearing payload shipped to a process pool"),
     "ABG290": ("error", "`# abg: allow[...]` suppression without a reason= justification"),
-    "ABG301": ("error", "scalar kernel method without a batched counterpart or fallback marker"),
-    "ABG302": ("error", "scalar override inherits an ancestor's batched counterpart (silent drift)"),
-    "ABG303": ("error", "signature drift between a kernel-pair method and its base declaration"),
-    "ABG304": ("warning", "inferred scalar<->batched pair (x / x_batch) not registered as a parity contract"),
     "ABG311": ("error", "indirect sort (argsort) without kind=\"stable\" in a kernel module"),
-    "ABG312": ("error", "order-sensitive float reduction over a hash-ordered collection"),
     "ABG313": ("error", "array constructor without an explicit dtype in a kernel module"),
-    "ABG314": ("error", "in-place aliasing of a shared arena buffer"),
-    "ABG315": ("error", "columnar array built directly from a dict view"),
-    "ABG331": ("error", "attribute-level mutation of shared instance state on a worker path"),
-    "ABG332": ("error", "parameter mutated before a possible raise on a worker path (retry replay hazard)"),
-    "ABG333": ("error", "pool-dispatch callee unresolvable in strict-roots mode"),
-    "ABG341": ("error", "view of a mutated arena buffer escapes through a call boundary"),
-    "ABG342": ("error", "out=/in-place target aliases an input across a call boundary"),
-    "ABG343": ("error", "stored view of a buffer the owning class mutates in place (write-after-borrow)"),
-    "ABG344": ("error", "stored view of a reallocation-managed buffer (stale after doubling/resize)"),
     "ABG401": ("error", "golden trace diverged: field-level mismatch at a replayed quantum"),
     "ABG402": ("error", "golden trace diverged in shape: job set or quantum count mismatch"),
     "ABG403": ("error", "golden bundle unreadable: schema, digest, or metadata mismatch"),
@@ -97,9 +73,7 @@ def rule_severity(code: str) -> str:
 class LintFinding:
     """One rule violation at a source location.
 
-    ``severity`` comes from :data:`RULES`; ``trace`` is the sample
-    call path a flow finding is reachable along (empty for file-local
-    findings).
+    ``severity`` comes from :data:`RULES`.
     """
 
     path: str
@@ -108,13 +82,9 @@ class LintFinding:
     code: str
     message: str
     severity: str = "error"
-    trace: tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-        if self.trace:
-            text += f" [reachable via {' -> '.join(self.trace)}]"
-        return text
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
 # -- suppression comments ----------------------------------------------------
@@ -219,13 +189,11 @@ def _totals(findings: Iterable[LintFinding]) -> _Totals:
     return _Totals(errors=errors, warnings=warnings)
 
 
-def findings_payload(
-    findings: Sequence[LintFinding], *, stats: dict[str, Any] | None = None
-) -> dict[str, Any]:
+def findings_payload(findings: Sequence[LintFinding]) -> dict[str, Any]:
     """JSON-serializable unified report (the ``--format=json`` body)."""
     totals = _totals(findings)
-    payload: dict[str, Any] = {
-        "schema": 1,
+    return {
+        "schema": 2,
         "findings": [
             {
                 "path": f.path,
@@ -234,7 +202,6 @@ def findings_payload(
                 "code": f.code,
                 "severity": f.severity,
                 "message": f.message,
-                "trace": list(f.trace),
             }
             for f in findings
         ],
@@ -244,9 +211,6 @@ def findings_payload(
             "warnings": totals.warnings,
         },
     }
-    if stats:
-        payload["stats"] = stats
-    return payload
 
 
 def render_findings(findings: Sequence[LintFinding]) -> str:

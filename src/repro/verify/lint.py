@@ -29,10 +29,23 @@ must be listed in ``__all__`` (when the module declares one).
 ``ABG290`` **unjustified suppression** — an ``# abg: allow[...]`` comment
 without a ``reason=`` clause (see :mod:`repro.verify.findings`).
 
+Two numeric rules apply only to the array-kernel modules
+(:data:`KERNEL_PATTERNS`), where tests cannot reliably reach the hazard:
+
+``ABG311`` **unstable indirect sort** — ``argsort`` without
+``kind="stable"``.  Tie order under the default introsort follows memory
+layout, and test data may never produce the ties that expose it.  Plain
+value sorts are deterministic under any algorithm and are not flagged.
+
+``ABG313`` **platform-dependent dtype** — ``np.arange``/``array``/
+``asarray``/``fromiter``/``full`` without ``dtype=``.  Integer results
+default to the platform C long, and CI runs on one platform only.
+(``zeros``/``empty``/``ones`` default to float64 everywhere.)
+
 Suppression: a trailing ``# noqa`` comment silences every rule on that
 line; ``# noqa: ABG102[,ABG104]`` silences specific rules; the
-justification-required ``# abg: allow[ABG104] reason=...`` form shared
-with the flow analysis (``repro.verify.flow``) works everywhere.
+justification-required ``# abg: allow[ABG104] reason=...`` form works for
+every rule.
 
 Run as a module::
 
@@ -43,6 +56,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -60,9 +74,29 @@ __all__ = [
     "lint_paths",
     "main",
     "RULE_CODES",
+    "KERNEL_PATTERNS",
+    "is_kernel_path",
 ]
 
-RULE_CODES = ("ABG101", "ABG102", "ABG103", "ABG104", "ABG105", "ABG290")
+RULE_CODES = (
+    "ABG101", "ABG102", "ABG103", "ABG104", "ABG105", "ABG290", "ABG311", "ABG313"
+)
+
+#: Path globs of the array-kernel modules ABG311/ABG313 cover.
+KERNEL_PATTERNS: tuple[str, ...] = (
+    "*/sim/multi_batched.py",
+    "*/sim/superstep.py",
+    "*/engine/batched.py",
+    "*/allocators/*.py",
+    "*/dag/structure.py",
+    "*/core/types.py",
+    "*/core/columnar.py",
+)
+
+#: numpy constructors whose integer results default to the platform C long.
+_DTYPE_REQUIRED = frozenset({"arange", "array", "asarray", "fromiter", "full"})
+
+_STABLE_KINDS = frozenset({"stable", "mergesort"})
 
 #: numpy.random attributes that are deterministic-by-construction and allowed.
 _ALLOWED_NP_RANDOM = frozenset(
@@ -74,9 +108,20 @@ _MUTABLE_CONSTRUCTORS = frozenset(
 )
 
 
+def is_kernel_path(path: str) -> bool:
+    """Whether ``path`` names an array-kernel module."""
+    normalized = path.replace("\\", "/")
+    return any(fnmatchcase(normalized, pat) for pat in KERNEL_PATTERNS)
+
+
+def _keyword(node: ast.Call, name: str) -> ast.keyword | None:
+    return next((kw for kw in node.keywords if kw.arg == name), None)
+
+
 class _Linter(ast.NodeVisitor):
     def __init__(self, path: str, source: str):
         self.path = path
+        self.kernel = is_kernel_path(path)
         self.lines = source.splitlines()
         self.findings: list[LintFinding] = []
         self._np_aliases: set[str] = set()
@@ -178,6 +223,55 @@ class _Linter(ast.NodeVisitor):
                 f"random.{node.attr} draws from unseeded global state",
             )
         self.generic_visit(node)
+
+    # -- ABG311 / ABG313: kernel-module numerics ---------------------------
+
+    def _is_numpy_call(self, node: ast.Call) -> bool:
+        """Whether the callee is rooted at a numpy alias (``np.x``, ``np.x.y``)."""
+        func = node.func
+        while isinstance(func, ast.Attribute):
+            func = func.value
+        return isinstance(func, ast.Name) and func.id in self._np_aliases
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if self.kernel and isinstance(node.func, ast.Attribute):
+            tail = node.func.attr
+            if tail == "argsort":
+                kind = _keyword(node, "kind")
+                if not (
+                    kind is not None
+                    and isinstance(kind.value, ast.Constant)
+                    and kind.value.value in _STABLE_KINDS
+                ):
+                    self._emit(
+                        node,
+                        "ABG311",
+                        'argsort without kind="stable": tie order follows '
+                        "memory layout under the default introsort, so equal "
+                        'keys permute nondeterministically — pass kind="stable"',
+                    )
+            elif (
+                tail in _DTYPE_REQUIRED
+                and self._is_numpy_call(node)
+                and _keyword(node, "dtype") is None
+                and not (tail == "asarray" and self._typed_numpy_arg(node))
+            ):
+                self._emit(
+                    node,
+                    "ABG313",
+                    f"np.{tail} without an explicit dtype=: integer results "
+                    "default to the platform C long, so index arithmetic "
+                    "widens differently across platforms — pin the dtype",
+                )
+        self.generic_visit(node)
+
+    def _typed_numpy_arg(self, node: ast.Call) -> bool:
+        """``np.asarray(x)`` where ``x`` is itself a numpy call already
+        carrying a dtype — no widening ambiguity to pin."""
+        if len(node.args) != 1 or not isinstance(node.args[0], ast.Call):
+            return False
+        inner = node.args[0]
+        return self._is_numpy_call(inner) and _keyword(inner, "dtype") is not None
 
     # -- ABG102: float equality ---------------------------------------------
 

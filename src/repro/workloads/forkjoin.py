@@ -161,7 +161,7 @@ class ForkJoinGenerator:
         ]
         return fork_join_job(widths, serial, parallel)
 
-    def generate_batch(  # abg: allow[ABG304] reason=convenience loop over generate(), not a scalar/batched kernel twin
+    def generate_batch(
         self, rng: np.random.Generator, transition_factor: int, count: int
     ) -> list[PhasedJob]:
         return [self.generate(rng, transition_factor) for _ in range(count)]

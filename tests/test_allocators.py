@@ -249,7 +249,7 @@ class TestDEQArrayPath:
         from repro.allocators.base import Allocator
 
         class MappingOnly(Allocator):
-            batch_fallback = True  # scalar-only by design (ABG301 marker)
+            batch_fallback = True  # scalar-only by design
 
             def allocate(self, requests, total):
                 return {j: 1 for j in requests}

@@ -198,11 +198,12 @@ class TestReportRoundTrip:
 
     def test_committed_baselines_load(self):
         """The baselines committed in benchmarks/ stay loadable and cover
-        the current scenario registry."""
+        the current scenario registry (a retired scenario may linger until
+        the next refresh; compare_reports skips it)."""
         for name in ("BENCH_baseline.json", "BENCH_baseline_smoke.json"):
             path = Path(__file__).resolve().parents[1] / "benchmarks" / name
             report = load_report(path)
-            assert {t.name for t in report.timings} == set(scenario_names())
+            assert set(scenario_names()) <= {t.name for t in report.timings}
 
 
 class TestRegressionGate:

@@ -137,6 +137,24 @@ class TestMainCommands:
         assert "lifo" in capsys.readouterr().out
 
 
+
+class TestLintUsageErrors:
+    """Usage errors exit 2 with the message on stderr; 1 means findings."""
+
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(tmp_path / "nope.py")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "no such file" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_explain_code_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--explain", "ABG999"])
+        assert exc.value.code == 2
+        assert "unknown rule 'ABG999'" in capsys.readouterr().err
+
 class TestFormatting:
     def test_format_table_alignment(self):
         table = ExperimentTable(

@@ -8,9 +8,11 @@ stdlib); ``ruff`` and ``mypy --strict`` run when the tools are installed
 from __future__ import annotations
 
 import ast
+import re
 import shutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,29 @@ def test_custom_lint_clean() -> None:
     findings = lint_paths([SRC])
     assert findings == [], "\n".join(str(f) for f in findings)
 
+
+
+def test_suppressions_name_known_rules() -> None:
+    """Every code in an ``abg: allow[...]`` or ``noqa: ABGnnn`` comment is a
+    live rule: a suppression of a deleted or misspelled rule is dead text."""
+    from repro.verify.findings import RULES
+
+    unknown: list[str] = []
+    for path in sorted(SRC.rglob("*.py")):
+        with path.open("rb") as handle:
+            for tok in tokenize.tokenize(handle.readline):
+                if tok.type != tokenize.COMMENT:
+                    continue
+                codes: list[str] = []
+                allow = re.search(r"abg:\s*allow\[([^\]]*)\]", tok.string)
+                if allow:
+                    codes += [c.strip().upper() for c in allow.group(1).split(",")]
+                noqa = re.search(r"noqa:([^#]*)", tok.string)
+                if noqa:
+                    codes += re.findall(r"ABG\d{3}", noqa.group(1).upper())
+                where = f"{path.relative_to(REPO_ROOT)}:{tok.start[0]}"
+                unknown += [f"{where} {c}" for c in codes if c not in RULES]
+    assert unknown == [], "\n".join(unknown)
 
 def test_all_signatures_annotated() -> None:
     """Cheap proxy for ``mypy --strict``'s no-untyped-def: every function in

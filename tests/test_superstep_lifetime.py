@@ -1,8 +1,7 @@
-"""Lifetime edges of the columnar quantum log (the ABG34x hazards, dynamically).
+"""Lifetime edges of the columnar quantum log.
 
-The provenance pass (``tests/test_verify_provenance.py``) proves statically
-that no recorded column aliases a live arena buffer; these tests pin the
-same contract at runtime: records materialized *after* the arena doubles or
+No recorded column may alias a live arena buffer.  These tests pin that
+contract at runtime: records materialized *after* the arena doubles or
 its rows are reused must still show emission-time values, an empty
 ``QuantumLog`` must be a no-op, and groups spanning a layout-epoch boundary
 must expand against the layout registered for *their* epoch.
@@ -38,8 +37,8 @@ def _emit(log: QuantumLog, *, start_step: int, repeat: int, index0, request) -> 
 class TestSnapshotLifetimes:
     def test_layout_survives_caller_mutation(self):
         # set_layout must own its memory: the kernel keeps appending to and
-        # compacting the very list it registers (the seeded-mutation twin
-        # of this test reverts the copy and expects ABG341)
+        # compacting the very list it registers.  Goldens and the three-way
+        # path tests still pass when the copy is dropped; only this fails.
         log = QuantumLog(L)
         jids = [7, 9]
         log.set_layout(jids)

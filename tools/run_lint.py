@@ -4,11 +4,10 @@
 Exists so the lint can be invoked without an installed package or a
 ``PYTHONPATH`` export — pre-commit and bare checkouts both call this:
 
-    python tools/run_lint.py [--deep] [--format json] [paths...]
+    python tools/run_lint.py [--format json] [paths...]
 
 Defaults to linting ``src/repro`` when no paths are given; flags pass
-through to the ``lint`` subcommand (``--deep`` adds the interprocedural
-ABG2xx analysis).
+through to the ``lint`` subcommand.
 """
 
 from __future__ import annotations
