@@ -47,6 +47,7 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import NoReturn
 
 from . import experiments as exp
 from .experiments.runner import RunInterrupted
@@ -445,99 +446,6 @@ def _cmd_characteristics(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_bench(args: argparse.Namespace) -> str:
-    import json
-
-    from .bench import (
-        compare_memory,
-        compare_reports,
-        load_report,
-        report_payload,
-        run_bench,
-        write_report,
-    )
-
-    baseline = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    else:  # committed baseline matching the requested scale
-        suffix = "" if args.scale == "default" else f"_{args.scale}"
-        baseline_path = Path(f"benchmarks/BENCH_baseline{suffix}.json")
-    if baseline_path.exists():
-        baseline = load_report(baseline_path)
-    report = run_bench(scale=args.scale, repeats=args.repeats)
-
-    lines = [
-        f"perf baseline — rev {report.rev}, scale '{report.scale}', "
-        f"best of {args.repeats} (calibration {report.calibration_seconds * 1e3:.1f} ms)",
-        "",
-    ]
-    speedups = report.speedups_vs(baseline) if baseline is not None else {}
-    for t in report.timings:
-        line = (
-            f"  {t.name:<22} {t.seconds * 1e3:>9.2f} ms  "
-            f"{t.units_per_second:>12.0f} units/s  norm {t.normalized:>8.3f}  "
-            f"peak {t.peak_bytes / 1e6:>7.1f} MB"
-        )
-        if t.name in speedups:
-            line += f"  x{speedups[t.name]:.2f} vs {baseline.rev}"  # type: ignore[union-attr]
-        lines.append(line)
-
-    if args.write_baseline:
-        from .runtime import write_atomic
-
-        target = Path(args.write_baseline)
-        write_atomic(target, json.dumps(report_payload(report), indent=1))
-        lines.append(f"\nbaseline written: {target}")
-        return "\n".join(lines)
-    if args.out:
-        path = write_report(report, args.out, baseline=baseline)
-        lines.append(f"\nreport written: {path}")
-
-    if baseline is None:
-        lines.append(
-            "\nno baseline to gate against"
-            + (f" (missing {baseline_path})" if baseline_path else "")
-        )
-        return "\n".join(lines)
-
-    regressions = compare_reports(
-        report, baseline, max_regression=args.max_regression
-    )
-    mem_regressions = compare_memory(
-        report, baseline, max_regression=args.max_mem_regression
-    )
-    if regressions:
-        lines.append(
-            f"\nPERF REGRESSION vs {baseline.rev} "
-            f"(gate: {100 * args.max_regression:.0f}%):"
-        )
-        for r in regressions:
-            lines.append(
-                f"  {r.scenario}: normalized {r.baseline_normalized:.3f} -> "
-                f"{r.current_normalized:.3f} ({r.slowdown:.2f}x slower)"
-            )
-    if mem_regressions:
-        lines.append(
-            f"\nMEMORY REGRESSION vs {baseline.rev} "
-            f"(gate: {100 * args.max_mem_regression:.0f}%):"
-        )
-        for m in mem_regressions:
-            lines.append(
-                f"  {m.scenario}: peak {m.baseline_peak_bytes / 1e6:.1f} MB -> "
-                f"{m.current_peak_bytes / 1e6:.1f} MB ({m.growth:.2f}x)"
-            )
-    if regressions or mem_regressions:
-        print("\n".join(lines))
-        raise SystemExit(1)
-    lines.append(
-        f"\nno regressions vs {baseline.rev} "
-        f"(time gate: {100 * args.max_regression:.0f}%, "
-        f"memory gate: {100 * args.max_mem_regression:.0f}%)"
-    )
-    return "\n".join(lines)
-
-
 def _run_audit_suite() -> tuple[str, int]:
     """Run the canonical audit scenarios; exit status 1 on any violation."""
     from .verify.scenarios import format_suite, run_audit_suite
@@ -547,22 +455,29 @@ def _run_audit_suite() -> tuple[str, int]:
     return format_suite(results), 1 if failed else 0
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Print ``error: <message>`` to stderr and exit 2 (a usage error)."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _cmd_audit(args: argparse.Namespace) -> str:
-    text, status = _run_audit_suite()
+    lint_text, lint_status = "", 0
     if args.lint:
         from .verify.lint import lint_paths
 
         try:
-            findings = lint_paths([p for p in args.lint])
+            findings = lint_paths(args.lint)
         except FileNotFoundError as exc:
-            print(text)
-            raise SystemExit(f"error: {exc}") from None
+            _usage_error(str(exc))
         if findings:
-            text += "\n\nlint findings:\n" + "\n".join(str(f) for f in findings)
-            status = 1
+            lint_text = "\n\nlint findings:\n" + "\n".join(str(f) for f in findings)
+            lint_status = 1
         else:
-            text += f"\n\nlint: clean ({', '.join(args.lint)})"
-    if status:
+            lint_text = f"\n\nlint: clean ({', '.join(args.lint)})"
+    text, status = _run_audit_suite()
+    text += lint_text
+    if status or lint_status:
         print(text)
         raise SystemExit(1)
     return text
@@ -579,19 +494,16 @@ def _cmd_lint(args: argparse.Namespace) -> str:
 
         text = explain(args.explain)
         if text is None:
-            print(
-                f"error: unknown rule {args.explain!r}; valid codes are "
-                "listed in docs/STATIC_ANALYSIS.md",
-                file=sys.stderr,
+            _usage_error(
+                f"unknown rule {args.explain!r}; valid codes are "
+                "listed in docs/STATIC_ANALYSIS.md"
             )
-            raise SystemExit(2)
         return text
 
     try:
         findings = lint_paths(args.paths or ["src/repro"])
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(str(exc))
 
     if args.format == "json":
         text = json.dumps(findings_payload(findings), indent=1)
@@ -619,8 +531,8 @@ def _cmd_record_traces(args: argparse.Namespace) -> str:
         return text
     if args.record_on_green:
         if args.from_experiments is not None:
-            raise SystemExit(
-                "error: --record-on-green applies to the default registry "
+            _usage_error(
+                "--record-on-green applies to the default registry "
                 "only (drop --from-experiments)"
             )
         written, skipped = record_stale_fixtures(out)
@@ -657,7 +569,7 @@ def _cmd_verify_traces(args: argparse.Namespace) -> str:
 
     fixtures = fixture_paths(args.fixtures)
     if not fixtures:
-        raise SystemExit(f"error: no golden fixtures found under {args.fixtures!r}")
+        _usage_error(f"no golden fixtures found under {args.fixtures!r}")
     report = verify_traces(
         fixtures,
         workers=args.workers,
@@ -900,42 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         "re-run the same pure work units)",
     )
     p.set_defaults(func=_cmd_all)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the canonical perf scenarios, write BENCH_<rev>.json, "
-        "and gate against the committed baseline",
-    )
-    p.add_argument("--scale", choices=("smoke", "default"), default="default")
-    p.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
-    p.add_argument("--out", default=None, help="directory for BENCH_<rev>.json")
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline report to gate against (default: the committed "
-        "benchmarks/BENCH_baseline[_<scale>].json; skipped when missing)",
-    )
-    p.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.2,
-        help="fail when a scenario's normalized time regresses more than "
-        "this fraction vs the baseline",
-    )
-    p.add_argument(
-        "--max-mem-regression",
-        type=float,
-        default=0.25,
-        help="fail when a scenario's peak heap grows more than this "
-        "fraction vs the baseline",
-    )
-    p.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write this run as the new baseline file instead of gating",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "audit",

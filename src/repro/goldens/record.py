@@ -19,12 +19,12 @@ the tree's behaviour changed without re-recording the fixture —
 
 from __future__ import annotations
 
+import subprocess
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..bench.harness import current_rev
 from ..io.traces import (
     GOLDEN_SCHEMA_VERSION,
     SCHEMA_VERSION,
@@ -279,6 +279,21 @@ def default_scenarios() -> tuple[ScenarioSpec, ...]:
     )
 
 
+def _current_rev() -> str:
+    """Short git revision of the working tree, or ``"dev"`` outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "dev"
+    return (out.stdout.strip() if out.returncode == 0 else "") or "dev"
+
+
 def record_bundle(
     spec: ScenarioSpec,
     *,
@@ -300,7 +315,7 @@ def record_bundle(
     )
     scenario = spec.to_dict()
     provenance: dict[str, Any] = {
-        "recorded_rev": current_rev(),
+        "recorded_rev": _current_rev(),
         "golden_schema": GOLDEN_SCHEMA_VERSION,
         "trace_schema": SCHEMA_VERSION,
         # The schema the scenario payload actually uses (``to_dict`` emits

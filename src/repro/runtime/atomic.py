@@ -1,7 +1,7 @@
 """Crash-safe file writes: temp file + fsync + atomic rename + dir fsync.
 
 Every artifact the repo persists (experiment JSON, ``REPORT.md``, CSV
-exports, ``BENCH_*.json``, checkpoint records, golden fixtures) goes
+exports, checkpoint records, golden fixtures) goes
 through :func:`write_atomic`, so an interruption at any instant — SIGKILL,
 OOM, power loss — leaves either the complete previous file or the complete
 new file, never a truncated hybrid.  The recipe is the standard one: write

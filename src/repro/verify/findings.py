@@ -18,17 +18,16 @@ Two comment forms silence findings on their line:
   ``allow`` without a non-empty reason does **not** suppress anything and
   is itself reported as ``ABG290``.
 
-Exit-code policy (shared by every entry point): ``0`` when no finding of
-severity ``"error"`` exists, ``1`` otherwise, ``2`` on usage errors.
-Every rule in :data:`RULES` is an ``"error"``; a ``"warning"`` finding is
-reported but never flips the exit code.
+Exit-code policy (shared by every entry point): ``0`` when no finding
+exists, ``1`` otherwise, ``2`` on usage errors.  Every rule in
+:data:`RULES` is an ``"error"``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "LintFinding",
@@ -173,27 +172,10 @@ def scan_suppressions(source_lines: Sequence[str], path: str) -> list[LintFindin
 # -- unified report rendering ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Totals:
-    errors: int = 0
-    warnings: int = 0
-
-
-def _totals(findings: Iterable[LintFinding]) -> _Totals:
-    errors = warnings = 0
-    for f in findings:
-        if f.severity == "warning":
-            warnings += 1
-        else:
-            errors += 1
-    return _Totals(errors=errors, warnings=warnings)
-
-
 def findings_payload(findings: Sequence[LintFinding]) -> dict[str, Any]:
     """JSON-serializable unified report (the ``--format=json`` body)."""
-    totals = _totals(findings)
     return {
-        "schema": 2,
+        "schema": 3,
         "findings": [
             {
                 "path": f.path,
@@ -205,26 +187,20 @@ def findings_payload(findings: Sequence[LintFinding]) -> dict[str, Any]:
             }
             for f in findings
         ],
-        "summary": {
-            "total": len(findings),
-            "errors": totals.errors,
-            "warnings": totals.warnings,
-        },
+        "summary": {"total": len(findings), "errors": len(findings)},
     }
 
 
 def render_findings(findings: Sequence[LintFinding]) -> str:
     """Human-readable unified report: one line per finding plus a summary."""
     lines = [str(f) for f in findings]
-    totals = _totals(findings)
     if findings:
-        lines.append(f"{len(findings)} finding(s): {totals.errors} error(s), "
-                     f"{totals.warnings} warning(s)")
+        lines.append(f"{len(findings)} finding(s)")
     else:
         lines.append("clean: no findings")
     return "\n".join(lines)
 
 
 def exit_code(findings: Sequence[LintFinding]) -> int:
-    """The shared exit-code policy: 1 when any error-severity finding exists."""
-    return 1 if any(f.severity != "warning" for f in findings) else 0
+    """The shared exit-code policy: 1 when any finding exists."""
+    return 1 if findings else 0

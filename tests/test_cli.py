@@ -155,6 +155,39 @@ class TestLintUsageErrors:
         assert exc.value.code == 2
         assert "unknown rule 'ABG999'" in capsys.readouterr().err
 
+
+class TestUsageErrors:
+    """The other commands' usage errors: exit 2, message on stderr, nothing
+    on stdout."""
+
+    def _usage_error(self, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_audit_lint_missing_path(self, tmp_path, capsys):
+        err = self._usage_error(["audit", "--lint", str(tmp_path / "nope.py")], capsys)
+        assert "error: no such file" in err
+
+    def test_verify_traces_without_fixtures(self, tmp_path, capsys):
+        err = self._usage_error(["verify-traces", "--fixtures", str(tmp_path)], capsys)
+        assert "error: no golden fixtures found under" in err
+
+    def test_record_on_green_with_from_experiments(self, tmp_path, capsys):
+        argv = [
+            "record-traces",
+            "--out",
+            str(tmp_path),
+            "--record-on-green",
+            "--from-experiments",
+            "smoke",
+        ]
+        err = self._usage_error(argv, capsys)
+        assert "error: --record-on-green applies to the default registry" in err
+
 class TestFormatting:
     def test_format_table_alignment(self):
         table = ExperimentTable(

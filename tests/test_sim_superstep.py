@@ -13,6 +13,8 @@ and pin the allocator/feedback fixed-point contracts the layer composes.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,9 @@ from repro.core.columnar import TraceColumns
 from repro.core.overhead import ReallocationOverhead
 from repro.core.reference import FixedRequest
 from repro.core.types import JobTrace, QuantumRecord
+from repro.dag.builders import fork_join_from_phases
+from repro.engine.batched import BatchedDagExecutor
+from repro.engine.explicit import ExplicitExecutor
 from repro.engine.phased import PhasedJob
 from repro.sim.jobs import JobSpec
 from repro.sim.multi import simulate_job_set
@@ -629,3 +634,65 @@ class TestSuperstepIdentity:
         for r in recs:
             total += r.span
         assert total == span
+
+
+# ---------------------------------------------------------------------------
+# Speed floors
+# ---------------------------------------------------------------------------
+
+
+def _best_of_3(run):
+    """Best wall time of three runs after a warm-up, and the warm-up's result."""
+    result = run()
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+@pytest.mark.slow
+class TestSpeedFloors:
+    def test_superstep_at_least_2x_per_quantum(self):
+        """On a stable-allocation set (every request satisfiable on P=128,
+        so DEQ stops rotating) supersteps beat per-quantum execution of the
+        same job-quanta by more than 2x."""
+
+        def run(superstep):
+            policy = AControl(0.2)
+            specs = [
+                JobSpec(job=PhasedJob([(8 + i, 600_000)]), feedback=policy)
+                for i in range(8)
+            ]
+            result = simulate_job_set(
+                specs,
+                DynamicEquiPartitioning(),
+                128,
+                quantum_length=1000,
+                superstep=superstep,
+            )
+            return sum(len(t) for t in result.traces.values())
+
+        off_s, off_quanta = _best_of_3(lambda: run("off"))
+        auto_s, auto_quanta = _best_of_3(lambda: run("auto"))
+        assert off_quanta == auto_quanta
+        assert off_s / auto_s > 2
+
+    def test_batched_kernel_at_least_5x_reference(self):
+        """The batched level-major kernel beats the reference heap engine by
+        more than 5x on the same fork-join dag."""
+        dag = fork_join_from_phases([(1, 100), (32, 100), (1, 100), (32, 100)])
+
+        def drive(executor):
+            steps = 0
+            while not executor.finished:
+                steps += executor.execute_quantum(16, 50).steps
+            return steps
+
+        explicit_s, explicit_steps = _best_of_3(
+            lambda: drive(ExplicitExecutor(dag, "breadth-first"))
+        )
+        batched_s, batched_steps = _best_of_3(lambda: drive(BatchedDagExecutor(dag)))
+        assert explicit_steps == batched_steps
+        assert explicit_s / batched_s > 5

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.verify.catalogue import CATALOGUE, explain
-from repro.verify.findings import RULES, LintFinding, exit_code
+from repro.verify.findings import RULES
 from repro.verify.lint import check_source, is_kernel_path, lint_paths, main
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -328,9 +328,9 @@ class TestLintCli:
         assert cli_main(["lint", "--format", "json", str(clean)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {
-            "schema": 2,
+            "schema": 3,
             "findings": [],
-            "summary": {"total": 0, "errors": 0, "warnings": 0},
+            "summary": {"total": 0, "errors": 0},
         }
 
     def test_json_format_reports_findings(self, tmp_path, capsys):
@@ -341,15 +341,6 @@ class TestLintCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] == 1
         assert payload["findings"][0]["code"] == "ABG101"
-
-    def test_exit_code_policy_ignores_warnings(self):
-        warning = LintFinding(
-            path="p", line=1, col=0, code="X", message="m", severity="warning"
-        )
-        error = LintFinding(path="p", line=1, col=0, code="X", message="m")
-        assert exit_code([]) == 0
-        assert exit_code([warning]) == 0
-        assert exit_code([warning, error]) == 1
 
 
 class TestCatalogue:

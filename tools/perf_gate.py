@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Perf gate: this checkout against a parent checkout, on the repository
+benchmark (``BENCHMARK.json``, ``perfbench/``)::
+
+    python tools/perf_gate.py PARENT_CHECKOUT
+
+For each workload, ``PAIRS`` pairs of runs alternate between the parent and
+this checkout: pair *i* runs seed *i* on both sides, and the side that runs
+first alternates from pair to pair.  Every run is this checkout's
+``perfbench/run.py --seconds SECONDS``, started with its side's checkout as
+the working directory, so both sides run identical benchmark code over
+their own ``src/``.
+
+Prints each side's median and quartiles of every end-to-end metric.  Exits
+1 if any run is not correct, or if for any (metric, workload) the change's
+median is worse than the parent's by more than the metric's ``bound`` (a
+fraction of the parent's median, in the direction of its ``better``).
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any, Mapping, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
+SPEC = ROOT / "BENCHMARK.json"
+
+PAIRS = 5
+SECONDS = 3
+SEEDS = range(1, PAIRS + 1)
+
+#: One run's result: the JSON object ``run.py`` prints last.
+Run = Mapping[str, Any]
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> Run:
+    """One benchmark run in ``checkout``; a run that printed no result
+    counts as incorrect."""
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS)],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stderr)
+        return {"correct": False, "metrics": {}}
+
+
+def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def judge(
+    runs: Mapping[str, Mapping[str, Sequence[Run]]],
+    end_to_end: Sequence[Mapping[str, Any]],
+) -> tuple[list[str], bool]:
+    """The gate's table and verdict over ``runs[workload][side]`` (sides
+    ``"parent"`` and ``"change"``) and ``BENCHMARK.json``'s ``end_to_end``."""
+    lines = [f"{'workload':16s} {'metric':22s} {'parent median [q1, q3]':>33s} "
+             f"{'change median [q1, q3]':>33s} {'change':>8s}  verdict"]
+    ok = True
+    for workload, sides in runs.items():
+        incorrect = {side: sum(not r["correct"] for r in rs) for side, rs in sides.items()}
+        if any(incorrect.values()):
+            ok = False
+            lines.append(f"{workload:16s} INCORRECT runs: {incorrect}")
+        for metric in end_to_end:
+            name = metric["name"]
+            values = {
+                side: [r["metrics"][name]["value"] for r in rs if name in r["metrics"]]
+                for side, rs in sides.items()
+            }
+            if not values["parent"] or not values["change"]:
+                continue
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            rel = change[1] / parent[1] - 1
+            worse = rel if metric["better"] == "lower" else -rel
+            verdict = "ok" if worse <= metric["bound"] else f"WORSE (bound {metric['bound']})"
+            ok = ok and worse <= metric["bound"]
+            lines.append(
+                f"{workload:16s} {name:22s} {_cell(parent):>33s} {_cell(change):>33s} "
+                f"{rel:+8.1%}  {verdict}"
+            )
+    return lines, ok
+
+
+def _cell(q: tuple[float, float, float]) -> str:
+    return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def main(argv: Sequence[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "repro").is_dir():
+        print("usage: python tools/perf_gate.py PARENT_CHECKOUT", file=sys.stderr)
+        return 2
+    checkouts = {"parent": Path(argv[0]).resolve(), "change": ROOT}
+    spec = json.loads(SPEC.read_text())
+    runs: dict[str, dict[str, list[Run]]] = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs[workload] = {"parent": [], "change": []}
+        for i, seed in enumerate(SEEDS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(checkouts[side], workload, seed)
+                runs[workload][side].append(result)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{'correct' if result['correct'] else 'INCORRECT'}", flush=True)
+    lines, ok = judge(runs, spec["end_to_end"])
+    print("\n".join(lines))
+    print("perf gate: " + ("pass" if ok else "FAIL"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
