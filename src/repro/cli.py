@@ -96,19 +96,18 @@ def _positive_int(value: str) -> int:
     return count
 
 
-def _shard_spec(value: str) -> int | str:
-    """``--shards`` validator: ``auto`` or an integer >= 1 (1 = in-process)."""
-    if value == "auto":
-        return "auto"
+def _shard_count(value: str) -> int:
+    """``--shards`` validator: an integer >= 2 (omit the flag to run
+    in-process)."""
     try:
         count = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"shard count must be an integer or 'auto', got {value!r}"
+            f"shard count must be an integer >= 2, got {value!r}"
         ) from None
-    if count < 1:
+    if count < 2:
         raise argparse.ArgumentTypeError(
-            f"shard count must be >= 1 (1 means no shard workers), got {count}"
+            f"shard count must be >= 2 (omit --shards to run in-process), got {count}"
         )
     return count
 
@@ -268,7 +267,6 @@ def _cmd_fig6(args: argparse.Namespace) -> str:
         retries=args.retries,
         task_timeout=args.task_timeout,
         group_size=args.group_size,
-        shards=args.shards,
     )
     bins = exp.bin_by_load(result, num_bins=args.bins)
     if args.csv:
@@ -333,10 +331,11 @@ def _cmd_giant(args: argparse.Namespace) -> str:
     )
     simulated = time.perf_counter() - t0
     rows = artifact_rows(result)
+    route = "in-process" if args.shards is None else f"shards={args.shards}"
     lines = [
         f"giant scenario: {len(scenario.specs)} jobs on P={scenario.processors} "
         f"({args.groups} groups of {scenario.group_size})",
-        f"shards={args.shards if args.shards is not None else 1}: "
+        f"{route}: "
         f"{result.quanta_elapsed} quanta in {simulated:.3f}s "
         f"(makespan {result.makespan:.0f})",
         f"end to end through artifact_rows: {time.perf_counter() - t0:.3f}s",
@@ -695,14 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every set under hierarchical allocation with groups of "
         "this many processors (default: centralized DEQ)",
     )
-    p.add_argument(
-        "--shards",
-        type=_shard_spec,
-        default=None,
-        metavar="N",
-        help="dispatch each set's quantum loop over N shard workers "
-        "('auto' = all cores); figures are byte-identical at any value",
-    )
     p.add_argument("--plot", action="store_true", help="draw ASCII charts")
     p.add_argument("--csv", default=None, help="write per-set rows to CSV")
     p.set_defaults(func=_cmd_fig6)
@@ -727,10 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards",
-        type=_shard_spec,
+        type=_shard_count,
         default=None,
         metavar="N",
-        help="shard workers ('auto' = all cores; default: in-process)",
+        help="per-group windows over N >= 2 shard workers "
+        "(default: one in-process window)",
     )
     p.add_argument("--csv", default=None, help="write per-job rows to CSV")
     p.set_defaults(func=_cmd_giant)
@@ -896,8 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-traces",
-        help="replay every committed golden fixture on all execution paths "
-        "(serial/batched/superstep/sharded) and fail with the first "
+        help="replay every committed golden fixture on both execution paths "
+        "(serial/superstep) and fail with the first "
         "diverging quantum and a field-level diff",
     )
     p.add_argument(

@@ -7,9 +7,9 @@ The package turns "the traces changed" into a deterministic verdict:
   path, and writes versioned golden bundles with provenance and a content
   digest (``python -m repro record-traces``);
 - **replay** (:mod:`repro.goldens.verify`) re-executes every committed
-  fixture on all four execution paths — serial, batched, superstep,
-  sharded — and reports the *first diverging quantum* with a field-level
-  diff (``python -m repro verify-traces``);
+  fixture on both execution paths — the serial reference loop and the
+  windowed superstep loop — and reports the *first diverging quantum*
+  with a field-level diff (``python -m repro verify-traces``);
 - **shrink** (:mod:`repro.goldens.shrink`) delta-debugs a failing job set
   over jobs, phases, and quantum horizon down to a minimal reproduction,
   emitting a ready-to-commit regression fixture.

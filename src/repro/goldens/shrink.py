@@ -13,8 +13,8 @@ ddmin over three axes in sequence:
    divergence point, so the minimized fixture fails instantly on replay.
 
 The default predicate, :func:`cross_path_divergence`, compares the serial
-reference path against the batched and superstep paths *on the candidate
-subset itself* — it needs no recorded golden, so it stays meaningful on
+reference path against the superstep path *on the candidate subset
+itself* — it needs no recorded golden, so it stays meaningful on
 job subsets (a multiprogrammed golden trace cannot be projected onto a
 subset: removing one job changes every allocation after its arrival).
 A kernel regression that breaks path identity therefore shrinks to the
@@ -31,7 +31,7 @@ report matches the original's vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from ..io.traces import GoldenBundle
 from ..sim.replay import replay_path
@@ -53,22 +53,13 @@ Predicate = Callable[[ScenarioSpec], TraceDivergence | None]
 
 
 def cross_path_divergence(spec: ScenarioSpec) -> TraceDivergence | None:
-    """First divergence of the batched/superstep/sharded paths from serial.
+    """First divergence of the superstep path from the serial path.
 
     Self-contained (no golden needed), so it can judge arbitrary job
-    subsets.  Paths are checked in order and the earliest divergence of
-    the first disagreeing path is returned.  The sharded path joins the
-    comparison only when every job in the candidate is batchable (its
-    executor refuses non-batchable jobs rather than falling back).
+    subsets.
     """
-    from ..sim.multi_batched import segment_profile
 
-    paths = ["serial", "batched", "superstep"]
-    probe, _ = spec.build()
-    if all(segment_profile(s, strict=False) is not None for s in probe):
-        paths.append("sharded")
-    reference: Mapping[int, Any] | None = None
-    for path in paths:
+    def traces(path: str) -> dict[int, Any]:
         specs, allocator = spec.build()
         result = replay_path(
             specs,
@@ -78,13 +69,9 @@ def cross_path_divergence(spec: ScenarioSpec) -> TraceDivergence | None:
             max_quanta=spec.max_quanta,
             path=path,
         )
-        if reference is None:
-            reference = dict(result.traces)
-            continue
-        divergence = first_divergence(reference, dict(result.traces))
-        if divergence is not None:
-            return divergence
-    return None
+        return dict(result.traces)
+
+    return first_divergence(traces("serial"), traces("superstep"))
 
 
 @dataclass(frozen=True, slots=True)

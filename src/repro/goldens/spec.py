@@ -50,8 +50,8 @@ SPEC_SCHEMA_VERSION = 2
 
 #: Engines a dag job may pin (mirrors :data:`repro.sim.jobs.EngineChoice`).
 #: ``"reference"`` forces the step-accurate heap engine, which makes the
-#: job non-batchable — such a scenario runs on the serial reference loop,
-#: and the replay harness skips its ``sharded`` path.
+#: job non-batchable — such a scenario runs on the serial reference loop on
+#: both replay paths.
 DAG_ENGINES: tuple[str, ...] = ("auto", "batched", "reference")
 
 #: policy name -> the constructor keyword arguments it accepts.

@@ -1,9 +1,9 @@
 """Replaying golden fixtures: the ``verify-traces`` engine.
 
-Every fixture is replayed on all four execution paths (serial, batched,
-superstep, sharded) against its recorded reference traces, so one bundle
-proves four-way identity under the current code.  Replay units fan out
-through the supervised pool
+Every fixture is replayed on both execution paths (serial, superstep)
+against its recorded reference traces, so one bundle proves the windowed
+loop identical to the serial reference loop under the current code.
+Replay units fan out through the supervised pool
 (:func:`repro.experiments.parallel.map_deterministic`), which keeps the
 report order-preserving and byte-identical at any worker count — and,
 because retries replay deterministic pure units, identical with fault
@@ -15,12 +15,6 @@ model — ``ABG401`` for a field-level divergence, ``ABG402`` for a shape
 (job-set / quantum-count) divergence, ``ABG403`` for an unreadable bundle
 or metadata mismatch — so ``verify-traces`` shares the lint exit-code
 policy and report formats.
-
-The sharded path runs the windowed executor (:mod:`repro.sim.sharded`),
-which requires every job to be batchable.  A scenario carrying a
-non-batchable job (an ``engine="reference"`` dag fixture) *skips* that one
-path — reported as ``"skip"``, never a finding — and still proves
-three-way identity on the remaining paths.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from typing import Any, Sequence
 from ..experiments.parallel import map_deterministic
 from ..io.traces import load_golden_bundle
 from ..runtime import FaultPlan, unit_key
-from ..sim.multi_batched import segment_profile
 from ..sim.replay import EXECUTION_PATHS, replay_path
 from ..verify.findings import (
     LintFinding,
@@ -58,9 +51,8 @@ def replay_unit(task: ReplayTask) -> dict[str, Any]:
     """Replay one fixture on one path; pure, picklable, deterministic.
 
     Returns a JSON-ready outcome dict: ``status`` is ``"pass"``,
-    ``"fail"`` (with the first-divergence payload), ``"skip"`` (the path
-    does not apply — sharded execution on a scenario with a non-batchable
-    job), or ``"error"`` (the bundle could not be loaded or rebuilt).
+    ``"fail"`` (with the first-divergence payload), or ``"error"`` (the
+    bundle could not be loaded or rebuilt).
     """
     fixture = task.fixture
     scenario_id = Path(fixture).stem
@@ -69,21 +61,6 @@ def replay_unit(task: ReplayTask) -> dict[str, Any]:
         spec = ScenarioSpec.from_dict(bundle.scenario)
         scenario_id = spec.scenario_id
         specs, allocator = spec.build()
-        if task.path == "sharded":
-            unbatchable = sorted(
-                s.job_id for s in specs if segment_profile(s, strict=False) is None
-            )
-            if unbatchable:
-                return {
-                    "fixture": fixture,
-                    "scenario_id": scenario_id,
-                    "path": task.path,
-                    "status": "skip",
-                    "reason": (
-                        "sharded execution requires every job batchable; "
-                        f"job(s) {unbatchable} are not"
-                    ),
-                }
         result = replay_path(
             specs,
             allocator,
@@ -122,7 +99,7 @@ def replay_unit(task: ReplayTask) -> dict[str, Any]:
 def _finding_for(outcome: dict[str, Any]) -> LintFinding | None:
     """Map one failed/errored outcome onto the shared finding model."""
     status = outcome["status"]
-    if status in ("pass", "skip"):
+    if status == "pass":
         return None
     if status == "error":
         code = "ABG403"
@@ -163,7 +140,7 @@ class VerifyReport:
         """Deterministic human-readable report (stable at any worker count
         and under fault injection — outcomes are order-preserving)."""
         lines: list[str] = []
-        counts = {"pass": 0, "fail": 0, "error": 0, "skip": 0}
+        counts = {"pass": 0, "fail": 0, "error": 0}
         for outcome in self.outcomes:
             status = outcome["status"]
             counts[status] += 1
@@ -173,8 +150,6 @@ class VerifyReport:
             )
             if status == "pass":
                 lines.append(head)
-            elif status == "skip":
-                lines.append(f"{head}: {outcome['reason']}")
             elif status == "error":
                 lines.append(f"{head}: {outcome['error']}")
             else:
@@ -187,7 +162,7 @@ class VerifyReport:
         lines.append(
             f"{len(self.outcomes)} replay(s) over {len(self.fixtures)} "
             f"fixture(s): {counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['error']} error, {counts['skip']} skip"
+            f"{counts['error']} error"
         )
         return "\n".join(lines)
 

@@ -31,61 +31,53 @@ A set runs on one of two loops, with bit-identical traces either way:
   finished traces' :class:`~repro.core.columnar.TraceColumns` without a
   record object ever being built.
 
-``shards`` only chooses how the windowed loop splits and runs its groups:
-``None`` or ``1`` runs one machine-wide window in-process; ``N >= 2`` (or
-``"auto"``, one worker per core) splits a hierarchical allocator into
-per-group windows dispatched to supervised shard workers, and rejects a set
-the windowed loop cannot run.  The kernel replays the same closed-form
+``shards=N`` (``N >= 2``, hierarchical allocators only) splits a
+:class:`~repro.allocators.hierarchical.HierarchicalAllocator` into
+per-group windows dispatched to ``N`` supervised shard workers, and rejects
+a set the windowed loop cannot run; without it the windowed loop runs one
+machine-wide window in-process.  The kernel replays the same closed-form
 chunk sequence as the per-job engines (see the kernel module docstring for
 the argument, and ``tests/test_sim_multi_batched.py`` for the
 cross-validation).
 
 Supersteps
 ----------
-``superstep="auto"`` (the default) adds multi-quantum fast-forwarding to the
-windowed loop.  Between *events* — a job completing, an arrival admission,
-or a feedback-driven request change — the loop checks whether the next
-quantum is a literal fixed point of the previous one: the feedback
-recurrences hold every request bit-identical
+The windowed loop fast-forwards between *events* — a job completing, an
+arrival admission, or a feedback-driven request change.  After each
+quantum it checks whether the next is a literal fixed point of it: the
+feedback recurrences hold every request bit-identical
 (:meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`), the
 allocator certifies its grants repeat
 (:meth:`~repro.core.allocators.base.Allocator.allocation_fixed_point`), and
 every job's remaining segment chunks sustain identical pure quanta (closed
 forms in :mod:`repro.sim.superstep`).  When all hold, ``K`` quanta advance
 at once and their ``K`` identical records land as one repeat-group in the
-log.  ``superstep="off"`` disables only the fast-forwarding; both settings
-produce byte-identical traces, because a superstep engages exactly when
-the per-quantum path would have produced those ``K`` quanta anyway.
+log.  The traces are byte-identical to executing those quanta one at a
+time, because a superstep engages exactly when the per-quantum path would
+have produced those ``K`` quanta anyway; the tests check this by patching
+:func:`repro.sim.sharded._attempt_superstep` to refuse every attempt.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Literal, Sequence, cast
+from typing import Literal, Sequence
 
 from ..allocators.base import Allocator, validate_allocation
+from ..allocators.hierarchical import HierarchicalAllocator
 from ..core.columnar import TraceColumns
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..engine.base import JobExecutor
-from ..runtime.supervisor import resolve_workers
 from .jobs import JobSpec, make_executor
 from .metrics import makespan, mean_response_time
 from .multi_batched import segment_profile
 from .sharded import Profile, simulate_windowed
 from .single import run_quantum_with_overhead
 
-__all__ = ["MultiJobResult", "SUPERSTEP_ENV_VAR", "simulate_job_set"]
+__all__ = ["MultiJobResult", "simulate_job_set"]
 
 BatchChoice = Literal["auto", "off"]
-SuperstepChoice = Literal["auto", "off"]
-
-#: Ambient override of the default superstep mode.  When a caller leaves
-#: ``superstep=None``, this environment variable (if set) picks the mode —
-#: the hook the CI byte-identity job uses to re-run the full artifact
-#: pipeline with fast-forwarding disabled and diff the output bytes.
-SUPERSTEP_ENV_VAR = "REPRO_SUPERSTEP"
 
 
 @dataclass(slots=True)
@@ -135,8 +127,7 @@ def simulate_job_set(
     overhead: ReallocationOverhead = NO_OVERHEAD,
     strict: bool = False,
     batch: BatchChoice = "auto",
-    superstep: SuperstepChoice | None = None,
-    shards: int | Literal["auto"] | None = None,
+    shards: int | None = None,
     task_timeout: float | None = None,
     retries: int | None = None,
 ) -> MultiJobResult:
@@ -144,18 +135,13 @@ def simulate_job_set(
 
     Job ids default to the spec's position in ``specs``; explicit
     ``JobSpec.job_id`` values must be unique.  ``strict=True`` enables the
-    engines' per-step invariant checking for every job.  ``batch``,
-    ``superstep`` and ``shards`` are execution choices, not policy choices
-    (see the module docstring for which loop runs a set); results do not
-    depend on them.  ``superstep=None`` (the default) resolves to
-    :data:`SUPERSTEP_ENV_VAR` if set, else ``"auto"``.  ``task_timeout`` and
-    ``retries`` apply to the sharded dispatch only (they thread through
-    ``runtime.run_supervised``).
+    engines' per-step invariant checking for every job.  ``batch`` and
+    ``shards`` are execution choices, not policy choices (see the module
+    docstring for which loop runs a set); results do not depend on them.
+    ``shards`` needs a :class:`HierarchicalAllocator` and ``N >= 2``;
+    ``task_timeout`` and ``retries`` apply to its shard workers only (they
+    thread through ``runtime.run_supervised``) and are refused without it.
     """
-    if superstep is None:
-        superstep = cast(
-            SuperstepChoice, os.environ.get(SUPERSTEP_ENV_VAR, "auto")
-        )
     if processors < 1:
         raise ValueError("need at least one processor")
     if quantum_length < 1:
@@ -164,33 +150,30 @@ def simulate_job_set(
         raise ValueError("job set is empty")
     if batch not in ("auto", "off"):
         raise ValueError(f"unknown batch mode {batch!r}; pick 'auto' or 'off'")
-    if superstep not in ("auto", "off"):
-        raise ValueError(
-            f"unknown superstep mode {superstep!r}; pick 'auto' or 'off'"
-        )
-    if shards is not None and shards != "auto":
-        if not isinstance(shards, int):
-            raise ValueError(f"unknown shards mode {shards!r}; pick 'auto' or N >= 1")
-        if shards < 1:
-            raise ValueError("shard count must be >= 1 (or 'auto')")
-    # Shard workers for per-group windows; None runs one in-process window.
-    workers: int | None = None
-    if shards == "auto":
-        workers = resolve_workers(0)
-    elif isinstance(shards, int) and shards > 1:
-        workers = shards
-    array_native = type(allocator).allocate_batch is not Allocator.allocate_batch
-    if workers is not None:
+    if shards is not None:
+        if isinstance(shards, bool) or not isinstance(shards, int):
+            raise ValueError(f"unknown shards mode {shards!r}; pick an integer N >= 2")
+        if shards < 2:
+            raise ValueError(
+                f"shard count must be >= 2, got {shards} "
+                "(shards=None runs the in-process window)"
+            )
+        if not isinstance(allocator, HierarchicalAllocator):
+            raise ValueError(
+                "shards splits a HierarchicalAllocator into per-group windows; "
+                f"{type(allocator).__name__} runs with shards=None"
+            )
         if batch == "off":
             raise ValueError(
                 "sharded execution runs on the batched kernel; "
-                "batch='off' requires shards=None or 1"
+                "batch='off' requires shards=None"
             )
-        if not array_native:
-            raise ValueError(
-                "sharded execution requires an array-native allocator "
-                f"(no allocate_batch override on {type(allocator).__name__})"
-            )
+    elif task_timeout is not None or retries is not None:
+        raise ValueError(
+            "task_timeout and retries apply to shard workers only; "
+            "they need shards=N"
+        )
+    array_native = type(allocator).allocate_batch is not Allocator.allocate_batch
     pending: list[tuple[int, int, JobSpec]] = []  # (release, id, spec)
     seen_ids: set[int] = set()
     profiles: dict[int, Profile] | None = (
@@ -207,7 +190,7 @@ def simulate_job_set(
             continue
         profile = segment_profile(spec, strict=strict)
         if profile is None:
-            if workers is not None:
+            if shards is not None:
                 raise ValueError(
                     f"job {jid} is not batchable; sharded execution requires "
                     "counts-determined jobs (run with shards=None to use the "
@@ -241,8 +224,7 @@ def simulate_job_set(
             max_quanta=max_quanta,
             overhead=overhead,
             strict=strict,
-            superstep=superstep == "auto",
-            workers=workers,
+            workers=shards,
             task_timeout=task_timeout,
             retries=retries,
         )

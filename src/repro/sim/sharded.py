@@ -13,15 +13,14 @@ arrivals, merges the emitted quanta and migrates slots between groups.
 
 ``shards`` only chooses how the groups are split and run:
 
-- ``None`` or ``1``: every allocator, a hierarchical one included, is one
-  group the size of ``P`` using the allocator's machine-wide
+- ``None`` (the default): every allocator, a hierarchical one included, is
+  one group the size of ``P`` using the allocator's machine-wide
   ``allocate_batch`` and ``allocation_fixed_point``; the window body runs
   in-process, with no supervision, fault plan or pickling;
-- ``N >= 2`` or ``"auto"``: a hierarchical allocator splits into one window
-  per group, dispatched through :func:`repro.runtime.run_supervised`
-  (timeouts, bounded retries, fault injection) over one persistent
-  :class:`~repro.runtime.supervisor.WorkerPool`; any other allocator stays
-  one machine-wide group.
+- ``N >= 2`` (hierarchical allocators only): one window per group,
+  dispatched through :func:`repro.runtime.run_supervised` (timeouts,
+  bounded retries, fault injection) over one persistent
+  :class:`~repro.runtime.supervisor.WorkerPool`.
 
 Why per-group windows are byte-identical to one machine-wide group
 ------------------------------------------------------------------
@@ -289,7 +288,6 @@ class GroupWindowTask:
     start_quantum: int
     """Machine quanta executed before this window (orders finished traces
     across groups)."""
-    superstep: bool
     overhead: ReallocationOverhead
 
 
@@ -379,12 +377,7 @@ def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
         # scalar feedback — try to fast-forward through the quanta the
         # group provably repeats.
         skipped = 0
-        if (
-            task.superstep
-            and not scalar_fb
-            and not finished_pos
-            and len(kernel) > 0
-        ):
+        if not scalar_fb and not finished_pos and len(kernel) > 0:
             skipped = _attempt_superstep(
                 kernel,
                 log,
@@ -432,7 +425,6 @@ def simulate_windowed(
     max_quanta: int,
     overhead: ReallocationOverhead,
     strict: bool,
-    superstep: bool,
     workers: int | None,
     task_timeout: float | None,
     retries: int | None,
@@ -467,7 +459,7 @@ def simulate_windowed(
 
     # One pool outlives every window barrier: per-window forking would
     # otherwise dominate the dispatch cost on short windows.
-    shared_pool = WorkerPool(workers) if workers is not None and workers > 1 else None
+    shared_pool = WorkerPool(workers) if workers is not None else None
     try:
         while cursor < len(pending) or any(len(k) > 0 for k in kernels):
             if quanta >= max_quanta:
@@ -544,7 +536,6 @@ def simulate_windowed(
                     start=t,
                     quanta=window,
                     start_quantum=quanta,
-                    superstep=superstep,
                     overhead=overhead,
                 )
                 for g, kernel in enumerate(kernels)

@@ -122,6 +122,10 @@ class TestMainCommands:
         out = capsys.readouterr().out
         assert "light load" in out
 
+    def test_fig6_group_size(self, capsys):
+        assert main(["fig6", "--sets", "1", "--group-size", "8", "--bins", "1"]) == 0
+        assert "light load" in capsys.readouterr().out
+
     def test_theorem1(self, capsys):
         assert main(["theorem1"]) == 0
         assert "A-Greedy" in capsys.readouterr().out
@@ -187,6 +191,16 @@ class TestUsageErrors:
         ]
         err = self._usage_error(argv, capsys)
         assert "error: --record-on-green applies to the default registry" in err
+
+    def test_fig6_has_no_shards_flag(self, capsys):
+        err = self._usage_error(["fig6", "--sets", "1", "--shards", "2"], capsys)
+        assert "unrecognized arguments: --shards 2" in err
+
+    @pytest.mark.parametrize("count", ["auto", "1"])
+    def test_giant_shards_needs_two_or_more(self, count, capsys):
+        err = self._usage_error(["giant", "--shards", count], capsys)
+        assert "shard count must be" in err
+
 
 class TestFormatting:
     def test_format_table_alignment(self):

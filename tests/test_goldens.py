@@ -244,22 +244,16 @@ class TestVerifyTraces:
         record_fixtures(tmp_path, [tiny_spec()])
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        assert [o["status"] for o in report.outcomes] == ["pass"] * 4
-        assert [o["path"] for o in report.outcomes] == [
-            "serial",
-            "batched",
-            "superstep",
-            "sharded",
-        ]
+        assert [o["status"] for o in report.outcomes] == ["pass"] * 2
+        assert [o["path"] for o in report.outcomes] == ["serial", "superstep"]
 
     def test_default_registry_passes_all_paths(self, tmp_path):
         record_fixtures(tmp_path, default_scenarios())
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        # 7 scenarios x 4 paths; the reference-engine dag fixture skips
-        # the sharded path (non-batchable jobs) without failing the run.
-        assert len(report.outcomes) == 28
-        assert report.render().endswith("27 pass, 0 fail, 0 error, 1 skip")
+        # 7 scenarios x 2 paths
+        assert len(report.outcomes) == 14
+        assert report.render().endswith("14 pass, 0 fail, 0 error")
 
     def test_report_is_deterministic(self, tmp_path):
         record_fixtures(tmp_path, [tiny_spec()])
@@ -289,18 +283,15 @@ class TestVerifyTraces:
         assert not report.passed
         by_path = {o["path"]: o for o in report.outcomes}
         # serial uses the scalar policy and still matches the golden: the
-        # drift is isolated to the batched/superstep kernels
+        # drift is isolated to the batched kernel's superstep path
         assert by_path["serial"]["status"] == "pass"
-        assert by_path["batched"]["status"] == "fail"
         assert by_path["superstep"]["status"] == "fail"
-        div = by_path["batched"]["divergence"]
+        div = by_path["superstep"]["divergence"]
         assert div["kind"] == "field"
         assert div["quantum"] >= 2  # the first quantum's request is initial
         assert "request" in {f["field"] for f in div["fields"]}
         for diff in div["fields"]:
             assert diff["expected"] != diff["got"]
-        # the exact same first divergence on both mutated paths
-        assert div == by_path["superstep"]["divergence"]
         assert {f.code for f in report.findings} == {"ABG401"}
 
     def test_deq_waterfall_perturbation_fails_exactly(self, tmp_path, monkeypatch):
@@ -311,7 +302,7 @@ class TestVerifyTraces:
         assert not report.passed
         by_path = {o["path"]: o for o in report.outcomes}
         assert by_path["serial"]["status"] == "pass"
-        div = by_path["batched"]["divergence"]
+        div = by_path["superstep"]["divergence"]
         assert div["kind"] == "field"
         assert div["job_id"] is not None and div["quantum"] is not None
         assert div["start_step"] is not None
@@ -322,7 +313,7 @@ class TestVerifyTraces:
 def _perturb_deq(monkeypatch):
     """Transfer one processor from a rich job to a deprived one — a valid
     allocation (coverage/bounds invariants hold) that perturbs the DEQ
-    waterfall on the batched/superstep paths only."""
+    waterfall on the superstep path only."""
     import numpy as np
 
     orig = DynamicEquiPartitioning.allocate_batch
@@ -482,7 +473,7 @@ class TestCli:
         assert main(["verify-traces", "--fixtures", out]) == 0
         assert main(["record-traces", "--out", out, "--check"]) == 0
         text = capsys.readouterr().out
-        assert "27 pass, 0 fail, 0 error, 1 skip" in text
+        assert "14 pass, 0 fail, 0 error" in text
         assert "clean: no findings" in text
 
     def test_verify_exit_code_and_diff_on_mutation(
@@ -510,7 +501,7 @@ class TestCli:
         assert main(["verify-traces", "--fixtures", out, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] == 0
-        assert len(payload["outcomes"]) == 4
+        assert len(payload["outcomes"]) == 2
 
     def test_verify_empty_dir_is_usage_error(self, tmp_path):
         from repro.cli import main
@@ -606,16 +597,18 @@ class TestDagScenarios:
         with pytest.raises(ValueError, match="require schema 2"):
             ScenarioSpec.from_dict(data)
 
-    def test_batchable_dag_fixture_passes_all_four_paths(self, tmp_path):
+    def test_batchable_dag_fixture_passes_both_paths(self, tmp_path):
         spec = dag_scenario(
             "dag-mini", seed=7, num_jobs=3, num_levels=(8, 12), structure="barrier"
         )
         record_fixtures(tmp_path, [spec])
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        assert [o["status"] for o in report.outcomes] == ["pass"] * 4
+        assert [o["status"] for o in report.outcomes] == ["pass"] * 2
 
-    def test_reference_engine_fixture_skips_sharded_path(self, tmp_path):
+    def test_reference_engine_fixture_passes_both_paths(self, tmp_path):
+        """A non-batchable job sends the set to the serial loop on the
+        superstep path too; both replays still match the golden."""
         spec = dag_scenario(
             "dag-ref-mini",
             seed=7,
@@ -628,15 +621,9 @@ class TestDagScenarios:
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
         by_path = {o["path"]: o["status"] for o in report.outcomes}
-        assert by_path == {
-            "serial": "pass",
-            "batched": "pass",
-            "superstep": "pass",
-            "sharded": "skip",
-        }
-        # a skip is not a finding; the render still counts it
+        assert by_path == {"serial": "pass", "superstep": "pass"}
         assert report.findings == ()
-        assert report.render().endswith("3 pass, 0 fail, 0 error, 1 skip")
+        assert report.render().endswith("2 pass, 0 fail, 0 error")
 
 
 class TestRecordOnGreen:

@@ -391,3 +391,23 @@ class TestFig6Driver:
         res_off = fig6_mod.run_fig6(**kwargs)
         # frozen dataclasses: field-for-field (float-exact) equality
         assert res_auto == res_off
+
+    def test_group_size_csv_identical_with_batching_off(self, tmp_path, monkeypatch):
+        """``fig6 --group-size``: hierarchical sets on the windowed loop
+        write the serial reference loop's CSV byte for byte."""
+        from repro.experiments import fig6 as fig6_mod
+        from repro.report import write_csv
+
+        def sweep_csv(name):
+            result = fig6_mod.run_fig6(
+                num_sets=2, load_range=(2.0, 6.0), processors=32,
+                quantum_length=200, workers=1, seed=911, group_size=8,
+            )
+            return write_csv(list(result.points), tmp_path / name).read_bytes()
+
+        windowed = sweep_csv("windowed.csv")
+        orig = fig6_mod.simulate_job_set
+        monkeypatch.setattr(
+            fig6_mod, "simulate_job_set", lambda *a, **kw: orig(*a, batch="off", **kw)
+        )
+        assert sweep_csv("serial.csv") == windowed

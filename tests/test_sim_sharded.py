@@ -1,13 +1,14 @@
 """Byte-identity proof of sharded execution against the serial oracle.
 
-``simulate_job_set(..., shards=N)`` advances each allocation group through a
-window of quanta per supervised worker dispatch; ``shards=None`` runs the
-same window body as one machine-wide group in-process.  Both are therefore
-also compared with ``batch="off"``, the serial reference loop, which shares
-no code with the windowed loop.  The claim mirrors the batch/superstep
-claims: traces are *bit-identical* at any shard count, on every workload —
-mid-run releases, migrations at rebalancing boundaries, fault-injected
-dispatches, serial and pooled workers, superstep on and off.
+``simulate_job_set(..., shards=N)`` advances each group of a hierarchical
+allocator through a window of quanta per supervised worker dispatch;
+``shards=None`` runs the same window body as one machine-wide group
+in-process.  Both are therefore also compared with ``batch="off"``, the
+serial reference loop, which shares no code with the windowed loop.  The
+claim mirrors the batch/superstep claims: traces are *bit-identical* at
+any shard count, on every workload — mid-run releases, migrations at
+rebalancing boundaries, fault-injected dispatches, serial and pooled
+workers, superstep fast-forwarding on and patched off.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.overhead import ReallocationOverhead
 from repro.dag import builders
 from repro.engine.phased import PhasedJob
 from repro.runtime.faults import FAULTS_ENV_VAR
+from repro.sim import sharded as sharded_loop
 from repro.sim.jobs import JobSpec
 from repro.sim.multi import MultiJobResult, simulate_job_set
 
@@ -89,22 +91,12 @@ class TestHierarchicalShardIdentity:
         assert_identical(flat, sharded)
         assert_identical(flat, oracle(specs, hier, 48, quantum_length=100))
 
-    def test_auto_shards(self):
-        specs = random_specs(12, seed=7)
-        flat = simulate_job_set(specs, hier(), 36, quantum_length=50)
-        sharded = simulate_job_set(
-            specs, hier(), 36, quantum_length=50, shards="auto"
-        )
-        assert_identical(flat, sharded)
-        assert_identical(flat, oracle(specs, hier, 36, quantum_length=50))
-
-    def test_superstep_off_also_identical(self):
+    def test_superstep_off_also_identical(self, monkeypatch):
+        monkeypatch.setattr(sharded_loop, "_attempt_superstep", lambda *a, **k: 0)
         specs = random_specs(16, seed=23)
-        flat = simulate_job_set(
-            specs, hier(), 48, quantum_length=100, superstep="off"
-        )
+        flat = simulate_job_set(specs, hier(), 48, quantum_length=100)
         sharded = simulate_job_set(
-            specs, hier(), 48, quantum_length=100, superstep="off", shards=3
+            specs, hier(), 48, quantum_length=100, shards=3
         )
         assert_identical(flat, sharded)
         assert_identical(flat, oracle(specs, hier, 48, quantum_length=100))
@@ -164,7 +156,8 @@ class TestHierarchicalShardIdentity:
 
 class TestFlatAllocatorsSharded:
     """Non-hierarchical array-native allocators run as a single group
-    spanning the machine, also when dispatched through the supervisor."""
+    spanning the machine, in-process; per-group shard windows only mean
+    something for a hierarchical allocator, so ``shards`` is refused."""
 
     @pytest.mark.parametrize(
         "make", [DynamicEquiPartitioning, RoundRobinAllocator]
@@ -172,11 +165,9 @@ class TestFlatAllocatorsSharded:
     def test_single_group_identity(self, make):
         specs = random_specs(18, seed=77)
         flat = simulate_job_set(specs, make(), 40, quantum_length=100)
-        sharded = simulate_job_set(
-            specs, make(), 40, quantum_length=100, shards=2
-        )
-        assert_identical(flat, sharded)
         assert_identical(flat, oracle(specs, make, 40, quantum_length=100))
+        with pytest.raises(ValueError, match="HierarchicalAllocator"):
+            simulate_job_set(specs, make(), 40, quantum_length=100, shards=2)
 
 
 class TestFaultTolerance:
@@ -198,17 +189,19 @@ class TestFaultTolerance:
 class TestValidation:
     def test_bad_shard_values_rejected(self):
         specs = random_specs(4, seed=1)
-        with pytest.raises(ValueError, match="shard count"):
-            simulate_job_set(specs, hier(), 16, shards=0)
-        with pytest.raises(ValueError, match="unknown shards mode"):
-            simulate_job_set(specs, hier(), 16, shards="many")  # type: ignore[arg-type]
+        for count in (0, 1):
+            with pytest.raises(ValueError, match="shard count"):
+                simulate_job_set(specs, hier(), 16, shards=count)
+        for mode in ("many", "auto", True):
+            with pytest.raises(ValueError, match=f"unknown shards mode {mode!r}"):
+                simulate_job_set(specs, hier(), 16, shards=mode)  # type: ignore[arg-type]
 
-    def test_shards_one_is_the_in_process_window(self):
-        specs = random_specs(6, seed=2)
-        flat = simulate_job_set(specs, hier(), 16, quantum_length=100)
-        one = simulate_job_set(specs, hier(), 16, quantum_length=100, shards=1)
-        assert_identical(flat, one)
-        assert_identical(flat, oracle(specs, hier, 16, quantum_length=100))
+    def test_supervision_arguments_need_shards(self):
+        specs = random_specs(4, seed=1)
+        with pytest.raises(ValueError, match="need shards"):
+            simulate_job_set(specs, hier(), 16, task_timeout=5.0)
+        with pytest.raises(ValueError, match="need shards"):
+            simulate_job_set(specs, hier(), 16, retries=2)
 
     def test_batch_off_conflicts_with_sharding(self):
         specs = random_specs(4, seed=1)
@@ -224,14 +217,14 @@ class TestValidation:
                 return {j: 1 for j in requests}
 
         specs = random_specs(4, seed=1)
-        with pytest.raises(ValueError, match="array-native"):
+        with pytest.raises(ValueError, match="HierarchicalAllocator"):
             simulate_job_set(specs, MappingOnly(), 16, shards=2)
 
     def test_non_batchable_job_rejected(self):
         dag = builders.fork_join_from_phases([(1, 2), (4, 3)])
         specs = [JobSpec(job=dag, feedback=AControl(), engine="reference")]
         with pytest.raises(ValueError, match="not batchable"):
-            simulate_job_set(specs, DynamicEquiPartitioning(), 16, shards=2)
+            simulate_job_set(specs, hier(group_size=8), 16, shards=2)
 
     def test_duplicate_ids_rejected(self):
         spec = JobSpec(job=PhasedJob([(1, 1)]), feedback=AControl(), job_id=5)

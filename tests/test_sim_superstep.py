@@ -2,9 +2,10 @@
 
 The superstep layer's claim mirrors the batched kernel's: whole-run results
 — every trace, every :class:`QuantumRecord` field, artifact bytes — are
-*bit-identical* whether quanta execute one at a time (``superstep="off"``)
-or fast-forward in closed form whenever the system provably repeats
-(``superstep="auto"``, the default).  These tests run three-way
+*bit-identical* whether quanta execute one at a time (``per_quantum``
+patches :func:`repro.sim.sharded._attempt_superstep` to refuse every
+attempt) or fast-forward in closed form whenever the system provably
+repeats, as the windowed loop always does.  These tests run three-way
 cross-validation (serial / per-quantum batched / superstep) over randomized
 job sets including mid-run releases, overhead, mixed policies, and strict
 mode; unit-test the closed forms against brute-force per-quantum execution;
@@ -14,6 +15,7 @@ and pin the allocator/feedback fixed-point contracts the layer composes.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.dag.builders import fork_join_from_phases
 from repro.engine.batched import BatchedDagExecutor
 from repro.engine.explicit import ExplicitExecutor
 from repro.engine.phased import PhasedJob
+from repro.sim import sharded
 from repro.sim.jobs import JobSpec
 from repro.sim.multi import simulate_job_set
 from repro.sim.multi_batched import MultiBatchKernel, segment_profile
@@ -75,6 +78,14 @@ def assert_results_identical(a, b) -> None:
         assert ta.records == tb.records
 
 
+@contextmanager
+def per_quantum():
+    """Turn superstep fast-forwarding off: every attempt skips 0 quanta."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sharded, "_attempt_superstep", lambda *a, **k: 0)
+        yield
+
+
 def run_three_way(make_specs, processors, *, allocator=DynamicEquiPartitioning,
                   **kwargs):
     """Serial, per-quantum batched, and superstep runs of one job set must
@@ -82,13 +93,10 @@ def run_three_way(make_specs, processors, *, allocator=DynamicEquiPartitioning,
     serial = simulate_job_set(
         make_specs(), allocator(), processors, batch="off", **kwargs
     )
-    per_quantum = simulate_job_set(
-        make_specs(), allocator(), processors, superstep="off", **kwargs
-    )
-    fast = simulate_job_set(
-        make_specs(), allocator(), processors, superstep="auto", **kwargs
-    )
-    assert_results_identical(serial, per_quantum)
+    with per_quantum():
+        slow = simulate_job_set(make_specs(), allocator(), processors, **kwargs)
+    fast = simulate_job_set(make_specs(), allocator(), processors, **kwargs)
+    assert_results_identical(serial, slow)
     assert_results_identical(serial, fast)
     return fast
 
@@ -470,26 +478,6 @@ class TestQuantumLog:
 
 
 class TestSuperstepIdentity:
-    def test_rejects_unknown_mode(self):
-        spec = JobSpec(job=PhasedJob([(2, 4)]), feedback=AControl())
-        with pytest.raises(ValueError, match="superstep"):
-            simulate_job_set(
-                [spec], DynamicEquiPartitioning(), 8, superstep="always"
-            )
-
-    def test_env_var_overrides_default_mode(self, monkeypatch):
-        from repro.sim.multi import SUPERSTEP_ENV_VAR
-
-        spec = JobSpec(job=PhasedJob([(2, 4)]), feedback=AControl())
-        monkeypatch.setenv(SUPERSTEP_ENV_VAR, "always")
-        with pytest.raises(ValueError, match="superstep"):
-            simulate_job_set([spec], DynamicEquiPartitioning(), 8)
-        monkeypatch.setenv(SUPERSTEP_ENV_VAR, "off")
-        off = simulate_job_set([spec], DynamicEquiPartitioning(), 8)
-        monkeypatch.delenv(SUPERSTEP_ENV_VAR)
-        auto = simulate_job_set([spec], DynamicEquiPartitioning(), 8)
-        assert_results_identical(off, auto)
-
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sets_three_way(self, seed):
         rng = np.random.default_rng(seed)
@@ -521,14 +509,12 @@ class TestSuperstepIdentity:
             return [JobSpec(job=j, feedback=policy) for j in jobs]
 
         counting = CountingDEQ()
-        fast = simulate_job_set(
-            make(), counting, 128, quantum_length=50, superstep="auto"
-        )
+        fast = simulate_job_set(make(), counting, 128, quantum_length=50)
         assert counting.batch_calls * 4 < fast.quanta_elapsed
-        slow = simulate_job_set(
-            make(), DynamicEquiPartitioning(), 128, quantum_length=50,
-            superstep="off",
-        )
+        per_quantum_deq = CountingDEQ()
+        with per_quantum():
+            slow = simulate_job_set(make(), per_quantum_deq, 128, quantum_length=50)
+        assert per_quantum_deq.batch_calls == slow.quanta_elapsed
         assert_results_identical(slow, fast)
 
     def test_mixed_policies_and_fixed_request(self):
@@ -610,7 +596,7 @@ class TestSuperstepIdentity:
         with pytest.raises(RuntimeError, match="did not finish"):
             simulate_job_set(
                 make(), DynamicEquiPartitioning(), 32, quantum_length=10,
-                max_quanta=500, superstep="auto",
+                max_quanta=500,
             )
 
     def test_columnar_traces_lazy_until_records_read(self, monkeypatch):
@@ -659,23 +645,20 @@ class TestSpeedFloors:
         so DEQ stops rotating) supersteps beat per-quantum execution of the
         same job-quanta by more than 2x."""
 
-        def run(superstep):
+        def run():
             policy = AControl(0.2)
             specs = [
                 JobSpec(job=PhasedJob([(8 + i, 600_000)]), feedback=policy)
                 for i in range(8)
             ]
             result = simulate_job_set(
-                specs,
-                DynamicEquiPartitioning(),
-                128,
-                quantum_length=1000,
-                superstep=superstep,
+                specs, DynamicEquiPartitioning(), 128, quantum_length=1000
             )
             return sum(len(t) for t in result.traces.values())
 
-        off_s, off_quanta = _best_of_3(lambda: run("off"))
-        auto_s, auto_quanta = _best_of_3(lambda: run("auto"))
+        with per_quantum():
+            off_s, off_quanta = _best_of_3(run)
+        auto_s, auto_quanta = _best_of_3(run)
         assert off_quanta == auto_quanta
         assert off_s / auto_s > 2
 
