@@ -96,8 +96,8 @@ class Allocator(ABC):
         ``(ids, requests, total)``.  The return value is ``k`` in
         ``[0, limit]`` such that the next ``k`` calls of ``allocate_batch``
         with the same arguments would return ``grants`` again.  Probing must
-        be side-effect free so that composite allocators (and the sharded
-        executor) can probe several sub-allocations, take the minimum, and
+        be side-effect free so that composite allocators (and the windowed
+        loop) can probe several sub-allocations, take the minimum, and
         only then commit via :meth:`fixed_point_advance` — probing twice, or
         probing further than the caller ultimately advances, must be
         harmless.  Returning 0 always is correct; the base implementation

@@ -1,13 +1,13 @@
-"""Hierarchical sharded allocation — Cao, Sun, Qian & Wu (ICPP 2014).
+"""Hierarchical allocation — Cao, Sun, Qian & Wu (ICPP 2014).
 
 DEQ is centralized: one waterfall over every active job per quantum.  The
 hierarchical fix partitions the ``P`` processors into ``G`` fixed-budget
 groups, runs the ordinary equi-partitioning waterfall *per group* over the
 jobs assigned to it, and periodically rebalances by migrating whole jobs
 from overloaded groups to underloaded ones.  Group-local allocation is what
-makes the machine-wide quantum shardable: each group's waterfall reads and
-writes only group-local state, so the sharded executor
-(:mod:`repro.sim.sharded`) can advance groups in separate worker processes
+lets the machine-wide quantum split into per-group windows: each group's
+waterfall reads and writes only group-local state, so the windowed loop
+(:mod:`repro.sim.sharded`) can advance each group through its own window
 between rebalancing barriers and still reproduce this allocator's decisions
 bit-for-bit.
 
@@ -15,8 +15,7 @@ Everything here is deterministic by construction: group membership is a
 pure function of the admission order and the rebalancing history, every
 scan runs in sorted job-id order, and ties break toward the lowest group
 index / lowest job id.  The same simulation therefore produces identical
-traces whether it runs in one machine-wide window, sharded over 2 workers,
-or sharded over 8.
+traces whether it runs in one machine-wide window or in per-group windows.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class HierarchicalAllocator(Allocator):
     rebalance_interval:
         Rebalancing runs every this-many quanta (before the allocation of
         the boundary quantum).  Between boundaries membership is sticky,
-        which is exactly what lets the sharded executor run a whole window
+        which is exactly what lets the windowed loop run a whole window
         of quanta per group without coordinating.
     imbalance_threshold:
         Jobs migrate while the desire/budget load ratio of the most loaded
@@ -210,10 +209,10 @@ class HierarchicalAllocator(Allocator):
             self._rebalance(ids, requests)
 
     # ------------------------------------------------------------------
-    # sharded-executor protocol: the executor replays exactly the per-call
-    # front half (begin_window) and counter bookkeeping (advance_window)
-    # the machine-wide allocate_batch calls would perform, while the group
-    # waterfalls themselves run inside the per-group workers.
+    # per-group window protocol: the windowed loop replays exactly the
+    # per-call front half (begin_window) and counter bookkeeping
+    # (advance_window) the machine-wide allocate_batch calls would perform,
+    # while the group waterfalls themselves run inside the group windows.
 
     def begin_window(
         self, ids: np.ndarray, requests: np.ndarray, total: int
@@ -225,21 +224,20 @@ class HierarchicalAllocator(Allocator):
         return {int(j): self._members[int(j)] for j in ids}
 
     def advance_window(self, quanta: int) -> None:
-        """Account ``quanta`` machine quanta executed inside a sharded
+        """Account ``quanta`` machine quanta executed inside a per-group
         window (machine-wide per-quantum calls advance the same
         counter, so rebalancing boundaries land on identical quanta)."""
         self._quantum += int(quanta)
 
     def group_allocator(self, group: int) -> DynamicEquiPartitioning:
-        """The group's inner allocator (handed to its window worker)."""
+        """The group's inner allocator (handed to its window)."""
         return self._groups[group]
 
     def set_group_allocator(
         self, group: int, allocator: DynamicEquiPartitioning
     ) -> None:
-        """Install a worker-evolved inner allocator after a window gather
-        (in-process dispatch hands back the same object; pool dispatch a
-        pickled twin whose state advanced identically)."""
+        """Install the inner allocator a group window handed back after the
+        window gather."""
         self._groups[group] = allocator
 
     # ------------------------------------------------------------------
@@ -289,7 +287,7 @@ class HierarchicalAllocator(Allocator):
         boundary quantum re-derives membership from the live desires (even
         held requests can migrate, e.g. the first rebalance after a burst
         of count-balanced but desire-imbalanced admissions), so the span
-        truncates just before it.  The sharded executor's windows are
+        truncates just before it.  The windowed loop's windows are
         capped by :meth:`quanta_to_rebalance` for the same reason."""
         if limit <= 0 or self._total is None:
             return 0

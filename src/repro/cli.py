@@ -96,22 +96,6 @@ def _positive_int(value: str) -> int:
     return count
 
 
-def _shard_count(value: str) -> int:
-    """``--shards`` validator: an integer >= 2 (omit the flag to run
-    in-process)."""
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard count must be an integer >= 2, got {value!r}"
-        ) from None
-    if count < 2:
-        raise argparse.ArgumentTypeError(
-            f"shard count must be >= 2 (omit --shards to run in-process), got {count}"
-        )
-    return count
-
-
 def _retry_count(value: str) -> int:
     """``--retries`` validator: an integer >= 0 (0 = fail fast)."""
     try:
@@ -327,16 +311,14 @@ def _cmd_giant(args: argparse.Namespace) -> str:
         scenario.build_allocator(),
         scenario.processors,
         quantum_length=scenario.quantum_length,
-        shards=args.shards,
+        shards=2,  # any N >= 2 picks per-group windows
     )
     simulated = time.perf_counter() - t0
     rows = artifact_rows(result)
-    route = "in-process" if args.shards is None else f"shards={args.shards}"
     lines = [
         f"giant scenario: {len(scenario.specs)} jobs on P={scenario.processors} "
         f"({args.groups} groups of {scenario.group_size})",
-        f"{route}: "
-        f"{result.quanta_elapsed} quanta in {simulated:.3f}s "
+        f"per-group windows: {result.quanta_elapsed} quanta in {simulated:.3f}s "
         f"(makespan {result.makespan:.0f})",
         f"end to end through artifact_rows: {time.perf_counter() - t0:.3f}s",
     ]
@@ -700,9 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "giant",
-        help="giant-scale hierarchical sharding scenario (thousands of "
-        "jobs, P in the tens of thousands); the CSV artifact is "
-        "byte-identical at any --shards value",
+        help="giant-scale hierarchical scenario on per-group windows "
+        "(thousands of jobs, P in the tens of thousands); the CSV artifact "
+        "is byte-identical to the serial reference loop's",
     )
     p.add_argument(
         "--groups", type=_positive_int, default=32, help="allocation groups"
@@ -715,14 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=800,
         help="quanta a stable job runs (sets the horizon)",
-    )
-    p.add_argument(
-        "--shards",
-        type=_shard_count,
-        default=None,
-        metavar="N",
-        help="per-group windows over N >= 2 shard workers "
-        "(default: one in-process window)",
     )
     p.add_argument("--csv", default=None, help="write per-job rows to CSV")
     p.set_defaults(func=_cmd_giant)

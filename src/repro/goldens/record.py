@@ -172,8 +172,7 @@ def dag_scenario(
     Each job is a random layered unit-task dag flattened into an explicit
     edge list — see :func:`_layered_edges` for the two structures.  With
     ``engine="reference"`` the jobs are non-batchable, so every
-    ``batch="auto"`` replay runs the serial reference loop and the replay
-    harness skips the ``sharded`` path.
+    ``batch="auto"`` replay runs the serial reference loop.
     """
     rng = np.random.default_rng([seed, index])
     releases = staggered_releases(num_jobs, release_gap)
@@ -213,10 +212,11 @@ def default_scenarios() -> tuple[ScenarioSpec, ...]:
     light load (allotments track requests), saturated load (DEQ waterfall
     + rotation active), the AGreedy policy, the round-robin allocator,
     staggered arrivals (admission at quantum boundaries), dag-structured
-    jobs on the batched dag kernel (barrier-layered, level-major), and
+    jobs on the batched dag kernel (barrier-layered, level-major),
     non-batchable dag jobs pinned to the reference heap engine (run on the
-    serial reference loop; the replay harness skips the ``sharded`` path
-    for that fixture).
+    serial reference loop on both replay paths), and hierarchical
+    allocation over four groups with jobs migrating between them (per-group
+    windows on the ``superstep`` path).
     """
     return (
         scenario_from_fig6(
@@ -275,6 +275,17 @@ def default_scenarios() -> tuple[ScenarioSpec, ...]:
             structure="irregular",
             engine="reference",
             policy="agreedy",
+        ),
+        scenario_from_fig6(
+            "fig6-hier-abg",
+            seed=2008,
+            index=8,
+            processors=32,
+            quantum_length=200,
+            load_range=(1.5, 2.5),
+            factor_range=(2, 20),
+            allocator="hier",
+            release_gap=400,
         ),
     )
 

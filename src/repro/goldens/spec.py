@@ -28,6 +28,7 @@ from typing import Any, Mapping
 
 from ..allocators.base import Allocator
 from ..allocators.equipartition import DynamicEquiPartitioning
+from ..allocators.hierarchical import HierarchicalAllocator
 from ..allocators.roundrobin import RoundRobinAllocator
 from ..core.abg import AControl
 from ..core.agreedy import AGreedy
@@ -60,7 +61,13 @@ POLICY_PARAMS: dict[str, tuple[str, ...]] = {
     "agreedy": ("responsiveness", "utilization_threshold"),
 }
 
-ALLOCATOR_NAMES: tuple[str, ...] = ("deq", "roundrobin")
+ALLOCATOR_NAMES: tuple[str, ...] = ("deq", "roundrobin", "hier")
+
+#: ``"hier"``'s parameters: groups of 8 processors that rebalance every other
+#: quantum, so a small machine has several groups and jobs migrate between
+#: them.
+_HIER_GROUP_SIZE = 8
+_HIER_REBALANCE_INTERVAL = 2
 
 
 def _require_int(value: Any, path: str, *, minimum: int | None = None) -> int:
@@ -295,6 +302,10 @@ class ScenarioSpec:
     def build_allocator(self) -> Allocator:
         if self.allocator == "deq":
             return DynamicEquiPartitioning()
+        if self.allocator == "hier":
+            return HierarchicalAllocator(
+                _HIER_GROUP_SIZE, rebalance_interval=_HIER_REBALANCE_INTERVAL
+            )
         return RoundRobinAllocator()
 
     def build(self) -> tuple[list[JobSpec], Allocator]:

@@ -53,7 +53,6 @@ __all__ = [
     "RetryPolicy",
     "SupervisedOutcome",
     "TaskError",
-    "WorkerPool",
     "resolve_workers",
     "run_supervised",
 ]
@@ -180,49 +179,6 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-class WorkerPool:
-    """A process pool that survives across ``run_supervised`` calls.
-
-    Callers that dispatch many small supervised batches back to back (the
-    sharded executor runs one batch per window barrier) pay pool creation
-    and teardown on every call otherwise.  Passing one ``WorkerPool`` as
-    ``run_supervised(..., pool=...)`` reuses the same worker processes for
-    every batch; fault handling is unchanged — a crashed or hung pool is
-    discarded through this handle and the next acquisition forks a fresh
-    one.  Use as a context manager (or call :meth:`close`) to reap the
-    workers.
-    """
-
-    def __init__(self, workers: int = 0):
-        self.workers = resolve_workers(workers)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def acquire(self) -> ProcessPoolExecutor:
-        """The live executor, forking one on first use or after a discard."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_init_worker
-            )
-        return self._pool
-
-    def discard(self, pool: ProcessPoolExecutor) -> None:
-        """Kill a broken or hung executor and forget it if it is ours."""
-        if pool is self._pool:
-            self._pool = None
-        _kill_pool(pool)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            _kill_pool(self._pool)
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
 class _Supervisor(Generic[T, R]):
     """One ``run_supervised`` call's mutable state."""
 
@@ -241,7 +197,6 @@ class _Supervisor(Generic[T, R]):
         decode: Callable[[Any], R],
         max_pool_restarts: int,
         sleep: Callable[[float], None],
-        shared: WorkerPool | None = None,
     ) -> None:
         self.fn = fn
         self.work = work
@@ -255,7 +210,6 @@ class _Supervisor(Generic[T, R]):
         self.decode = decode
         self.max_pool_restarts = max_pool_restarts
         self.sleep = sleep
-        self.shared = shared
 
         self.results: list[Any] = [None] * len(work)
         self.done: list[bool] = [False] * len(work)
@@ -333,12 +287,8 @@ class _Supervisor(Generic[T, R]):
                     self.run_serial(sorted(pending))
                     return
                 if pool is None:
-                    pool = (
-                        self.shared.acquire()
-                        if self.shared is not None
-                        else ProcessPoolExecutor(
-                            max_workers=pool_size, initializer=_init_worker
-                        )
+                    pool = ProcessPoolExecutor(
+                        max_workers=pool_size, initializer=_init_worker
                     )
                 try:
                     while pending and len(in_flight) < pool_size:
@@ -412,7 +362,7 @@ class _Supervisor(Generic[T, R]):
                         pending.append(index)
                     pool = self._restart_pool(pool, in_flight, pending)
         finally:
-            if pool is not None and self.shared is None:
+            if pool is not None:
                 _kill_pool(pool)
 
     def _restart_pool(
@@ -428,10 +378,7 @@ class _Supervisor(Generic[T, R]):
         for index, _ in in_flight.values():
             pending.append(index)
         in_flight.clear()
-        if self.shared is not None:
-            self.shared.discard(pool)
-        else:
-            _kill_pool(pool)
+        _kill_pool(pool)
         self.pool_restarts += 1
         return None
 
@@ -477,7 +424,6 @@ def run_supervised(
     faults: FaultPlan | None = None,
     max_pool_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
     sleep: Callable[[float], None] = time.sleep,
-    pool: WorkerPool | None = None,
 ) -> SupervisedOutcome[R]:
     """Order-preserving, fault-tolerant map over independent work units.
 
@@ -488,9 +434,8 @@ def run_supervised(
     supplied (they are required then), otherwise positional defaults are
     generated.  ``encode``/``decode`` translate results to and from the
     journal's JSON payloads.  ``faults`` defaults to the ambient
-    ``REPRO_FAULTS`` plan when unset.  ``pool`` is an optional
-    :class:`WorkerPool` reused across calls (the caller owns its
-    lifetime); without one, each call forks and reaps its own pool.
+    ``REPRO_FAULTS`` plan when unset.  With ``workers > 1`` each call
+    forks and reaps its own pool.
     """
     work = list(items)
     n_workers = resolve_workers(workers)
@@ -531,7 +476,6 @@ def run_supervised(
         decode=decode if decode is not None else _identity,
         max_pool_restarts=max_pool_restarts,
         sleep=sleep,
-        shared=pool,
     )
 
     resumed: list[str] = []

@@ -31,14 +31,15 @@ A set runs on one of two loops, with bit-identical traces either way:
   finished traces' :class:`~repro.core.columnar.TraceColumns` without a
   record object ever being built.
 
-``shards=N`` (``N >= 2``, hierarchical allocators only) splits a
+``shards=N`` (an int ``N >= 2``, hierarchical allocators only) splits a
 :class:`~repro.allocators.hierarchical.HierarchicalAllocator` into
-per-group windows dispatched to ``N`` supervised shard workers, and rejects
-a set the windowed loop cannot run; without it the windowed loop runs one
-machine-wide window in-process.  The kernel replays the same closed-form
-chunk sequence as the per-job engines (see the kernel module docstring for
-the argument, and ``tests/test_sim_multi_batched.py`` for the
-cross-validation).
+per-group windows, run one after another in this process under the
+supervisor's retries and fault injection, and rejects a set the windowed
+loop cannot run; without it the windowed loop runs one machine-wide window.
+``N`` counts nothing: every ``N >= 2`` picks the same per-group route.  The
+kernel replays the same closed-form chunk sequence as the per-job engines
+(see the kernel module docstring for the argument, and
+``tests/test_sim_multi_batched.py`` for the cross-validation).
 
 Supersteps
 ----------
@@ -128,7 +129,6 @@ def simulate_job_set(
     strict: bool = False,
     batch: BatchChoice = "auto",
     shards: int | None = None,
-    task_timeout: float | None = None,
     retries: int | None = None,
 ) -> MultiJobResult:
     """Run a job set to completion under a multiprogrammed allocator.
@@ -138,9 +138,11 @@ def simulate_job_set(
     engines' per-step invariant checking for every job.  ``batch`` and
     ``shards`` are execution choices, not policy choices (see the module
     docstring for which loop runs a set); results do not depend on them.
-    ``shards`` needs a :class:`HierarchicalAllocator` and ``N >= 2``;
-    ``task_timeout`` and ``retries`` apply to its shard workers only (they
-    thread through ``runtime.run_supervised``) and are refused without it.
+    ``shards`` needs a :class:`HierarchicalAllocator` and an int ``N >= 2``,
+    and picks per-group windows whatever ``N`` is; it stays because the
+    benchmark's ``giant`` workload passes ``shards=2``.  ``retries`` applies
+    to the per-group windows only (it threads through
+    ``runtime.run_supervised``) and is refused without ``shards``.
     """
     if processors < 1:
         raise ValueError("need at least one processor")
@@ -156,7 +158,7 @@ def simulate_job_set(
         if shards < 2:
             raise ValueError(
                 f"shard count must be >= 2, got {shards} "
-                "(shards=None runs the in-process window)"
+                "(shards=None runs the machine-wide window)"
             )
         if not isinstance(allocator, HierarchicalAllocator):
             raise ValueError(
@@ -165,13 +167,12 @@ def simulate_job_set(
             )
         if batch == "off":
             raise ValueError(
-                "sharded execution runs on the batched kernel; "
+                "per-group windows run on the batched kernel; "
                 "batch='off' requires shards=None"
             )
-    elif task_timeout is not None or retries is not None:
+    elif retries is not None:
         raise ValueError(
-            "task_timeout and retries apply to shard workers only; "
-            "they need shards=N"
+            "retries applies to per-group windows only; it needs shards=N"
         )
     array_native = type(allocator).allocate_batch is not Allocator.allocate_batch
     pending: list[tuple[int, int, JobSpec]] = []  # (release, id, spec)
@@ -179,7 +180,6 @@ def simulate_job_set(
     profiles: dict[int, Profile] | None = (
         {} if batch == "auto" and array_native else None
     )
-    interned: dict[Profile, Profile] = {}
     for i, spec in enumerate(specs):
         jid = spec.job_id if spec.job_id is not None else i
         if jid in seen_ids:
@@ -192,16 +192,13 @@ def simulate_job_set(
         if profile is None:
             if shards is not None:
                 raise ValueError(
-                    f"job {jid} is not batchable; sharded execution requires "
+                    f"job {jid} is not batchable; per-group windows require "
                     "counts-determined jobs (run with shards=None to use the "
                     "serial reference loop)"
                 )
             profiles = None
         else:
-            # Intern by value: giant job sets repeat a handful of shapes, and
-            # slots sharing one profile tuple let pickle's memo collapse the
-            # per-window worker payload from O(jobs x segments) to O(shapes).
-            profiles[jid] = interned.setdefault(profile, profile)
+            profiles[jid] = profile
     pending.sort(key=lambda item: (item[0], item[1]))
 
     if profiles is None:
@@ -224,8 +221,7 @@ def simulate_job_set(
             max_quanta=max_quanta,
             overhead=overhead,
             strict=strict,
-            workers=shards,
-            task_timeout=task_timeout,
+            per_group=shards is not None,
             retries=retries,
         )
     return MultiJobResult(

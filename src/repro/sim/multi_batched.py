@@ -113,7 +113,7 @@ class _Slot:
 class SlotState:
     """A slot's complete mid-run state, detached from its kernel.
 
-    The sharded executor migrates jobs between per-group kernels at
+    The windowed loop migrates jobs between per-group kernels at
     rebalancing barriers by exporting a :class:`SlotState` from one kernel
     and importing it into another; every field a fresh admission would
     initialize is carried verbatim, so the migrated job's subsequent quanta
@@ -402,26 +402,6 @@ class MultiBatchKernel:
         arena.prev_allot[row] = state.prev_allot
         arena.next_q[row] = state.next_q
         self._dirty = True
-
-    # -- pickling (sharded worker round trips) --------------------------
-    # ``_policy_counts`` is keyed on object identity, which does not survive
-    # a pickle; rebuild it from the slots on the other side.
-
-    def __getstate__(self) -> dict[str, object]:
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "_policy_counts"
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        counts: dict[int, int] = {}
-        for slot in self.slots:
-            pid = id(slot.policy)
-            counts[pid] = counts.get(pid, 0) + 1
-        self._policy_counts = counts
 
     def _repack(self) -> None:
         """Rebuild the sorted-id allocation-order cache (segment tables no

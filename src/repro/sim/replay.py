@@ -5,9 +5,11 @@ the serial reference loop and the windowed loop on the batched kernel,
 which always fast-forwards through provably repeating quanta.  A replay
 pins one of them by name — ``serial`` (``batch="off"``) or ``superstep``
 (``batch="auto"``) — so one golden fixture replayed on both proves the
-windowed loop identical to the recorded reference run.  A set the windowed
-loop cannot run (a non-batchable job) falls back to the serial loop on the
-``superstep`` path too, and still must match.
+windowed loop identical to the recorded reference run.  On ``superstep`` a
+:class:`~repro.allocators.hierarchical.HierarchicalAllocator` set runs on
+per-group windows, which require every job to be batchable.  Any other set
+the windowed loop cannot run (a non-batchable job) falls back to the serial
+loop on the ``superstep`` path too, and still must match.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..allocators.base import Allocator
+from ..allocators.hierarchical import HierarchicalAllocator
 from .jobs import JobSpec
 from .multi import BatchChoice, MultiJobResult, simulate_job_set
 
@@ -45,6 +48,7 @@ def replay_path(
         raise ValueError(
             f"unknown execution path {path!r}; pick one of {EXECUTION_PATHS}"
         )
+    per_group = batch == "auto" and isinstance(allocator, HierarchicalAllocator)
     return simulate_job_set(
         specs,
         allocator,
@@ -52,4 +56,5 @@ def replay_path(
         quantum_length=quantum_length,
         max_quanta=max_quanta,
         batch=batch,
+        shards=2 if per_group else None,  # any N >= 2 picks per-group windows
     )

@@ -11,16 +11,15 @@ vectorized feedback pass, with supersteps fast-forwarding through quanta
 the group provably repeats.  Between windows the coordinator admits
 arrivals, merges the emitted quanta and migrates slots between groups.
 
-``shards`` only chooses how the groups are split and run:
+Every window runs in the coordinating process.  ``per_group`` only chooses
+how the groups are split:
 
-- ``None`` (the default): every allocator, a hierarchical one included, is
-  one group the size of ``P`` using the allocator's machine-wide
-  ``allocate_batch`` and ``allocation_fixed_point``; the window body runs
-  in-process, with no supervision, fault plan or pickling;
-- ``N >= 2`` (hierarchical allocators only): one window per group,
-  dispatched through :func:`repro.runtime.run_supervised` (timeouts,
-  bounded retries, fault injection) over one persistent
-  :class:`~repro.runtime.supervisor.WorkerPool`.
+- ``False``: every allocator, a hierarchical one included, is one group
+  the size of ``P`` using the allocator's machine-wide ``allocate_batch``
+  and ``allocation_fixed_point``, with no supervision or fault plan;
+- ``True`` (hierarchical allocators only): one window per group, each
+  barrier's windows run one after another through
+  :func:`repro.runtime.run_supervised` (bounded retries, fault injection).
 
 Why per-group windows are byte-identical to one machine-wide group
 ------------------------------------------------------------------
@@ -35,15 +34,13 @@ group-local allocation is a certified fixed point
 (:meth:`~repro.allocators.base.Allocator.fixed_point_probe`); the
 machine-wide window, needing *every* group at a fixed point at once,
 executes those quanta one by one, emitting the identical records.  That is
-also why per-group windows win even on one core: one churning group no
-longer pins the stable groups to per-quantum execution.
+why per-group windows win: one churning group no longer pins the stable
+groups to per-quantum execution.
 
 At barriers the coordinator runs the same ``begin_window`` front half (sync
 + rebalance) the machine-wide ``allocate_batch`` calls would run.  Groups
-are dispatched and gathered in group order, ``run_supervised`` preserves
-it, and retried units re-run pure inputs (a pool retry re-pickles the
-coordinator's pristine task; a serial fault injects before the unit body
-runs), so the worker count is invisible.
+run and are gathered in group order, and fault injection fires before a
+window's body runs, so a retried window starts from pristine state.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from ..allocators.hierarchical import HierarchicalAllocator
 from ..core.overhead import ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..runtime.checkpoint import unit_key
-from ..runtime.supervisor import WorkerPool, run_supervised
+from ..runtime.supervisor import run_supervised
 from .jobs import JobSpec
 from .multi_batched import MultiBatchKernel, QuantumBatch
 from .superstep import QuantumGroup, QuantumLog
@@ -310,10 +307,9 @@ class GroupWindowResult:
 def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
     """The batched per-quantum loop: advance one group through its window.
 
-    Mutates the task's kernel/allocator in place and hands them back: under
-    pool dispatch they are this worker's pickled copies, and under serial
-    dispatch fault injection fires before this body runs, so a retried unit
-    always starts from pristine state.
+    Mutates the task's kernel/allocator in place and hands them back; fault
+    injection fires before this body runs, so a retried unit always starts
+    from pristine state.
     """
     kernel: MultiBatchKernel = task.kernel
     allocator = task.allocator
@@ -404,13 +400,13 @@ def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
 
 
 def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
-    """Advance one group through its window: the unit a shard worker runs
+    """Advance one group through its window: the unit per-group windows run
     under :func:`run_supervised`.
 
-    Pooled dispatch looks this name up at call time, so a wrapper installed
-    on the module sees exactly the dispatched windows and can ship data
-    back on their results; in-process windows call :func:`_advance_window`
-    directly, since nothing would carry such data back from them.
+    :func:`simulate_windowed` looks this name up at call time, so a wrapper
+    installed on the module sees exactly the per-group windows and can ship
+    data back on their results; the machine-wide window calls
+    :func:`_advance_window` directly.
     """
     return _advance_window(task)
 
@@ -425,8 +421,7 @@ def simulate_windowed(
     max_quanta: int,
     overhead: ReallocationOverhead,
     strict: bool,
-    workers: int | None,
-    task_timeout: float | None,
+    per_group: bool,
     retries: int | None,
 ) -> tuple[dict[int, JobTrace], int]:
     """Run a validated, fully batchable job set window by window; returns
@@ -435,14 +430,14 @@ def simulate_windowed(
 
     ``pending`` is the ``(release, job id, spec)`` list sorted by release
     then id, ``profiles`` every job's segment profile, and ``allocator``
-    must have an array-native ``allocate_batch``.  ``workers=None`` runs a
-    single machine-wide window in-process; a worker count splits a
-    :class:`HierarchicalAllocator` into per-group windows dispatched through
-    :func:`run_supervised` (``task_timeout``/``retries`` apply there).
+    must have an array-native ``allocate_batch``.  ``per_group=False`` runs
+    a single machine-wide window; ``True`` splits a
+    :class:`HierarchicalAllocator` into per-group windows run through
+    :func:`run_supervised` (``retries`` applies there).
     """
     hier = (
         allocator
-        if workers is not None and isinstance(allocator, HierarchicalAllocator)
+        if per_group and isinstance(allocator, HierarchicalAllocator)
         else None
     )
     L = quantum_length
@@ -457,128 +452,110 @@ def simulate_windowed(
     quanta = 0
     cursor = 0  # next admission index into ``pending`` (the admission seq)
 
-    # One pool outlives every window barrier: per-window forking would
-    # otherwise dominate the dispatch cost on short windows.
-    shared_pool = WorkerPool(workers) if workers is not None else None
-    try:
-        while cursor < len(pending) or any(len(k) > 0 for k in kernels):
-            if quanta >= max_quanta:
-                raise RuntimeError(f"job set did not finish within {max_quanta} quanta")
-            # Admissions at this boundary are ``pending[first:cursor]``.
-            first = cursor
-            while cursor < len(pending) and pending[cursor][0] <= t:
-                cursor += 1
-            if first == cursor and all(len(k) == 0 for k in kernels):
-                # Fast-forward to the boundary at/after the next release.
-                next_release = pending[cursor][0]
-                t = max(t + L, ((next_release + L - 1) // L) * L)
-                continue
+    while cursor < len(pending) or any(len(k) > 0 for k in kernels):
+        if quanta >= max_quanta:
+            raise RuntimeError(f"job set did not finish within {max_quanta} quanta")
+        # Admissions at this boundary are ``pending[first:cursor]``.
+        first = cursor
+        while cursor < len(pending) and pending[cursor][0] <= t:
+            cursor += 1
+        if first == cursor and all(len(k) == 0 for k in kernels):
+            # Fast-forward to the boundary at/after the next release.
+            next_release = pending[cursor][0]
+            t = max(t + L, ((next_release + L - 1) // L) * L)
+            continue
 
-            # Barrier front half: membership (sync + rebalance) over the active
-            # set including this boundary's arrivals, then slot migration and
-            # admission into the per-group kernels.
-            if hier is not None:
-                id_req: list[tuple[int, int]] = []
-                for kernel in kernels:
-                    id_req.extend(zip(kernel.jids, kernel.integer_requests().tolist()))
-                for _rel, jid, spec in pending[first:cursor]:
-                    id_req.append((jid, integer_request(spec.feedback.first_request())))
-                id_req.sort()
-                ids_arr = np.array([j for j, _ in id_req], dtype=np.int64)
-                req_arr = np.array([r for _, r in id_req], dtype=np.int64)
-                membership = hier.begin_window(ids_arr, req_arr, processors)
-                if not kernels:
-                    kernels.extend(
-                        MultiBatchKernel(strict=strict)
-                        for _ in range(hier.group_count)
-                    )
-                    budgets.extend(hier.group_budgets())
-                for g, kernel in enumerate(kernels):
-                    moving = [
-                        pos
-                        for pos, jid in enumerate(kernel.jids)
-                        if membership[jid] != g
-                    ]
-                    if moving:
-                        for state in kernel.export_slots(moving):
-                            kernels[membership[state.jid]].import_slot(state)
-            for s in range(first, cursor):
-                rel, jid, spec = pending[s]
-                kernels[membership[jid] if hier is not None else 0].admit(
-                    jid=jid,
-                    seq=s,
-                    spec=spec,
-                    trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
-                    profile=profiles[jid],
-                    request=spec.feedback.first_request(),
+        # Barrier front half: membership (sync + rebalance) over the active
+        # set including this boundary's arrivals, then slot migration and
+        # admission into the per-group kernels.
+        if hier is not None:
+            id_req: list[tuple[int, int]] = []
+            for kernel in kernels:
+                id_req.extend(zip(kernel.jids, kernel.integer_requests().tolist()))
+            for _rel, jid, spec in pending[first:cursor]:
+                id_req.append((jid, integer_request(spec.feedback.first_request())))
+            id_req.sort()
+            ids_arr = np.array([j for j, _ in id_req], dtype=np.int64)
+            req_arr = np.array([r for _, r in id_req], dtype=np.int64)
+            membership = hier.begin_window(ids_arr, req_arr, processors)
+            if not kernels:
+                kernels.extend(
+                    MultiBatchKernel(strict=strict) for _ in range(hier.group_count)
                 )
-
-            # Window length: to the next admission boundary, the next
-            # rebalancing boundary, and the quantum ceiling — whichever is
-            # nearest.  Always >= 1.
-            window = max_quanta - quanta
-            if hier is not None:
-                window = min(window, hier.quanta_to_rebalance())
-            if cursor < len(pending):
-                next_boundary = ((pending[cursor][0] + L - 1) // L) * L
-                window = min(window, (next_boundary - t) // L)
-
-            tasks = [
-                GroupWindowTask(
-                    group=g,
-                    kernel=kernel,
-                    allocator=(
-                        hier.group_allocator(g) if hier is not None else allocator
-                    ),
-                    budget=budgets[g],
-                    processors=processors,
-                    quantum_length=L,
-                    start=t,
-                    quanta=window,
-                    start_quantum=quanta,
-                    overhead=overhead,
-                )
-                for g, kernel in enumerate(kernels)
-                if len(kernel) > 0
-            ]
-            if workers is not None:
-                keys = [
-                    unit_key(
-                        "shard-window",
-                        {"group": task.group, "start": task.start, "quanta": task.quanta},
-                    )
-                    for task in tasks
+                budgets.extend(hier.group_budgets())
+            for g, kernel in enumerate(kernels):
+                moving = [
+                    pos for pos, jid in enumerate(kernel.jids) if membership[jid] != g
                 ]
-                results = run_supervised(
-                    run_group_window,
-                    tasks,
-                    workers=min(workers, len(tasks)),
-                    keys=keys,
-                    task_timeout=task_timeout,
-                    retries=retries,
-                    pool=shared_pool,
-                ).results
-            else:
-                results = [_advance_window(task) for task in tasks]
-            executed = 0
-            window_finished: list[tuple[int, int, int, JobTrace]] = []
-            for result in results:
-                kernels[result.group] = result.kernel
-                if hier is not None:
-                    hier.set_group_allocator(result.group, result.allocator)
-                else:
-                    allocator = result.allocator
-                log.extend(result.log)
-                window_finished.extend(result.finished)
-                executed = max(executed, result.executed)
-            for _q, _s, jid, trace in sorted(window_finished):
-                done[jid] = trace
+                if moving:
+                    for state in kernel.export_slots(moving):
+                        kernels[membership[state.jid]].import_slot(state)
+        for s in range(first, cursor):
+            rel, jid, spec = pending[s]
+            kernels[membership[jid] if hier is not None else 0].admit(
+                jid=jid,
+                seq=s,
+                spec=spec,
+                trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
+                profile=profiles[jid],
+                request=spec.feedback.first_request(),
+            )
+
+        # Window length: to the next admission boundary, the next
+        # rebalancing boundary, and the quantum ceiling — whichever is
+        # nearest.  Always >= 1.
+        window = max_quanta - quanta
+        if hier is not None:
+            window = min(window, hier.quanta_to_rebalance())
+        if cursor < len(pending):
+            next_boundary = ((pending[cursor][0] + L - 1) // L) * L
+            window = min(window, (next_boundary - t) // L)
+
+        tasks = [
+            GroupWindowTask(
+                group=g,
+                kernel=kernel,
+                allocator=hier.group_allocator(g) if hier is not None else allocator,
+                budget=budgets[g],
+                processors=processors,
+                quantum_length=L,
+                start=t,
+                quanta=window,
+                start_quantum=quanta,
+                overhead=overhead,
+            )
+            for g, kernel in enumerate(kernels)
+            if len(kernel) > 0
+        ]
+        if hier is not None:
+            keys = [
+                unit_key(
+                    "shard-window",
+                    {"group": task.group, "start": task.start, "quanta": task.quanta},
+                )
+                for task in tasks
+            ]
+            results = run_supervised(
+                run_group_window, tasks, workers=1, keys=keys, retries=retries
+            ).results
+        else:
+            results = [_advance_window(task) for task in tasks]
+        executed = 0
+        window_finished: list[tuple[int, int, int, JobTrace]] = []
+        for result in results:
+            kernels[result.group] = result.kernel
             if hier is not None:
-                hier.advance_window(executed)
-            t += executed * L
-            quanta += executed
-    finally:
-        if shared_pool is not None:
-            shared_pool.close()
+                hier.set_group_allocator(result.group, result.allocator)
+            else:
+                allocator = result.allocator
+            log.extend(result.log)
+            window_finished.extend(result.finished)
+            executed = max(executed, result.executed)
+        for _q, _s, jid, trace in sorted(window_finished):
+            done[jid] = trace
+        if hier is not None:
+            hier.advance_window(executed)
+        t += executed * L
+        quanta += executed
     log.build_traces(done)
     return done, quanta

@@ -344,8 +344,8 @@ class QuantumLog:
         return group
 
     def extend(self, other: "QuantumLog") -> None:
-        """Adopt another log's groups wholesale (the sharded executor's
-        gather step: each worker emits a window of quanta into its own log,
+        """Adopt another log's groups wholesale (the windowed loop's
+        gather step: each group window emits its quanta into its own log,
         and the coordinator merges them in group order).
 
         The adopted groups keep their layouts, remapped onto this log's

@@ -1,7 +1,7 @@
 """Giant-scale hierarchical workloads: thousands of jobs, P in the tens of
 thousands.
 
-The shape is engineered so sharded execution has something real to win:
+The shape is engineered so per-group windows have something real to win:
 group 0 holds *churners* — jobs alternating between a narrow and a wide
 phase every few hundred levels, so every quantum crosses a phase boundary,
 the batched kernel can never certify a superstep for them, and the group
@@ -11,10 +11,10 @@ within a few quanta, after which whole windows collapse into supersteps.
 
 In one machine-wide window (``shards=None``) one churning group pins the
 entire machine to per-quantum execution (a machine-wide superstep needs
-*every* slot at a fixed point).  In per-group windows (``shards >= 2``) the
-stable groups fast-forward their windows independently while only group 0
-pays the per-quantum cost — the core-count-independent speedup the giant
-bench scenario measures.
+*every* slot at a fixed point).  In per-group windows (``shards=N``, the
+route ``repro giant`` always takes) the stable groups fast-forward their
+windows independently while only group 0 pays the per-quantum cost — the
+speedup the giant benchmark workload measures.
 
 Job ids are assigned so membership is predictable: admission fills groups
 round-robin in sorted-id order (equal budgets, ties to the lowest index),
@@ -42,8 +42,7 @@ _STABLE_WIDTH = 4
 #: Churners alternate (narrow, levels) / (wide, levels) phases.  The phase
 #: length is just under one quantum's worth of levels, so nearly every
 #: quantum crosses a phase boundary (blocking supersteps) while keeping the
-#: segment count — and with it the kernel arena each window ships to its
-#: worker — small.
+#: segment count — and with it the kernel arena — small.
 _CHURN_NARROW = 3
 _CHURN_WIDE = 7
 _CHURN_PHASE_LEVELS = 900
@@ -69,7 +68,7 @@ class GiantScenario:
             self.group_size,
             rebalance_interval=self.rebalance_interval,
             # Effectively disable migration: the giant scenario gates the
-            # sharded execution machinery, and a churner migrating into a
+            # per-group windows, and a churner migrating into a
             # stable group would change what is being measured from run to
             # run of the *parameterization*, not the code.  Migration
             # correctness is covered by the allocator tests and goldens.
@@ -150,9 +149,9 @@ class GiantRow:
 def artifact_rows(result: "MultiJobResult") -> list[GiantRow]:
     """Deterministic per-job rows of a giant run, sorted by job id.
 
-    This is the byte-comparison surface for the sharding identity check in
-    CI: the same scenario run at any shard count must produce the identical
-    CSV.
+    This is the byte-comparison surface for the route identity check in
+    CI: the same scenario on per-group windows, on the machine-wide window
+    and on the serial reference loop must produce the identical CSV.
     """
     rows: list[GiantRow] = []
     for jid in sorted(result.traces):

@@ -251,9 +251,9 @@ class TestVerifyTraces:
         record_fixtures(tmp_path, default_scenarios())
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        # 7 scenarios x 2 paths
-        assert len(report.outcomes) == 14
-        assert report.render().endswith("14 pass, 0 fail, 0 error")
+        # 8 scenarios x 2 paths
+        assert len(report.outcomes) == 16
+        assert report.render().endswith("16 pass, 0 fail, 0 error")
 
     def test_report_is_deterministic(self, tmp_path):
         record_fixtures(tmp_path, [tiny_spec()])
@@ -473,7 +473,7 @@ class TestCli:
         assert main(["verify-traces", "--fixtures", out]) == 0
         assert main(["record-traces", "--out", out, "--check"]) == 0
         text = capsys.readouterr().out
-        assert "14 pass, 0 fail, 0 error" in text
+        assert "16 pass, 0 fail, 0 error" in text
         assert "clean: no findings" in text
 
     def test_verify_exit_code_and_diff_on_mutation(
@@ -683,4 +683,4 @@ class TestRecordOnGreen:
         assert main(["record-traces", "--out", out, "--record-on-green"]) == 0
         text = capsys.readouterr().out
         assert "re-recorded 0 stale fixture(s)" in text
-        assert "left 7 green fixture(s) untouched" in text
+        assert "left 8 green fixture(s) untouched" in text

@@ -286,59 +286,3 @@ class TestPoolSupervision:
         outcome = run_supervised(_double, list(range(6)), workers=3, **NO_SLEEP)
         assert outcome.results == [0, 2, 4, 6, 8, 10]
         assert outcome.pool_restarts == 1
-
-
-class TestWorkerPool:
-    """The reusable cross-call pool the sharded executor shares between
-    window barriers."""
-
-    def test_acquire_is_lazy_and_reuses_the_executor(self):
-        from repro.runtime.supervisor import WorkerPool
-
-        pool = WorkerPool(2)
-        try:
-            first = pool.acquire()
-            assert pool.acquire() is first
-        finally:
-            pool.close()
-
-    def test_discard_forces_a_fresh_executor(self):
-        from repro.runtime.supervisor import WorkerPool
-
-        with WorkerPool(2) as pool:
-            first = pool.acquire()
-            pool.discard(first)
-            assert pool.acquire() is not first
-
-    def test_shared_pool_survives_run_supervised(self):
-        from repro.runtime.supervisor import WorkerPool
-
-        with WorkerPool(2) as pool:
-            executor = pool.acquire()
-            a = run_supervised(_double, list(range(6)), workers=2, pool=pool)
-            b = run_supervised(_double, list(range(6)), workers=2, pool=pool)
-            assert a.results == b.results == [x * 2 for x in range(6)]
-            # neither run tore the shared executor down
-            assert pool.acquire() is executor
-
-    def test_shared_pool_crash_recovery_discards_and_rebuilds(self):
-        from repro.runtime.supervisor import WorkerPool
-
-        plan = FaultPlan(seed=2, rate=1.0, kinds=("crash",), max_failures=1)
-        with WorkerPool(2) as pool:
-            broken = pool.acquire()
-            outcome = run_supervised(
-                _double,
-                list(range(4)),
-                workers=2,
-                keys=[f"wp{i}" for i in range(4)],
-                retries=2,
-                faults=plan,
-                max_pool_restarts=20,
-                pool=pool,
-                **NO_SLEEP,
-            )
-            assert outcome.results == [0, 2, 4, 6]
-            assert outcome.pool_restarts >= 1
-            # the crashed executor was discarded, not resurrected
-            assert pool.acquire() is not broken

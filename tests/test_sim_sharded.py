@@ -1,20 +1,24 @@
-"""Byte-identity proof of sharded execution against the serial oracle.
+"""Byte-identity proof of per-group windows against the serial oracle.
 
 ``simulate_job_set(..., shards=N)`` advances each group of a hierarchical
-allocator through a window of quanta per supervised worker dispatch;
-``shards=None`` runs the same window body as one machine-wide group
-in-process.  Both are therefore also compared with ``batch="off"``, the
-serial reference loop, which shares no code with the windowed loop.  The
-claim mirrors the batch/superstep claims: traces are *bit-identical* at
-any shard count, on every workload — mid-run releases, migrations at
-rebalancing boundaries, fault-injected dispatches, serial and pooled
-workers, superstep fast-forwarding on and patched off.
+allocator through a window of quanta per supervised (retried, fault-
+injectable) unit; ``shards=None`` runs the same window body as one
+machine-wide group.  Both are therefore also compared with
+``batch="off"``, the serial reference loop, which shares no code with the
+windowed loop.  The claim mirrors the batch/superstep claims: traces are
+*bit-identical* on every route, on every workload — mid-run releases,
+migrations at rebalancing boundaries, fault-injected windows, superstep
+fast-forwarding on and patched off.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.allocators import (
     Allocator,
@@ -27,6 +31,7 @@ from repro.core.agreedy import AGreedy
 from repro.core.overhead import ReallocationOverhead
 from repro.dag import builders
 from repro.engine.phased import PhasedJob
+from repro.io.traces import traces_payload
 from repro.runtime.faults import FAULTS_ENV_VAR
 from repro.sim import sharded as sharded_loop
 from repro.sim.jobs import JobSpec
@@ -154,6 +159,89 @@ class TestHierarchicalShardIdentity:
         )
 
 
+def trace_bytes(result: MultiJobResult) -> bytes:
+    """The run's traces serialized in finished order, plus its length."""
+    return json.dumps(
+        [result.quanta_elapsed, list(result.traces), traces_payload(result.traces)]
+    ).encode()
+
+
+#: Shared policy instances (the experiment idiom): jobs drawing the same
+#: index share one object, so a set mixes whole-array batch feedback with
+#: per-policy sub-batches.
+POLICIES = (AControl(0.2), AControl(0.5), AGreedy(), AGreedy(3.0, 0.6))
+
+job_strategy = st.tuples(
+    # Phases long enough for requests to settle, so groups fast-forward
+    # (saturated ones included) between events.
+    st.lists(
+        st.tuples(st.integers(1, 16), st.integers(20, 3000)), min_size=1, max_size=3
+    ),
+    st.integers(0, len(POLICIES) - 1),
+    # Most jobs start at once; some arrive late, some after the machine
+    # has gone idle.
+    st.one_of(st.just(0), st.integers(1, 3000), st.integers(20_000, 30_000)),
+)
+
+
+class TestRouteProperty:
+    @settings(max_examples=40, deadline=None)
+    # Two saturated groups of settled ABG jobs whose DEQ rotation still
+    # moves the bonus processor: a group superstep certified against the
+    # machine-wide P instead of the group's budget shows up here.
+    @example(
+        jobs=[([(5, 3000)], 0, 0)] * 6,
+        processors=16,
+        group_size=8,
+        rebalance_interval=5,
+        imbalance_threshold=0.5,
+        per_processor=0.0,
+        fixed=0,
+    )
+    @given(
+        jobs=st.lists(job_strategy, min_size=1, max_size=10),
+        processors=st.integers(12, 48),
+        group_size=st.integers(3, 24),
+        rebalance_interval=st.integers(1, 5),
+        imbalance_threshold=st.sampled_from([0.0, 0.1, 0.5]),
+        per_processor=st.sampled_from([0.0, 0.5, 2.0]),
+        fixed=st.integers(0, 20),
+    )
+    def test_per_group_machine_wide_and_serial_agree(
+        self,
+        jobs,
+        processors,
+        group_size,
+        rebalance_interval,
+        imbalance_threshold,
+        per_processor,
+        fixed,
+    ):
+        specs = [
+            JobSpec(
+                job=PhasedJob(phases), feedback=POLICIES[policy], release_time=release
+            )
+            for phases, policy, release in jobs
+        ]
+
+        def make() -> HierarchicalAllocator:
+            return HierarchicalAllocator(
+                group_size,
+                rebalance_interval=rebalance_interval,
+                imbalance_threshold=imbalance_threshold,
+            )
+
+        run = dict(
+            quantum_length=50,
+            overhead=ReallocationOverhead(per_processor=per_processor, fixed=fixed),
+        )
+        per_group = simulate_job_set(specs, make(), processors, shards=2, **run)
+        machine_wide = simulate_job_set(specs, make(), processors, **run)
+        serial = simulate_job_set(specs, make(), processors, batch="off", **run)
+        assert trace_bytes(per_group) == trace_bytes(serial)
+        assert trace_bytes(machine_wide) == trace_bytes(serial)
+
+
 class TestFlatAllocatorsSharded:
     """Non-hierarchical array-native allocators run as a single group
     spanning the machine, in-process; per-group shard windows only mean
@@ -172,8 +260,9 @@ class TestFlatAllocatorsSharded:
 
 class TestFaultTolerance:
     def test_identity_under_injected_faults(self, monkeypatch):
-        """Transient worker faults retry the window from pristine state;
-        the gathered traces stay byte-identical to the clean runs."""
+        """Injected faults fire before a window's body runs, so a retried
+        window starts from pristine state; the gathered traces stay
+        byte-identical to the clean runs."""
         specs = random_specs(16, seed=13)
         flat = simulate_job_set(specs, hier(), 36, quantum_length=100)
         monkeypatch.setenv(
@@ -198,9 +287,7 @@ class TestValidation:
 
     def test_supervision_arguments_need_shards(self):
         specs = random_specs(4, seed=1)
-        with pytest.raises(ValueError, match="need shards"):
-            simulate_job_set(specs, hier(), 16, task_timeout=5.0)
-        with pytest.raises(ValueError, match="need shards"):
+        with pytest.raises(ValueError, match="needs shards"):
             simulate_job_set(specs, hier(), 16, retries=2)
 
     def test_batch_off_conflicts_with_sharding(self):
@@ -235,7 +322,7 @@ class TestValidation:
 class TestScaleSmoke:
     def test_thousands_of_jobs_many_groups(self):
         """A reduced cut of the giant-scale scenario: hundreds of jobs over
-        many groups, identical at 4 shards."""
+        many groups, identical on per-group windows."""
         specs = random_specs(200, seed=91, max_release=2000)
         flat = simulate_job_set(
             specs, hier(group_size=64, rebalance_interval=25), 512,
