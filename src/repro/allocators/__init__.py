@@ -10,6 +10,7 @@ from .availability import (
 from .base import Allocator, AvailabilityPolicy, validate_allocation
 from .equipartition import DynamicEquiPartitioning
 from .hierarchical import HierarchicalAllocator
+from .machines import DisjointMachines
 from .roundrobin import RoundRobinAllocator
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "InverseParallelismAvailability",
     "RandomAvailability",
     "TraceAvailability",
+    "DisjointMachines",
     "DynamicEquiPartitioning",
     "HierarchicalAllocator",
     "RoundRobinAllocator",

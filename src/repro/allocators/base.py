@@ -80,6 +80,14 @@ class Allocator(ABC):
         """
         return None
 
+    def machine_sizes(self, ids: np.ndarray, total: int) -> np.ndarray:
+        """The size of the machine each job in ``ids`` (any order) runs on:
+        the ``available`` field of a satisfied job's quantum records.  Every
+        allocator that divides one machine returns ``total``; one that runs
+        jobs on disjoint sub-machines returns each job's sub-machine size,
+        so a job's trace reads as it would on that machine alone."""
+        return np.full(len(ids), total, dtype=np.int64)
+
     def fixed_point_probe(
         self,
         ids: np.ndarray,

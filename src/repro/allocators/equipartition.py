@@ -29,8 +29,14 @@ class DynamicEquiPartitioning(Allocator):
     fair = True
     non_reserving = True
 
-    def __init__(self) -> None:
-        self._rotation = 0
+    def __init__(self, rotation: int = 0) -> None:
+        self._rotation = int(rotation)
+
+    @property
+    def rotation(self) -> int:
+        """How many quanta reached the rotating round so far (the remainder
+        offset is this counter modulo the unsatisfied-job count)."""
+        return self._rotation
 
     def allocate(self, requests: Mapping[int, int], total: int) -> dict[int, int]:
         if total < 1:

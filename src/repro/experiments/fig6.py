@@ -26,15 +26,15 @@ if TYPE_CHECKING:
     from ..runtime import CheckpointJournal
     from ..sim.stats import ConfidenceInterval
 
-from ..allocators.equipartition import DynamicEquiPartitioning
 from ..allocators.hierarchical import HierarchicalAllocator
+from ..allocators.machines import DisjointMachines
 from ..core.abg import AControl
 from ..core.agreedy import AGreedy
 from ..core.feedback import FeedbackPolicy
 from ..sim.jobs import JobSpec
 from ..sim.metrics import makespan_lower_bound, mean_response_time_lower_bound
 from ..runtime import unit_key
-from ..sim.multi import simulate_job_set
+from ..sim.multi import simulate_job_set, split_machines
 from ..workloads.jobsets import JobSetGenerator, JobSetSample
 from .common import default_rng_seed
 from .parallel import map_deterministic
@@ -101,38 +101,19 @@ class Fig6Result:
         )
 
 
-def _run_set(
-    sample: JobSetSample,
-    policy: FeedbackPolicy,
-    processors: int,
-    quantum_length: int,
-    group_size: int | None = None,
-) -> tuple[float, float]:
-    """(makespan, mean response time) of one batched job set under a policy.
-
-    ``group_size`` switches the machine from centralized DEQ to hierarchical
-    allocation with groups of that many processors.
-    """
-    specs = [JobSpec(job=j, feedback=policy) for j in sample.jobs]
-    allocator: DynamicEquiPartitioning | HierarchicalAllocator
-    if group_size is not None:
-        allocator = HierarchicalAllocator(group_size)
-    else:
-        allocator = DynamicEquiPartitioning()
-    result = simulate_job_set(
-        specs,
-        allocator,
-        processors,
-        quantum_length=quantum_length,
-    )
-    return float(result.makespan), float(result.mean_response_time)
+#: Job sets per work unit.  A chunk's sets run under both policies as
+#: disjoint DEQ machines of one simulation, so they share its per-quantum
+#: call overhead; more sets per chunk hold more quantum logs at once.  16
+#: sits at the knee of that time/memory trade on a 40-set sweep
+#: (docs/PERFORMANCE.md, "Figure 6 on a machine axis").
+CHUNK_SETS = 16
 
 
 @dataclass(frozen=True, slots=True)
 class _Fig6Task:
-    """One job set's worth of work — the parallel fan-out unit."""
+    """A chunk of consecutive job sets — the parallel fan-out unit."""
 
-    index: int
+    indices: tuple[int, ...]
     load_range: tuple[float, float]
     processors: int
     quantum_length: int
@@ -144,60 +125,126 @@ class _Fig6Task:
     group_size: int | None = None
 
 
-def _fig6_set_point(task: _Fig6Task) -> Fig6Point:
-    """Generate and simulate one job set under both schedulers.
-
-    Module-level and seeded from the ``[seed, index]`` child stream so the
-    sweep produces bit-identical numbers at any worker count.
-    """
-    rng = np.random.default_rng([task.seed, task.index])
+def _generate_set(task: _Fig6Task, index: int) -> JobSetSample:
+    """Job set ``index``, drawn from its own ``[seed, index]`` child stream
+    so the sweep produces bit-identical numbers at any chunking or worker
+    count."""
+    rng = np.random.default_rng([task.seed, index])
     set_gen = JobSetGenerator(
         task.processors,
         quantum_length=task.quantum_length,
         factor_range=task.factor_range,
     )
     target = float(rng.uniform(task.load_range[0], task.load_range[1]))
-    sample = set_gen.generate(rng, target)
-    m_star = makespan_lower_bound(
-        sample.works, sample.spans, [0] * len(sample.jobs), task.processors
-    )
-    r_star = mean_response_time_lower_bound(
-        sample.works, sample.spans, task.processors
-    )
-    abg_policy = AControl(task.convergence_rate)
-    agreedy_policy = AGreedy(task.responsiveness, task.utilization_threshold)
-    m_abg, r_abg = _run_set(
-        sample,
-        abg_policy,
-        task.processors,
-        task.quantum_length,
-        group_size=task.group_size,
-    )
-    m_ag, r_ag = _run_set(
-        sample,
-        agreedy_policy,
-        task.processors,
-        task.quantum_length,
-        group_size=task.group_size,
-    )
-    return Fig6Point(
-        load=sample.load,
-        num_jobs=len(sample.jobs),
-        abg_makespan_norm=m_abg / m_star,
-        agreedy_makespan_norm=m_ag / m_star,
-        abg_response_norm=r_abg / r_star,
-        agreedy_response_norm=r_ag / r_star,
-        makespan_ratio=m_ag / m_abg,
-        response_ratio=r_ag / r_abg,
-    )
+    return set_gen.generate(rng, target)
 
 
-def _decode_fig6_point(payload: object) -> Fig6Point:
-    """Rehydrate a journaled Figure 6 payload (see ``repro.runtime``)."""
-    if not isinstance(payload, dict):
-        raise TypeError(f"fig6 journal payload must be a dict, got {type(payload)!r}")
-    fields: dict[str, Any] = dict(payload)
-    return Fig6Point(**fields)
+def _run_machines(
+    samples: list[JobSetSample],
+    policies: tuple[FeedbackPolicy, FeedbackPolicy],
+    task: _Fig6Task,
+) -> list[tuple[float, float]]:
+    """(makespan, mean response time) of every set under every policy,
+    set-major: each set under each policy is one DEQ machine of ``P``
+    processors, and all of them run as :class:`DisjointMachines` of one
+    simulation.  Machines never share a processor, so each one's schedule
+    is the one a run of its set alone would produce."""
+    machines = DisjointMachines([task.processors] * (len(samples) * len(policies)))
+    specs: list[JobSpec] = []
+    for s, sample in enumerate(samples):
+        for k, policy in enumerate(policies):
+            offset = machines.machine_offset(s * len(policies) + k)
+            specs.extend(
+                JobSpec(job=job, feedback=policy, job_id=offset + i)
+                for i, job in enumerate(sample.jobs)
+            )
+    result = simulate_job_set(
+        specs, machines, machines.total, quantum_length=task.quantum_length
+    )
+    return [
+        (float(part.makespan), float(part.mean_response_time))
+        for part in split_machines(result, machines)
+    ]
+
+
+def _run_hierarchical(
+    sample: JobSetSample, policy: FeedbackPolicy, group_size: int, task: _Fig6Task
+) -> tuple[float, float]:
+    """(makespan, mean response time) of one set under hierarchical
+    allocation with groups of ``group_size`` processors: groups share the
+    set's processors, so a hierarchical set is not a disjoint machine and
+    runs alone."""
+    result = simulate_job_set(
+        [JobSpec(job=job, feedback=policy) for job in sample.jobs],
+        HierarchicalAllocator(group_size),
+        task.processors,
+        quantum_length=task.quantum_length,
+    )
+    return float(result.makespan), float(result.mean_response_time)
+
+
+def _fig6_chunk_points(task: _Fig6Task) -> list[Fig6Point]:
+    """Generate and simulate a chunk of job sets under both schedulers.
+
+    Module-level so the chunks can fan out over a process pool.  One
+    policy instance per scheduler serves the whole chunk, so the windowed
+    loop's feedback step makes one batch call per scheduler per quantum.
+    """
+    samples = [_generate_set(task, i) for i in task.indices]
+    policies: tuple[FeedbackPolicy, FeedbackPolicy] = (
+        AControl(task.convergence_rate),
+        AGreedy(task.responsiveness, task.utilization_threshold),
+    )
+    group_size = task.group_size
+    if group_size is None:
+        runs = _run_machines(samples, policies, task)
+    else:
+        runs = [
+            _run_hierarchical(sample, policy, group_size, task)
+            for sample in samples
+            for policy in policies
+        ]
+    points = []
+    for s, sample in enumerate(samples):
+        (m_abg, r_abg), (m_ag, r_ag) = runs[2 * s], runs[2 * s + 1]
+        m_star = makespan_lower_bound(
+            sample.works, sample.spans, [0] * len(sample.jobs), task.processors
+        )
+        r_star = mean_response_time_lower_bound(
+            sample.works, sample.spans, task.processors
+        )
+        points.append(
+            Fig6Point(
+                load=sample.load,
+                num_jobs=len(sample.jobs),
+                abg_makespan_norm=m_abg / m_star,
+                agreedy_makespan_norm=m_ag / m_star,
+                abg_response_norm=r_abg / r_star,
+                agreedy_response_norm=r_ag / r_star,
+                makespan_ratio=m_ag / m_abg,
+                response_ratio=r_ag / r_abg,
+            )
+        )
+    return points
+
+
+def _encode_fig6_points(points: list[Fig6Point]) -> object:
+    return [dataclasses.asdict(p) for p in points]
+
+
+def _decode_fig6_points(payload: object) -> list[Fig6Point]:
+    """Rehydrate a journaled Figure 6 chunk payload (see ``repro.runtime``)."""
+    if not isinstance(payload, list):
+        raise TypeError(
+            f"fig6 journal payload must be a list, got {type(payload)!r}"
+        )
+    points = []
+    for item in payload:
+        if not isinstance(item, dict):
+            raise TypeError(f"fig6 journal point must be a dict, got {type(item)!r}")
+        fields: dict[str, Any] = dict(item)
+        points.append(Fig6Point(**fields))
+    return points
 
 
 def run_fig6(
@@ -220,11 +267,13 @@ def run_fig6(
     """Run the Figure 6 sweep: ``num_sets`` batched job sets with target
     loads drawn uniformly from ``load_range``.
 
-    Each set is an independent work unit with its own ``[seed, index]``
-    random stream; ``workers > 1`` fans the sets out over a process pool
-    with bit-identical results (``0`` = all cores).  An optional ``journal``
-    checkpoints each completed set so an interrupted sweep resumes where it
-    stopped; ``retries``/``task_timeout`` bound per-unit failures.
+    Each set draws from its own ``[seed, index]`` random stream.  The work
+    unit is a chunk of up to :data:`CHUNK_SETS` consecutive sets, run under
+    both schedulers as disjoint DEQ machines of one simulation;
+    ``workers > 1`` fans the chunks out over a process pool with
+    bit-identical results (``0`` = all cores).  An optional ``journal``
+    checkpoints each completed chunk so an interrupted sweep resumes where
+    it stopped; ``retries``/``task_timeout`` bound per-unit failures.
     ``group_size`` runs every set under hierarchical allocation instead of
     centralized DEQ (a policy choice: it changes the numbers,
     deterministically).
@@ -237,7 +286,7 @@ def run_fig6(
         raise ValueError("group size must be >= 1")
     tasks = [
         _Fig6Task(
-            index=i,
+            indices=tuple(range(first, min(first + CHUNK_SETS, num_sets))),
             load_range=load_range,
             processors=processors,
             quantum_length=quantum_length,
@@ -248,20 +297,21 @@ def run_fig6(
             seed=seed,
             group_size=group_size,
         )
-        for i in range(num_sets)
+        for first in range(0, num_sets, CHUNK_SETS)
     ]
-    keys = [unit_key("fig6-set", dataclasses.asdict(t)) for t in tasks]
-    points = map_deterministic(
-        _fig6_set_point,
+    keys = [unit_key("fig6-chunk", dataclasses.asdict(t)) for t in tasks]
+    chunks = map_deterministic(
+        _fig6_chunk_points,
         tasks,
         workers=workers,
         keys=keys,
         journal=journal,
-        encode=dataclasses.asdict,
-        decode=_decode_fig6_point,
+        encode=_encode_fig6_points,
+        decode=_decode_fig6_points,
         retries=retries,
         task_timeout=task_timeout,
     )
+    points = [point for chunk in chunks for point in chunk]
     points.sort(key=lambda p: p.load)
     return Fig6Result(
         points=tuple(points),

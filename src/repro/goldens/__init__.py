@@ -25,6 +25,7 @@ from .record import (
     DEFAULT_FIXTURE_DIR,
     check_freshness,
     dag_scenario,
+    machines_scenario,
     default_scenarios,
     fixture_paths,
     record_bundle,
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_FIXTURE_DIR",
     "check_freshness",
     "dag_scenario",
+    "machines_scenario",
     "default_scenarios",
     "fixture_paths",
     "record_bundle",

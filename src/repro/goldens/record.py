@@ -36,12 +36,13 @@ from ..sim.replay import replay_path
 from ..verify.findings import LintFinding, RULES
 from ..workloads.arrivals import staggered_releases
 from ..workloads.jobsets import JobSetGenerator
-from .spec import ExplicitJob, ScenarioSpec
+from .spec import DEFAULT_POLICY_PARAMS, ExplicitJob, ScenarioSpec, machine_budgets
 
 __all__ = [
     "DEFAULT_FIXTURE_DIR",
     "scenario_from_fig6",
     "dag_scenario",
+    "machines_scenario",
     "default_scenarios",
     "record_bundle",
     "record_fixtures",
@@ -93,7 +94,7 @@ def scenario_from_fig6(
         )
         for i, job in enumerate(sample.jobs)
     )
-    params = policy_params if policy_params is not None else _default_params(policy)
+    params = policy_params if policy_params is not None else DEFAULT_POLICY_PARAMS[policy]
     return ScenarioSpec(
         scenario_id=scenario_id,
         policy=policy,
@@ -107,11 +108,53 @@ def scenario_from_fig6(
     )
 
 
-def _default_params(policy: str) -> dict[str, float]:
-    """The experiment sweep's default knobs for each policy."""
-    if policy == "abg":
-        return {"convergence_rate": 0.2}
-    return {"responsiveness": 2.0, "utilization_threshold": 0.8}
+def machines_scenario(
+    scenario_id: str,
+    *,
+    seed: int,
+    index: int = 0,
+    processors: int = 24,
+    quantum_length: int = 150,
+    load_range: tuple[float, float] = (1.0, 2.0),
+    factor_range: tuple[int, int] = (2, 100),
+    policies: Sequence[str] = ("abg", "agreedy", "abg"),
+    max_quanta: int = 200_000,
+) -> ScenarioSpec:
+    """Materialize one Figure-6-style job set per machine of the
+    ``"machines"`` allocator (:func:`~repro.goldens.spec.machine_budgets`),
+    machine ``m`` drawing from the ``[seed, index, m]`` stream and running
+    ``policies[m]`` — the disjoint-machine layout of a Figure 6 chunk."""
+    budgets = machine_budgets(processors)
+    if len(policies) != len(budgets):
+        raise ValueError(f"need one policy per machine ({len(budgets)})")
+    jobs: list[ExplicitJob] = []
+    offset = 0
+    for m, (budget, policy) in enumerate(zip(budgets, policies)):
+        rng = np.random.default_rng([seed, index, m])
+        set_gen = JobSetGenerator(
+            budget, quantum_length=quantum_length, factor_range=factor_range
+        )
+        sample = set_gen.generate(rng, float(rng.uniform(*load_range)))
+        jobs.extend(
+            ExplicitJob(
+                job_id=offset + i,
+                release_time=0,
+                phases=tuple((p.width, p.levels) for p in job.phases),
+                policy=None if policy == policies[0] else policy,
+            )
+            for i, job in enumerate(sample.jobs)
+        )
+        offset += budget
+    return ScenarioSpec(
+        scenario_id=scenario_id,
+        policy=policies[0],
+        policy_params=tuple(sorted(DEFAULT_POLICY_PARAMS[policies[0]].items())),
+        allocator="machines",
+        processors=processors,
+        quantum_length=quantum_length,
+        max_quanta=max_quanta,
+        jobs=tuple(jobs),
+    )
 
 
 def _layered_edges(
@@ -191,7 +234,7 @@ def dag_scenario(
         )
         for i in range(num_jobs)
     )
-    params = policy_params if policy_params is not None else _default_params(policy)
+    params = policy_params if policy_params is not None else DEFAULT_POLICY_PARAMS[policy]
     return ScenarioSpec(
         scenario_id=scenario_id,
         policy=policy,
@@ -214,9 +257,11 @@ def default_scenarios() -> tuple[ScenarioSpec, ...]:
     staggered arrivals (admission at quantum boundaries), dag-structured
     jobs on the batched dag kernel (barrier-layered, level-major),
     non-batchable dag jobs pinned to the reference heap engine (run on the
-    serial reference loop on both replay paths), and hierarchical
+    serial reference loop on both replay paths), hierarchical
     allocation over four groups with jobs migrating between them (per-group
-    windows on the ``superstep`` path).
+    windows on the ``superstep`` path), and three disjoint DEQ machines of
+    unequal size running ABG and A-Greedy side by side (a Figure 6 chunk's
+    layout).
     """
     return (
         scenario_from_fig6(
@@ -286,6 +331,14 @@ def default_scenarios() -> tuple[ScenarioSpec, ...]:
             factor_range=(2, 20),
             allocator="hier",
             release_gap=400,
+        ),
+        machines_scenario(
+            "fig6-machines",
+            seed=2008,
+            index=9,
+            quantum_length=300,
+            load_range=(2.0, 3.0),
+            factor_range=(2, 20),
         ),
     )
 

@@ -15,7 +15,8 @@ and raises :class:`ValueError` naming the offending path, mirroring the
 hardened trace loaders in :mod:`repro.io.traces`.
 
 Schema versions: schema 1 carries fork-join phase lists only; schema 2
-adds dag-structured jobs (an explicit edge list plus a pinned engine).
+adds dag-structured jobs (an explicit edge list plus a pinned engine) and
+per-job policies (a job naming its own feedback policy).
 ``to_dict`` emits the *lowest* sufficient schema — a phased-only scenario
 still serializes as schema 1, byte-identical to fixtures recorded before
 dag support existed, so committed digests never churn on a schema bump.
@@ -29,6 +30,7 @@ from typing import Any, Mapping
 from ..allocators.base import Allocator
 from ..allocators.equipartition import DynamicEquiPartitioning
 from ..allocators.hierarchical import HierarchicalAllocator
+from ..allocators.machines import DisjointMachines
 from ..allocators.roundrobin import RoundRobinAllocator
 from ..core.abg import AControl
 from ..core.agreedy import AGreedy
@@ -40,8 +42,10 @@ from ..sim.jobs import JobSpec
 __all__ = [
     "SPEC_SCHEMA_VERSION",
     "POLICY_PARAMS",
+    "DEFAULT_POLICY_PARAMS",
     "ALLOCATOR_NAMES",
     "DAG_ENGINES",
+    "machine_budgets",
     "ExplicitJob",
     "ScenarioSpec",
 ]
@@ -61,13 +65,31 @@ POLICY_PARAMS: dict[str, tuple[str, ...]] = {
     "agreedy": ("responsiveness", "utilization_threshold"),
 }
 
-ALLOCATOR_NAMES: tuple[str, ...] = ("deq", "roundrobin", "hier")
+#: policy name -> the experiment sweep's default knobs; a job that names
+#: its own policy gets that policy with these.
+DEFAULT_POLICY_PARAMS: dict[str, dict[str, float]] = {
+    "abg": {"convergence_rate": 0.2},
+    "agreedy": {"responsiveness": 2.0, "utilization_threshold": 0.8},
+}
+
+ALLOCATOR_NAMES: tuple[str, ...] = ("deq", "roundrobin", "hier", "machines")
 
 #: ``"hier"``'s parameters: groups of 8 processors that rebalance every other
 #: quantum, so a small machine has several groups and jobs migrate between
 #: them.
 _HIER_GROUP_SIZE = 8
 _HIER_REBALANCE_INTERVAL = 2
+
+#: ``"machines"``' relative machine sizes: three disjoint DEQ machines of
+#: ``P/6``, ``P/3`` and the rest (so ``P >= 6``).
+_MACHINE_SHARES = (1, 2, 3)
+
+
+def machine_budgets(processors: int) -> list[int]:
+    """The ``"machines"`` allocator's budgets on ``processors``."""
+    whole = sum(_MACHINE_SHARES)
+    budgets = [processors * share // whole for share in _MACHINE_SHARES[:-1]]
+    return [*budgets, processors - sum(budgets)]
 
 
 def _require_int(value: Any, path: str, *, minimum: int | None = None) -> int:
@@ -87,6 +109,8 @@ class ExplicitJob:
     with ``engine`` pinning how it executes — schema 2).  Phased jobs keep
     ``engine="auto"``: the simulator always runs them on the closed-form
     phased engine, so a pinned engine would be dead weight in the payload.
+    ``policy`` (schema 2) names the job's own feedback policy, built with
+    :data:`DEFAULT_POLICY_PARAMS`; ``None`` runs the scenario's.
     """
 
     job_id: int
@@ -94,6 +118,7 @@ class ExplicitJob:
     phases: tuple[tuple[int, int], ...] = ()
     dag: tuple[int, tuple[tuple[int, int], ...]] | None = None
     engine: str = "auto"
+    policy: str | None = None
 
     def __post_init__(self) -> None:
         if self.job_id < 0:
@@ -108,6 +133,11 @@ class ExplicitJob:
             raise ValueError(
                 f"job {self.job_id} has unknown engine {self.engine!r}; "
                 f"pick one of {DAG_ENGINES}"
+            )
+        if self.policy is not None and self.policy not in POLICY_PARAMS:
+            raise ValueError(
+                f"job {self.job_id} has unknown policy {self.policy!r}; "
+                f"pick one of {tuple(sorted(POLICY_PARAMS))}"
             )
         for width, levels in self.phases:
             if width < 1 or levels < 1:
@@ -150,6 +180,8 @@ class ExplicitJob:
                 "edges": [list(e) for e in self.dag[1]],
             }
             payload["engine"] = self.engine
+        if self.policy is not None:
+            payload["policy"] = self.policy
         return payload
 
     @classmethod
@@ -214,6 +246,9 @@ class ExplicitJob:
             if not isinstance(engine_raw, str):
                 raise ValueError(f"field {where}.engine must be a string")
             engine = engine_raw
+        policy = raw.get("policy")
+        if policy is not None and not isinstance(policy, str):
+            raise ValueError(f"field {where}.policy must be a string")
         try:
             return cls(
                 job_id=_require_int(raw["job_id"], f"{where}.job_id", minimum=0),
@@ -223,9 +258,20 @@ class ExplicitJob:
                 phases=tuple(phases),
                 dag=dag,
                 engine=engine,
+                policy=policy,
             )
         except ValueError as exc:
             raise ValueError(f"invalid job at {where}: {exc}") from None
+
+
+def _needs_schema_2(job: ExplicitJob) -> bool:
+    return job.dag is not None or job.policy is not None
+
+
+def _make_policy(name: str, params: Mapping[str, float]) -> FeedbackPolicy:
+    if name == "abg":
+        return AControl(**params)
+    return AGreedy(**params)
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,6 +322,11 @@ class ScenarioSpec:
             )
         if self.processors < 1:
             raise ValueError("need at least one processor")
+        if self.allocator == "machines" and min(machine_budgets(self.processors)) < 1:
+            raise ValueError(
+                f"the machines allocator needs at least {sum(_MACHINE_SHARES)} "
+                "processors"
+            )
         if self.quantum_length < 1:
             raise ValueError("quantum length must be >= 1")
         if self.max_quanta < 1:
@@ -294,14 +345,13 @@ class ScenarioSpec:
 
     def build_policy(self) -> FeedbackPolicy:
         """One policy instance, shared by every job (the experiment idiom)."""
-        params = dict(self.policy_params)
-        if self.policy == "abg":
-            return AControl(**params)
-        return AGreedy(**params)
+        return _make_policy(self.policy, dict(self.policy_params))
 
     def build_allocator(self) -> Allocator:
         if self.allocator == "deq":
             return DynamicEquiPartitioning()
+        if self.allocator == "machines":
+            return DisjointMachines(machine_budgets(self.processors))
         if self.allocator == "hier":
             return HierarchicalAllocator(
                 _HIER_GROUP_SIZE, rebalance_interval=_HIER_REBALANCE_INTERVAL
@@ -311,11 +361,15 @@ class ScenarioSpec:
     def build(self) -> tuple[list[JobSpec], Allocator]:
         """Fresh job specs (sharing one policy instance) plus a fresh
         allocator, ready for :func:`repro.sim.replay.replay_path`."""
-        policy = self.build_policy()
+        shared = self.build_policy()
+        own = {
+            name: _make_policy(name, DEFAULT_POLICY_PARAMS[name])
+            for name in sorted({job.policy for job in self.jobs if job.policy})
+        }
         specs = [
             JobSpec(
                 job=job.description(),
-                feedback=policy,
+                feedback=shared if job.policy is None else own[job.policy],
                 release_time=job.release_time,
                 job_id=job.job_id,
                 engine=job.engine,  # type: ignore[arg-type]
@@ -333,7 +387,7 @@ class ScenarioSpec:
         # Emit the lowest sufficient schema: phased-only scenarios keep
         # serializing as schema 1 so fixtures recorded before dag support
         # stay byte-identical (and their digests stable).
-        schema = 2 if any(job.dag is not None for job in self.jobs) else 1
+        schema = 2 if any(_needs_schema_2(job) for job in self.jobs) else 1
         payload: dict[str, Any] = {
             "schema": schema,
             "scenario_id": self.scenario_id,
@@ -400,10 +454,10 @@ class ScenarioSpec:
             ExplicitJob.from_payload(raw, where=f"{where}.jobs[{i}]")
             for i, raw in enumerate(jobs_raw)
         )
-        if schema == 1 and any(job.dag is not None for job in jobs):
+        if schema == 1 and any(_needs_schema_2(job) for job in jobs):
             raise ValueError(
-                f"field {where}.jobs carries dag jobs but declares schema 1 "
-                "(dag jobs require schema 2)"
+                f"field {where}.jobs carries dag jobs or per-job policies but "
+                "declares schema 1 (they require schema 2)"
             )
         horizon_raw = data.get("horizon")
         horizon = (

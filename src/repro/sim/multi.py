@@ -36,7 +36,12 @@ A set runs on one of two loops, with bit-identical traces either way:
 per-group windows, run one after another in this process under the
 supervisor's retries and fault injection, and rejects a set the windowed
 loop cannot run; without it the windowed loop runs one machine-wide window.
-``N`` counts nothing: every ``N >= 2`` picks the same per-group route.  The
+``N`` counts nothing: every ``N >= 2`` picks the same per-group route.
+Independent sets can share one run as the disjoint machines of a
+:class:`~repro.allocators.machines.DisjointMachines` allocator; the
+records' ``available`` field is then the job's own machine size
+(:meth:`~repro.allocators.base.Allocator.machine_sizes`), so
+:func:`split_machines` hands back each set's lone run.  The
 kernel replays the same closed-form chunk sequence as the per-job engines
 (see the kernel module docstring for the argument, and
 ``tests/test_sim_multi_batched.py`` for the cross-validation).
@@ -64,8 +69,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
+import numpy as np
+
 from ..allocators.base import Allocator, validate_allocation
 from ..allocators.hierarchical import HierarchicalAllocator
+from ..allocators.machines import DisjointMachines
 from ..core.columnar import TraceColumns
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
@@ -76,7 +84,7 @@ from .multi_batched import segment_profile
 from .sharded import Profile, simulate_windowed
 from .single import run_quantum_with_overhead
 
-__all__ = ["MultiJobResult", "simulate_job_set"]
+__all__ = ["MultiJobResult", "simulate_job_set", "split_machines"]
 
 BatchChoice = Literal["auto", "off"]
 
@@ -108,6 +116,42 @@ class MultiJobResult:
         return sum(t.total_work for t in self.traces.values())
 
 
+def split_machines(
+    result: MultiJobResult, machines: DisjointMachines
+) -> list[MultiJobResult]:
+    """Cut a :class:`DisjointMachines` run into one result per machine, as
+    if each machine's jobs had run alone on ``budgets[m]`` processors.
+
+    Job ids stay as they were (machine ``m``'s run from
+    ``machine_offset(m)``).  Traces keep the run's finish order, which the
+    mean response time's float summation depends on.  ``quanta_elapsed``
+    counts the distinct quantum boundaries the machine's jobs ran at: the
+    quanta a lone run of the machine executes, which skips the boundaries
+    where the machine had no job.
+    """
+    ids = list(result.traces)
+    owner = dict(zip(ids, machines.machine_of(np.array(ids, dtype=np.int64)).tolist()))
+    traces: list[dict[int, JobTrace]] = [{} for _ in machines.budgets]
+    released: list[dict[int, int]] = [{} for _ in machines.budgets]
+    for jid, trace in result.traces.items():
+        traces[owner[jid]][jid] = trace
+    for jid, rel in result.released.items():
+        released[owner[jid]][jid] = rel
+    parts = []
+    for m, budget in enumerate(machines.budgets):
+        starts = [t.columns.start_step for t in traces[m].values()]
+        parts.append(
+            MultiJobResult(
+                traces=traces[m],
+                processors=budget,
+                quantum_length=result.quantum_length,
+                quanta_elapsed=np.unique(np.concatenate(starts)).size if starts else 0,
+                released=released[m],
+            )
+        )
+    return parts
+
+
 @dataclass(slots=True)
 class _ActiveJob:
     spec: JobSpec
@@ -115,6 +159,9 @@ class _ActiveJob:
     release_time: int
     columns: TraceColumns
     request: float
+    machine: int
+    """Processors of the machine the job runs on (a satisfied job's
+    ``available``)."""
     next_q: int = 1
 
 
@@ -142,7 +189,10 @@ def simulate_job_set(
     and picks per-group windows whatever ``N`` is; it stays because the
     benchmark's ``giant`` workload passes ``shards=2``.  ``retries`` applies
     to the per-group windows only (it threads through
-    ``runtime.run_supervised``) and is refused without ``shards``.
+    ``runtime.run_supervised``) and is refused without ``shards``.  A
+    :class:`DisjointMachines` set needs ``processors == sum(budgets)`` and
+    every job id inside some machine's range;
+    :func:`split_machines` cuts its result into one per machine.
     """
     if processors < 1:
         raise ValueError("need at least one processor")
@@ -200,6 +250,14 @@ def simulate_job_set(
         else:
             profiles[jid] = profile
     pending.sort(key=lambda item: (item[0], item[1]))
+    if isinstance(allocator, DisjointMachines):
+        if processors != allocator.total:
+            raise ValueError(
+                f"disjoint machines need processors = sum(budgets) = "
+                f"{allocator.total}, got {processors}"
+            )
+        # Raises for the first job outside every machine's id range.
+        allocator.machine_of(np.array(sorted(seen_ids), dtype=np.int64))
 
     if profiles is None:
         done, quanta = _simulate_serial(
@@ -268,6 +326,9 @@ def _simulate_serial(
                 release_time=rel,
                 columns=TraceColumns.empty(),
                 request=spec.feedback.first_request(),
+                machine=int(
+                    allocator.machine_sizes(np.array([jid], dtype=np.int64), processors)[0]
+                ),
             )
         if not active:
             # Fast-forward to the boundary at/after the next release.
@@ -290,7 +351,7 @@ def _simulate_serial(
                 index=job.next_q,
                 request=job.request,
                 request_int=requests[jid],
-                available=a if a < requests[jid] else processors,
+                available=a if a < requests[jid] else job.machine,
                 allotment=a,
                 work=ex.work,
                 span=ex.span,

@@ -213,6 +213,7 @@ class MultiBatchKernel:
         "_dirty",
         "_strict",
         "_policy_counts",
+        "_policy_groups",
     )
 
     def __init__(self, *, strict: bool = False):
@@ -226,6 +227,7 @@ class MultiBatchKernel:
         self._dirty = False
         self._strict = bool(strict)
         self._policy_counts: dict[int, int] = {}
+        self._policy_groups: list[tuple[FeedbackPolicy, np.ndarray]] | None = None
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -306,6 +308,21 @@ class MultiBatchKernel:
             return self.slots[0].policy
         return None
 
+    def policy_groups(self) -> list[tuple[FeedbackPolicy, np.ndarray]]:
+        """``(policy, positions)`` per distinct feedback-policy instance:
+        the feedback step's batch calls when slots disagree (e.g. one ABG
+        and one A-Greedy instance over many machines).  Cached until a slot
+        is admitted; removal remaps the cache."""
+        if self._policy_groups is None:
+            groups: dict[int, list[int]] = {}
+            for pos, slot in enumerate(self.slots):
+                groups.setdefault(id(slot.policy), []).append(pos)
+            self._policy_groups = [
+                (self.slots[positions[0]].policy, np.asarray(positions, dtype=np.int64))
+                for positions in groups.values()
+            ]
+        return self._policy_groups
+
     # ------------------------------------------------------------------
 
     def admit(
@@ -330,6 +347,7 @@ class MultiBatchKernel:
         self._policy_counts[pid] = self._policy_counts.get(pid, 0) + 1
         self._arena.admit(request=float(request), seg_w=seg_w, seg_total=seg_total)
         self._dirty = True
+        self._policy_groups = None
 
     def remove(self, positions: list[int]) -> None:
         """Drop finished slots (their traces were already handed out)."""
@@ -346,6 +364,14 @@ class MultiBatchKernel:
         self.jids = [j for j, k in zip(self.jids, keep) if k]
         self._arena.remove(keep)
         self._dirty = True
+        if self._policy_groups is not None:
+            # Compaction keeps the slots' relative order: remap in place.
+            new_pos = np.cumsum(keep) - 1
+            self._policy_groups = [
+                (policy, new_pos[sub[keep[sub]]])
+                for policy, sub in self._policy_groups
+                if keep[sub].any()
+            ]
 
     def export_slots(self, positions: list[int]) -> list[SlotState]:
         """Detach the given slots (for migration to another group kernel),
@@ -402,6 +428,7 @@ class MultiBatchKernel:
         arena.prev_allot[row] = state.prev_allot
         arena.next_q[row] = state.next_q
         self._dirty = True
+        self._policy_groups = None
 
     def _repack(self) -> None:
         """Rebuild the sorted-id allocation-order cache (segment tables no

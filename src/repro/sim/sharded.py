@@ -110,10 +110,11 @@ def _batch_feedback(
 ) -> bool:
     """Post-quantum feedback over the kernel's slots, vectorized per policy
     instance (experiment job sets share one policy object across jobs, so
-    the common case is one whole-array batch call); returns whether any
-    slot fell back to scalar feedback.  Requests computed for slots that
-    just finished are discarded with the slot, exactly like the serial
-    loop, which never updates a finished job's request.
+    the common case is one whole-array batch call, and a Figure 6 chunk
+    makes one call per policy); returns whether any slot fell back to
+    scalar feedback.  Requests computed for slots that just finished are
+    discarded with the slot, exactly like the serial loop, which never
+    updates a finished job's request.
     """
     uniform = kernel.uniform_policy
     if uniform is not None:
@@ -129,17 +130,12 @@ def _batch_feedback(
             kernel.request = nxt
             return False
     fin_set = set(finished_pos)
-    live = [pos for pos in range(len(kernel)) if pos not in fin_set]
     if uniform is not None:
+        live = [pos for pos in range(len(kernel)) if pos not in fin_set]
         _scalar_feedback(kernel, live, group, length, start)
         return True
-    groups: dict[int, list[int]] = {}
-    for pos in live:
-        groups.setdefault(id(kernel.slots[pos].policy), []).append(pos)
     scalar_fb = False
-    for positions in groups.values():
-        policy = kernel.slots[positions[0]].policy
-        sub = np.asarray(positions, dtype=np.int64)
+    for policy, sub in kernel.policy_groups():
         nxt = policy.next_request_batch(
             request=kernel.request[sub],
             request_int=req_int[sub],
@@ -150,7 +146,8 @@ def _batch_feedback(
         )
         if nxt is None:
             scalar_fb = True
-            _scalar_feedback(kernel, positions, group, length, start)
+            live = [pos for pos in sub.tolist() if pos not in fin_set]
+            _scalar_feedback(kernel, live, group, length, start)
         else:
             kernel.request[sub] = nxt
     return scalar_fb
@@ -182,13 +179,8 @@ def _requests_hold(
             )
             is not None
         )
-    groups: dict[int, list[int]] = {}
-    for pos, slot in enumerate(kernel.slots):
-        groups.setdefault(id(slot.policy), []).append(pos)
     request = kernel.request
-    for positions in groups.values():
-        policy = kernel.slots[positions[0]].policy
-        sub = np.asarray(positions, dtype=np.int64)
+    for policy, sub in kernel.policy_groups():
         nxt = policy.advance_request_batch(
             request=request[sub],
             request_int=req_int[sub],
@@ -275,8 +267,9 @@ class GroupWindowTask:
     budget: int
     """The group's processor budget (what its waterfall divides)."""
     processors: int
-    """Machine-wide ``P`` (caps the records' ``available`` field, exactly
-    as the serial loop computes it)."""
+    """Machine-wide ``P``, handed to the allocator's ``machine_sizes``
+    (which caps the records' ``available`` field, exactly as the serial
+    loop computes it)."""
     quantum_length: int
     start: int
     """Machine time at the window's first quantum boundary."""
@@ -321,6 +314,13 @@ def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
     t = task.start
     while executed < task.quanta and len(kernel) > 0:
         nk = len(kernel)
+        if layout_dirty:
+            log.set_layout(kernel.jids)
+            # A satisfied job's ``available`` is its machine's size.
+            machine = allocator.machine_sizes(
+                np.asarray(kernel.jids, dtype=np.int64), task.processors
+            )
+            layout_dirty = False
         req_int = kernel.integer_requests()
         ids_sorted, order = kernel.allocation_order()
         req_sorted = req_int[order]
@@ -336,14 +336,11 @@ def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
         batch_out = kernel.execute_quantum(alloc_arr, L, task.overhead)
         # Under a partitioning allocator the processors "available" to a
         # job are exactly its (possibly trimmed) share when deprived; when
-        # satisfied the machine-wide P upper-bounds availability.
-        avail = np.where(alloc_arr < req_int, alloc_arr, task.processors)
+        # satisfied the size of its machine upper-bounds availability.
+        avail = np.where(alloc_arr < req_int, alloc_arr, machine)
         # The group snapshots ``index0``/``request`` before the bump and the
         # in-place feedback writes below; the other columns are fresh
         # arrays this iteration never touches again.
-        if layout_dirty:
-            log.set_layout(kernel.jids)
-            layout_dirty = False
         group = log.append_quantum(
             start_step=t,
             repeat=1,

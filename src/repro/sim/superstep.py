@@ -165,18 +165,16 @@ class SuperstepArena:
         kept_off = self.seg_off[:n][keep]
         if m:
             # Gather the surviving segment rows (fancy indexing copies, so
-            # the left-shifting writes never read already-overwritten cells).
-            idx = np.concatenate(
-                [
-                    np.arange(off, off + ln, dtype=np.int64)
-                    for off, ln in zip(kept_off.tolist(), kept_len.tolist())
-                ]
-            )
-            used = int(idx.size)
-            self.seg_w[:used] = self.seg_w[idx]
-            self.seg_total[:used] = self.seg_total[idx]
+            # the left-shifting writes never read already-overwritten cells):
+            # new row ``r`` of slot ``i`` reads old row ``r + off_i - new_off_i``.
             new_off = np.zeros(m, dtype=np.int64)
             np.cumsum(kept_len[:-1], out=new_off[1:])
+            used = int(kept_len.sum())
+            idx = np.arange(used, dtype=np.int64) + np.repeat(
+                kept_off - new_off, kept_len
+            )
+            self.seg_w[:used] = self.seg_w[idx]
+            self.seg_total[:used] = self.seg_total[idx]
             self.seg_off[:m] = new_off
             self.seg_len[:m] = kept_len
             self.seg_used = used

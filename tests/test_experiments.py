@@ -21,7 +21,17 @@ from repro.experiments import (
     run_theorem1,
     run_transient,
 )
+import numpy as np
+
+from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.core.abg import AControl
+from repro.core.agreedy import AGreedy
+from repro.experiments import fig6 as fig6_mod
+from repro.runtime import CheckpointJournal
+from repro.sim.jobs import JobSpec
+from repro.sim.metrics import makespan_lower_bound, mean_response_time_lower_bound
+from repro.sim.multi import simulate_job_set
+from repro.workloads.jobsets import JobSetGenerator
 
 
 class TestFig2:
@@ -122,6 +132,101 @@ class TestFig6:
             run_fig6(num_sets=0)
         with pytest.raises(ValueError):
             run_fig6(num_sets=1, load_range=(2.0, 1.0))
+
+
+#: A sweep spanning two chunks (the second one partial), kept small.
+_CHUNKED = dict(
+    num_sets=fig6_mod.CHUNK_SETS + 3,
+    load_range=(0.3, 3.0),
+    processors=32,
+    quantum_length=200,
+    seed=61,
+)
+
+
+def _per_set_points(*, num_sets, load_range, processors, quantum_length, seed):
+    """The Figure 6 sweep one set at a time: per set and policy one lone
+    ``simulate_job_set`` call under DEQ, from the set's ``[seed, index]``
+    stream with ``run_fig6``'s default parameters."""
+    points = []
+    for index in range(num_sets):
+        rng = np.random.default_rng([seed, index])
+        gen = JobSetGenerator(processors, quantum_length=quantum_length)
+        sample = gen.generate(rng, float(rng.uniform(*load_range)))
+        runs = []
+        for policy in (AControl(0.2), AGreedy(2.0, 0.8)):
+            result = simulate_job_set(
+                [JobSpec(job=job, feedback=policy) for job in sample.jobs],
+                DynamicEquiPartitioning(),
+                processors,
+                quantum_length=quantum_length,
+            )
+            runs.append((float(result.makespan), float(result.mean_response_time)))
+        (m_abg, r_abg), (m_ag, r_ag) = runs
+        m_star = makespan_lower_bound(
+            sample.works, sample.spans, [0] * len(sample.jobs), processors
+        )
+        r_star = mean_response_time_lower_bound(sample.works, sample.spans, processors)
+        points.append(
+            fig6_mod.Fig6Point(
+                load=sample.load,
+                num_jobs=len(sample.jobs),
+                abg_makespan_norm=m_abg / m_star,
+                agreedy_makespan_norm=m_ag / m_star,
+                abg_response_norm=r_abg / r_star,
+                agreedy_response_norm=r_ag / r_star,
+                makespan_ratio=m_ag / m_abg,
+                response_ratio=r_ag / r_abg,
+            )
+        )
+    return sorted(points, key=lambda p: p.load)
+
+
+class TestFig6Chunks:
+    """``run_fig6`` runs each chunk of sets as disjoint machines of one
+    simulation; the numbers must be those of one simulation per set."""
+
+    def test_points_equal_per_set_runs(self):
+        assert list(run_fig6(**_CHUNKED).points) == _per_set_points(**_CHUNKED)
+
+    def test_one_simulation_per_chunk(self, monkeypatch):
+        calls = []
+        original = fig6_mod.simulate_job_set
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fig6_mod, "simulate_job_set", counting)
+        run_fig6(**_CHUNKED)
+        assert len(calls) == 2
+
+    def test_interrupted_journaled_sweep_resumes(self, tmp_path, monkeypatch):
+        journal_dir = tmp_path / "journal"
+        original = fig6_mod._fig6_chunk_points
+        ran: list[tuple[int, ...]] = []
+
+        def stop_after_first(task):
+            if ran:
+                raise KeyboardInterrupt
+            ran.append(task.indices)
+            return original(task)
+
+        monkeypatch.setattr(fig6_mod, "_fig6_chunk_points", stop_after_first)
+        with pytest.raises(KeyboardInterrupt):
+            run_fig6(journal=CheckpointJournal(journal_dir), **_CHUNKED)
+        assert ran == [tuple(range(fig6_mod.CHUNK_SETS))]
+
+        def resumed(task):
+            ran.append(task.indices)
+            return original(task)
+
+        monkeypatch.setattr(fig6_mod, "_fig6_chunk_points", resumed)
+        result = run_fig6(journal=CheckpointJournal(journal_dir), **_CHUNKED)
+        # Only the unfinished chunk ran again.
+        assert ran[1:] == [tuple(range(fig6_mod.CHUNK_SETS, _CHUNKED["num_sets"]))]
+        monkeypatch.setattr(fig6_mod, "_fig6_chunk_points", original)
+        assert result == run_fig6(**_CHUNKED)
 
 
 class TestTheorem1Driver:

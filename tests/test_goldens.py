@@ -7,13 +7,16 @@ import json
 import pytest
 
 from repro.core.abg import AControl
+from repro.core.agreedy import AGreedy
 from repro.allocators.equipartition import DynamicEquiPartitioning
+from repro.allocators.machines import DisjointMachines
 from repro.goldens import (
     ExplicitJob,
     ScenarioSpec,
     TraceDivergence,
     check_freshness,
     dag_scenario,
+    machines_scenario,
     default_scenarios,
     first_divergence,
     fixture_paths,
@@ -189,6 +192,35 @@ class TestScenarioSpec:
         # one shared policy instance across jobs (the experiment idiom)
         assert specs_a[0].feedback is specs_a[1].feedback
 
+    def test_per_job_policy_round_trips_as_schema_2(self):
+        spec = tiny_spec(
+            jobs=(
+                ExplicitJob(job_id=0, release_time=0, phases=((1, 1),)),
+                ExplicitJob(
+                    job_id=1, release_time=0, phases=((2, 2),), policy="agreedy"
+                ),
+            )
+        )
+        data = spec.to_dict()
+        assert data["schema"] == 2 and data["jobs"][1]["policy"] == "agreedy"
+        assert ScenarioSpec.from_dict(data) == spec
+        specs, _ = spec.build()
+        assert isinstance(specs[0].feedback, AControl)
+        assert isinstance(specs[1].feedback, AGreedy)
+        data["schema"] = 1
+        with pytest.raises(ValueError, match="per-job policies"):
+            ScenarioSpec.from_dict(data)
+        with pytest.raises(ValueError, match="unknown policy 'fifo'"):
+            ExplicitJob(job_id=2, release_time=0, phases=((1, 1),), policy="fifo")
+
+    def test_machines_allocator_splits_processors_unequally(self):
+        spec = machines_scenario("m", seed=1, processors=12)
+        _, allocator = spec.build()
+        assert isinstance(allocator, DisjointMachines)
+        assert allocator.budgets == (2, 4, 6)
+        with pytest.raises(ValueError, match="at least 6 processors"):
+            tiny_spec(allocator="machines", processors=5)
+
     def test_scenario_from_fig6_is_deterministic(self):
         a = scenario_from_fig6("x", seed=5, index=3)
         b = scenario_from_fig6("x", seed=5, index=3)
@@ -251,9 +283,9 @@ class TestVerifyTraces:
         record_fixtures(tmp_path, default_scenarios())
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        # 8 scenarios x 2 paths
-        assert len(report.outcomes) == 16
-        assert report.render().endswith("16 pass, 0 fail, 0 error")
+        # 9 scenarios x 2 paths
+        assert len(report.outcomes) == 18
+        assert report.render().endswith("18 pass, 0 fail, 0 error")
 
     def test_report_is_deterministic(self, tmp_path):
         record_fixtures(tmp_path, [tiny_spec()])
@@ -473,7 +505,7 @@ class TestCli:
         assert main(["verify-traces", "--fixtures", out]) == 0
         assert main(["record-traces", "--out", out, "--check"]) == 0
         text = capsys.readouterr().out
-        assert "16 pass, 0 fail, 0 error" in text
+        assert "18 pass, 0 fail, 0 error" in text
         assert "clean: no findings" in text
 
     def test_verify_exit_code_and_diff_on_mutation(
@@ -683,4 +715,4 @@ class TestRecordOnGreen:
         assert main(["record-traces", "--out", out, "--record-on-green"]) == 0
         text = capsys.readouterr().out
         assert "re-recorded 0 stale fixture(s)" in text
-        assert "left 8 green fixture(s) untouched" in text
+        assert "left 9 green fixture(s) untouched" in text

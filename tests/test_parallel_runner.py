@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import run_fig5, run_fig6
+from repro.experiments.fig6 import CHUNK_SETS
 from repro.experiments.parallel import map_deterministic, resolve_workers
 from repro.experiments.runner import run_everything
 
@@ -53,6 +54,18 @@ class TestSweepBitIdentity:
 
     def test_fig6_serial_equals_parallel(self):
         assert run_fig6(num_sets=3, workers=1) == run_fig6(num_sets=3, workers=2)
+
+    def test_fig6_chunks_serial_equal_parallel(self):
+        """More sets than one chunk holds: the chunks fan out over two
+        workers and the sweep's numbers do not move."""
+        kwargs = dict(
+            num_sets=CHUNK_SETS + 2,
+            load_range=(0.3, 3.0),
+            processors=32,
+            quantum_length=200,
+            seed=5,
+        )
+        assert run_fig6(workers=1, **kwargs) == run_fig6(workers=2, **kwargs)
 
     @pytest.mark.slow
     def test_runner_artifacts_bit_identical(self, tmp_path: Path):
