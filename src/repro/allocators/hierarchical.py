@@ -20,7 +20,7 @@ traces whether it runs in one machine-wide window or in per-group windows.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -230,18 +230,25 @@ class HierarchicalAllocator(Allocator):
         self._quantum += int(quanta)
 
     def group_allocator(self, group: int) -> DynamicEquiPartitioning:
-        """The group's inner allocator (handed to its window)."""
+        """The group's inner allocator (its window allocates through it in
+        place)."""
         return self._groups[group]
-
-    def set_group_allocator(
-        self, group: int, allocator: DynamicEquiPartitioning
-    ) -> None:
-        """Install the inner allocator a group window handed back after the
-        window gather."""
-        self._groups[group] = allocator
 
     # ------------------------------------------------------------------
     # allocation
+
+    def _group_positions(
+        self, ids: np.ndarray
+    ) -> Iterator[tuple[int, DynamicEquiPartitioning, np.ndarray]]:
+        """Each non-empty group's index, inner allocator and member positions
+        in ``ids`` (ascending, so sorted-id order is preserved)."""
+        groups = np.fromiter(
+            (self._members[int(j)] for j in ids), dtype=np.int64, count=ids.size
+        )
+        for g, inner in enumerate(self._groups):
+            positions = np.flatnonzero(groups == g)
+            if positions.size:
+                yield g, inner, positions
 
     def allocate_batch(
         self, ids: np.ndarray, requests: np.ndarray, total: int
@@ -251,17 +258,10 @@ class HierarchicalAllocator(Allocator):
         inner DEQ waterfall against its fixed budget, scatter the grants."""
         self._prepare(ids, requests, total)
         out = np.zeros(ids.size, dtype=np.int64)
-        if ids.size:
-            groups = np.fromiter(
-                (self._members[int(j)] for j in ids), dtype=np.int64, count=ids.size
+        for g, inner, positions in self._group_positions(ids):
+            out[positions] = inner.allocate_batch(
+                ids[positions], requests[positions], self._budgets[g]
             )
-            for g, inner in enumerate(self._groups):
-                positions = np.flatnonzero(groups == g)
-                if not positions.size:
-                    continue
-                out[positions] = inner.allocate_batch(
-                    ids[positions], requests[positions], self._budgets[g]
-                )
         self._quantum += 1
         return out
 
@@ -296,13 +296,7 @@ class HierarchicalAllocator(Allocator):
             # The very next allocation call runs the boundary rebalance.
             return 0
         span = min(limit, self.rebalance_interval - offset)
-        groups = np.fromiter(
-            (self._members[int(j)] for j in ids), dtype=np.int64, count=ids.size
-        )
-        for g, inner in enumerate(self._groups):
-            positions = np.flatnonzero(groups == g)
-            if not positions.size:
-                continue
+        for g, inner, positions in self._group_positions(ids):
             span = min(
                 span,
                 inner.fixed_point_probe(
@@ -325,19 +319,14 @@ class HierarchicalAllocator(Allocator):
         total: int,
         span: int,
     ) -> None:
-        groups = np.fromiter(
-            (self._members[int(j)] for j in ids), dtype=np.int64, count=ids.size
-        )
-        for g, inner in enumerate(self._groups):
-            positions = np.flatnonzero(groups == g)
-            if positions.size:
-                inner.fixed_point_advance(
-                    ids[positions],
-                    requests[positions],
-                    grants[positions],
-                    self._budgets[g],
-                    span,
-                )
+        for g, inner, positions in self._group_positions(ids):
+            inner.fixed_point_advance(
+                ids[positions],
+                requests[positions],
+                grants[positions],
+                self._budgets[g],
+                span,
+            )
         self._quantum += span
 
     def __repr__(self) -> str:

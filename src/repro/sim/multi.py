@@ -33,10 +33,10 @@ A set runs on one of two loops, with bit-identical traces either way:
 
 ``shards=N`` (an int ``N >= 2``, hierarchical allocators only) splits a
 :class:`~repro.allocators.hierarchical.HierarchicalAllocator` into
-per-group windows, run one after another in this process under the
-supervisor's retries and fault injection, and rejects a set the windowed
-loop cannot run; without it the windowed loop runs one machine-wide window.
-``N`` counts nothing: every ``N >= 2`` picks the same per-group route.
+per-group windows, run one after another in this process as plain calls,
+and rejects a set the windowed loop cannot run; without it the windowed
+loop runs one machine-wide window.  ``N`` counts nothing: every ``N >= 2``
+picks the same per-group route.
 Independent sets can share one run as the disjoint machines of a
 :class:`~repro.allocators.machines.DisjointMachines` allocator; the
 records' ``available`` field is then the job's own machine size
@@ -176,7 +176,6 @@ def simulate_job_set(
     strict: bool = False,
     batch: BatchChoice = "auto",
     shards: int | None = None,
-    retries: int | None = None,
 ) -> MultiJobResult:
     """Run a job set to completion under a multiprogrammed allocator.
 
@@ -187,9 +186,7 @@ def simulate_job_set(
     docstring for which loop runs a set); results do not depend on them.
     ``shards`` needs a :class:`HierarchicalAllocator` and an int ``N >= 2``,
     and picks per-group windows whatever ``N`` is; it stays because the
-    benchmark's ``giant`` workload passes ``shards=2``.  ``retries`` applies
-    to the per-group windows only (it threads through
-    ``runtime.run_supervised``) and is refused without ``shards``.  A
+    benchmark's ``giant`` workload passes ``shards=2``.  A
     :class:`DisjointMachines` set needs ``processors == sum(budgets)`` and
     every job id inside some machine's range;
     :func:`split_machines` cuts its result into one per machine.
@@ -220,10 +217,6 @@ def simulate_job_set(
                 "per-group windows run on the batched kernel; "
                 "batch='off' requires shards=None"
             )
-    elif retries is not None:
-        raise ValueError(
-            "retries applies to per-group windows only; it needs shards=N"
-        )
     array_native = type(allocator).allocate_batch is not Allocator.allocate_batch
     pending: list[tuple[int, int, JobSpec]] = []  # (release, id, spec)
     seen_ids: set[int] = set()
@@ -280,7 +273,6 @@ def simulate_job_set(
             overhead=overhead,
             strict=strict,
             per_group=shards is not None,
-            retries=retries,
         )
     return MultiJobResult(
         traces=done,

@@ -5,21 +5,22 @@ the serial reference loop to :func:`simulate_windowed`.  Membership changes
 only at admission boundaries and (under a :class:`~repro.allocators.
 hierarchical.HierarchicalAllocator`) rebalancing boundaries, so the run is
 cut at those barriers into *windows*.  Each allocation group advances a
-whole window through :func:`run_group_window`'s body — per quantum one
-array-native allocation, one kernel step, one columnar log append and one
-vectorized feedback pass, with supersteps fast-forwarding through quanta
-the group provably repeats.  Between windows the coordinator admits
-arrivals, merges the emitted quanta and migrates slots between groups.
+whole window through one call of :func:`_advance_window` — per quantum one
+array-native allocation, one kernel step, one columnar append to the run's
+:class:`~repro.sim.superstep.QuantumLog` and one vectorized feedback pass,
+with supersteps fast-forwarding through quanta the group provably repeats.
+Between windows the coordinator admits arrivals, gathers the finished
+traces and migrates slots between groups.
 
-Every window runs in the coordinating process.  ``per_group`` only chooses
-how the groups are split:
+Every window is a plain call in the calling process.  ``per_group`` only
+chooses how the groups are split:
 
 - ``False``: every allocator, a hierarchical one included, is one group
   the size of ``P`` using the allocator's machine-wide ``allocate_batch``
-  and ``allocation_fixed_point``, with no supervision or fault plan;
-- ``True`` (hierarchical allocators only): one window per group, each
-  barrier's windows run one after another through
-  :func:`repro.runtime.run_supervised` (bounded retries, fault injection).
+  and ``allocation_fixed_point``;
+- ``True`` (hierarchical allocators only): one window per group, with the
+  allocator's membership protocol (``begin_window``, slot migration,
+  ``quanta_to_rebalance``, ``advance_window``) run at each barrier.
 
 Why per-group windows are byte-identical to one machine-wide group
 ------------------------------------------------------------------
@@ -39,8 +40,8 @@ groups to per-quantum execution.
 
 At barriers the coordinator runs the same ``begin_window`` front half (sync
 + rebalance) the machine-wide ``allocate_batch`` calls would run.  Groups
-run and are gathered in group order, and fault injection fires before a
-window's body runs, so a retried window starts from pristine state.
+run in group order; a job lives in one group per window, so each job's
+rows reach the shared log in time order.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ from ..allocators.base import Allocator, validate_allocation_arrays
 from ..allocators.hierarchical import HierarchicalAllocator
 from ..core.overhead import ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
-from ..runtime.checkpoint import unit_key
-from ..runtime.supervisor import run_supervised
+from ..runtime.supervisor import run_supervised  # noqa: F401
 from .jobs import JobSpec
 from .multi_batched import MultiBatchKernel, QuantumBatch
 from .superstep import QuantumGroup, QuantumLog
@@ -63,7 +63,6 @@ from .superstep import QuantumGroup, QuantumLog
 __all__ = [
     "GroupWindowTask",
     "GroupWindowResult",
-    "run_group_window",
     "simulate_windowed",
 ]
 
@@ -261,7 +260,6 @@ def _attempt_superstep(
 class GroupWindowTask:
     """One group's window of quanta: the unit of windowed execution."""
 
-    group: int
     kernel: MultiBatchKernel
     allocator: Allocator
     budget: int
@@ -283,12 +281,8 @@ class GroupWindowTask:
 
 @dataclass(slots=True)
 class GroupWindowResult:
-    """The evolved group state and everything the window emitted."""
+    """What a window hands back besides the quanta it logged."""
 
-    group: int
-    kernel: MultiBatchKernel
-    allocator: Allocator
-    log: QuantumLog
     finished: list[tuple[int, int, int, JobTrace]]
     """``(machine quantum, admission seq, job id, trace)`` per finished
     job — sorting the union across groups reproduces the serial loop's
@@ -297,17 +291,13 @@ class GroupWindowResult:
     """Quanta actually executed (< ``quanta`` only if the group emptied)."""
 
 
-def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
-    """The batched per-quantum loop: advance one group through its window.
-
-    Mutates the task's kernel/allocator in place and hands them back; fault
-    injection fires before this body runs, so a retried unit always starts
-    from pristine state.
-    """
+def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult:
+    """The batched per-quantum loop: advance one group through its window,
+    appending its quanta to ``log`` and evolving the task's kernel and
+    allocator in place."""
     kernel: MultiBatchKernel = task.kernel
     allocator = task.allocator
     L = task.quantum_length
-    log = QuantumLog(L)
     layout_dirty = True
     finished: list[tuple[int, int, int, JobTrace]] = []
     executed = 0
@@ -386,26 +376,14 @@ def _advance_window(task: GroupWindowTask) -> GroupWindowResult:
             )
         t += (skipped + 1) * L
         executed += skipped + 1
-    return GroupWindowResult(
-        group=task.group,
-        kernel=kernel,
-        allocator=allocator,
-        log=log,
-        finished=finished,
-        executed=executed,
-    )
+    return GroupWindowResult(finished=finished, executed=executed)
 
 
-def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
-    """Advance one group through its window: the unit per-group windows run
-    under :func:`run_supervised`.
-
-    :func:`simulate_windowed` looks this name up at call time, so a wrapper
-    installed on the module sees exactly the per-group windows and can ship
-    data back on their results; the machine-wide window calls
-    :func:`_advance_window` directly.
-    """
-    return _advance_window(task)
+# perfbench/layers.py is the only reader of ``run_supervised`` (imported
+# above, never called) and ``run_group_window`` here, and of
+# ``GroupWindowResult`` as a base class.  It swaps ``run_group_window`` for a
+# wrapper whose spans nothing merges, so the loop calls ``_advance_window``.
+run_group_window = _advance_window
 
 
 def simulate_windowed(
@@ -419,7 +397,6 @@ def simulate_windowed(
     overhead: ReallocationOverhead,
     strict: bool,
     per_group: bool,
-    retries: int | None,
 ) -> tuple[dict[int, JobTrace], int]:
     """Run a validated, fully batchable job set window by window; returns
     the finished traces (in the serial loop's insertion order) and the
@@ -429,8 +406,7 @@ def simulate_windowed(
     then id, ``profiles`` every job's segment profile, and ``allocator``
     must have an array-native ``allocate_batch``.  ``per_group=False`` runs
     a single machine-wide window; ``True`` splits a
-    :class:`HierarchicalAllocator` into per-group windows run through
-    :func:`run_supervised` (``retries`` applies there).
+    :class:`HierarchicalAllocator` into per-group windows.
     """
     hier = (
         allocator
@@ -508,47 +484,30 @@ def simulate_windowed(
             next_boundary = ((pending[cursor][0] + L - 1) // L) * L
             window = min(window, (next_boundary - t) // L)
 
-        tasks = [
-            GroupWindowTask(
-                group=g,
-                kernel=kernel,
-                allocator=hier.group_allocator(g) if hier is not None else allocator,
-                budget=budgets[g],
-                processors=processors,
-                quantum_length=L,
-                start=t,
-                quanta=window,
-                start_quantum=quanta,
-                overhead=overhead,
+        results = [
+            _advance_window(
+                GroupWindowTask(
+                    kernel=kernel,
+                    allocator=(
+                        hier.group_allocator(g) if hier is not None else allocator
+                    ),
+                    budget=budgets[g],
+                    processors=processors,
+                    quantum_length=L,
+                    start=t,
+                    quanta=window,
+                    start_quantum=quanta,
+                    overhead=overhead,
+                ),
+                log,
             )
             for g, kernel in enumerate(kernels)
             if len(kernel) > 0
         ]
-        if hier is not None:
-            keys = [
-                unit_key(
-                    "shard-window",
-                    {"group": task.group, "start": task.start, "quanta": task.quanta},
-                )
-                for task in tasks
-            ]
-            results = run_supervised(
-                run_group_window, tasks, workers=1, keys=keys, retries=retries
-            ).results
-        else:
-            results = [_advance_window(task) for task in tasks]
-        executed = 0
-        window_finished: list[tuple[int, int, int, JobTrace]] = []
-        for result in results:
-            kernels[result.group] = result.kernel
-            if hier is not None:
-                hier.set_group_allocator(result.group, result.allocator)
-            else:
-                allocator = result.allocator
-            log.extend(result.log)
-            window_finished.extend(result.finished)
-            executed = max(executed, result.executed)
-        for _q, _s, jid, trace in sorted(window_finished):
+        executed = max(result.executed for result in results)
+        for _q, _s, jid, trace in sorted(
+            f for result in results for f in result.finished
+        ):
             done[jid] = trace
         if hier is not None:
             hier.advance_window(executed)

@@ -341,32 +341,6 @@ class QuantumLog:
         self._groups.append(group)
         return group
 
-    def extend(self, other: "QuantumLog") -> None:
-        """Adopt another log's groups wholesale (the windowed loop's
-        gather step: each group window emits its quanta into its own log,
-        and the coordinator merges them in group order).
-
-        The adopted groups keep their layouts, remapped onto this log's
-        epoch list; no re-validation happens — the rows were validated when
-        the worker appended them.  :meth:`build_traces` stays correct as
-        long as every job's rows arrive in chronological order across
-        ``extend`` calls, which the window barrier guarantees: a job lives
-        in exactly one group per window, and windows merge in time order.
-        """
-        if other.quantum_length != self.quantum_length:
-            raise ValueError(
-                "cannot merge quantum logs with different quantum lengths"
-            )
-        base = len(self._layouts)
-        # Copy the adopted layouts at the ownership boundary: the donor log
-        # (a gathered worker result) is discarded after the merge, but this
-        # log must never hold views into another object's buffers.
-        self._layouts.extend(arr.copy() for arr in other._layouts)
-        for grp in other._groups:
-            grp.epoch += base
-            self._groups.append(grp)
-        self._epoch = len(self._layouts) - 1
-
     # ------------------------------------------------------------------
 
     def build_traces(self, traces: MutableMapping[int, JobTrace]) -> None:

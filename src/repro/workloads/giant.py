@@ -9,12 +9,12 @@ executes quantum by quantum.  Every other group holds long single-phase
 *stable* jobs whose A-Control requests reach their bitwise fixed point
 within a few quanta, after which whole windows collapse into supersteps.
 
-In one machine-wide window (``shards=None``) one churning group pins the
-entire machine to per-quantum execution (a machine-wide superstep needs
-*every* slot at a fixed point).  In per-group windows (``shards=N``, the
-route ``repro giant`` always takes) the stable groups fast-forward their
-windows independently while only group 0 pays the per-quantum cost — the
-speedup the giant benchmark workload measures.
+In one machine-wide window one churning group pins the entire machine to
+per-quantum execution (a machine-wide superstep needs *every* slot at a
+fixed point).  In per-group windows (the route ``repro giant`` always
+takes) the stable groups fast-forward their windows independently while
+only group 0 pays the per-quantum cost — the speedup the giant benchmark
+workload measures.
 
 Job ids are assigned so membership is predictable: admission fills groups
 round-robin in sorted-id order (equal budgets, ties to the lowest index),

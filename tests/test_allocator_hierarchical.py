@@ -284,6 +284,3 @@ class TestShardedProtocol:
         alloc.allocate({0: 2, 1: 2}, 8)
         inner = alloc.group_allocator(0)
         assert isinstance(inner, DynamicEquiPartitioning)
-        replacement = DynamicEquiPartitioning()
-        alloc.set_group_allocator(0, replacement)
-        assert alloc.group_allocator(0) is replacement

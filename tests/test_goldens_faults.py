@@ -13,7 +13,7 @@ from repro.goldens import (
     record_fixtures,
     verify_traces,
 )
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FAULTS_ENV_VAR, FaultPlan
 
 
 def small_specs() -> list[ScenarioSpec]:
@@ -35,6 +35,26 @@ def small_specs() -> list[ScenarioSpec]:
         )
 
     return [spec("faults-a", (1, 3)), spec("faults-b", (2, 2, 4))]
+
+
+def hier_spec() -> ScenarioSpec:
+    """Two groups of 8 processors with staggered releases: the ``superstep``
+    replay runs it on per-group windows."""
+    return ScenarioSpec(
+        scenario_id="faults-hier",
+        policy="abg",
+        policy_params=(("convergence_rate", 0.2),),
+        allocator="hier",
+        processors=16,
+        quantum_length=50,
+        max_quanta=10_000,
+        jobs=tuple(
+            ExplicitJob(
+                job_id=i, release_time=50 * i, phases=((w, 120), (1, 60))
+            )
+            for i, w in enumerate((1, 3, 6, 2, 5))
+        ),
+    )
 
 
 @pytest.fixture()
@@ -130,3 +150,20 @@ class TestVerdictUnderFaults:
             == 0
         )
         assert capsys.readouterr().out == clean_text
+
+
+class TestHierarchicalUnderAmbientFaults:
+    def test_pass_report_identical_under_ambient_plan(self, tmp_path, monkeypatch):
+        """An ambient plan fires on the replay units only, never inside the
+        per-group windows of a replay, so ``retries >= max-failures``
+        completes with the clean report."""
+        record_fixtures(tmp_path, [hier_spec()])
+        fixtures = fixture_paths(tmp_path)
+        clean = verify_traces(fixtures, retries=5)
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR, "seed=3:rate=1.0:kinds=transient:max-failures=5"
+        )
+        faulted = verify_traces(fixtures, retries=5)
+        assert clean.passed and faulted.passed
+        assert faulted.render() == clean.render()
+        assert faulted.payload() == clean.payload()
