@@ -16,10 +16,9 @@ Usage::
     python -m repro bounds
     python -m repro ablation-rate | ablation-quantum | ablation-discipline |
                     ablation-allocator
-    python -m repro audit [--lint src/repro]
+    python -m repro audit
     python -m repro lint [--format json] [--explain ABGNNN] [paths...]
     python -m repro record-traces [--out fixtures/goldens] [--check]
-                                  [--record-on-green]
                                   [--from-experiments SCALE] [--sets N]
     python -m repro verify-traces [--fixtures fixtures/goldens] [--workers N]
                                   [--retries K] [--task-timeout S]
@@ -33,12 +32,12 @@ through the invariant auditor (``repro.verify``) and exits non-zero on any
 violation of the paper's model invariants.  ``lint`` runs the
 determinism rules (``ABG1xx``) over every file and the numeric rules
 ``ABG311``/``ABG313`` over the array-kernel modules
-(``repro.verify.lint``).  ``record-traces`` /
-``verify-traces`` drive the golden-trace regression harness
-(``repro.goldens``, rules ``ABG401``-``ABG404``): recording known-good
-fixtures, replaying them on every execution path with a first-divergence
-diff, checking fixture freshness (``--check``), and shrinking failures to
-minimal reproductions (``--shrink-out``).
+(``repro.verify.lint``); ``lint --explain CODE`` describes one rule.
+``record-traces`` / ``verify-traces`` drive the golden-trace regression
+harness (``repro.goldens``, rules ``ABG401``-``ABG404``): re-recording
+exactly the stale fixtures, checking fixture freshness (``--check``),
+replaying them on every execution path with a first-divergence diff, and
+shrinking failures to minimal reproductions (``--shrink-out``).
 """
 
 from __future__ import annotations
@@ -443,46 +442,35 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _cmd_audit(args: argparse.Namespace) -> str:
-    lint_text, lint_status = "", 0
-    if args.lint:
-        from .verify.lint import lint_paths
-
-        try:
-            findings = lint_paths(args.lint)
-        except FileNotFoundError as exc:
-            _usage_error(str(exc))
-        if findings:
-            lint_text = "\n\nlint findings:\n" + "\n".join(str(f) for f in findings)
-            lint_status = 1
-        else:
-            lint_text = f"\n\nlint: clean ({', '.join(args.lint)})"
     text, status = _run_audit_suite()
-    text += lint_text
-    if status or lint_status:
+    if status:
         print(text)
-        raise SystemExit(1)
+        raise SystemExit(status)
     return text
 
 
 def _cmd_lint(args: argparse.Namespace) -> str:
     import json
 
-    from .verify.findings import exit_code, findings_payload, render_findings
+    from .verify.findings import (
+        RULES,
+        exit_code,
+        explain,
+        findings_payload,
+        render_findings,
+    )
     from .verify.lint import lint_paths
 
     if args.explain is not None:
-        from .verify.catalogue import explain
-
         text = explain(args.explain)
         if text is None:
             _usage_error(
-                f"unknown rule {args.explain!r}; valid codes are "
-                "listed in docs/STATIC_ANALYSIS.md"
+                f"unknown rule {args.explain!r}; valid codes: {', '.join(RULES)}"
             )
         return text
 
     try:
-        findings = lint_paths(args.paths or ["src/repro"])
+        findings = lint_paths(args.paths or [Path(__file__).parent])
     except FileNotFoundError as exc:
         _usage_error(str(exc))
 
@@ -498,42 +486,30 @@ def _cmd_lint(args: argparse.Namespace) -> str:
 
 
 def _cmd_record_traces(args: argparse.Namespace) -> str:
-    from .goldens import check_freshness, record_fixtures, record_stale_fixtures
+    from .goldens import check_freshness, record_fixtures
     from .verify.findings import exit_code, render_findings
 
     out = Path(args.out)
+    scenarios = None
+    if args.from_experiments is not None:
+        from .experiments.runner import experiment_scenarios
+
+        scenarios = experiment_scenarios(args.from_experiments, args.sets)
     if args.check:
-        findings = check_freshness(out)
+        findings = check_freshness(out, scenarios)
         text = render_findings(findings)
         status = exit_code(findings)
         if status:
             print(text)
             raise SystemExit(status)
         return text
-    if args.record_on_green:
-        if args.from_experiments is not None:
-            _usage_error(
-                "--record-on-green applies to the default registry "
-                "only (drop --from-experiments)"
-            )
-        written, skipped = record_stale_fixtures(out)
-        lines = [
-            f"re-recorded {len(written)} stale fixture(s) under {out}, "
-            f"left {len(skipped)} green fixture(s) untouched:"
-        ]
-        lines.extend(f"  stale {path}" for path in written)
-        lines.extend(f"  green {path}" for path in skipped)
-        return "\n".join(lines)
-    if args.from_experiments is not None:
-        from .experiments.runner import record_from_experiments
-
-        written = record_from_experiments(
-            out, scale=args.from_experiments, sets=args.sets
-        )
-    else:
-        written = record_fixtures(out)
-    lines = [f"recorded {len(written)} golden fixture(s) under {out}:"]
-    lines.extend(f"  {path}" for path in written)
+    written, fresh = record_fixtures(out, scenarios)
+    lines = [
+        f"re-recorded {len(written)} stale fixture(s) under {out}, "
+        f"left {len(fresh)} green fixture(s) untouched:"
+    ]
+    lines.extend(f"  stale {path}" for path in written)
+    lines.extend(f"  green {path}" for path in fresh)
     return "\n".join(lines)
 
 
@@ -784,13 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the example workloads through the invariant auditor "
         "(exit 1 on any violation)",
     )
-    p.add_argument(
-        "--lint",
-        nargs="*",
-        metavar="PATH",
-        default=None,
-        help="additionally run the determinism lint pass on these paths",
-    )
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser(
@@ -802,15 +771,14 @@ def build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         metavar="PATH",
-        help="files/directories to analyze (default: src/repro)",
+        help="files/directories to analyze (default: the repro package)",
     )
     p.add_argument(
         "--explain",
         metavar="ABGNNN",
         default=None,
-        help="print the long-form catalogue entry for one rule "
-        "(description, hazard, example, suppression guidance) and exit "
-        "without analyzing anything",
+        help="print one rule's summary, hazard, example and suppression "
+        "guidance and exit without analyzing anything",
     )
     p.add_argument(
         "--format",
@@ -822,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "record-traces",
-        help="record golden trace fixtures (or --check that the committed "
-        "fixtures are fresh against the current tree)",
+        help="re-record the golden trace fixtures that the current tree "
+        "would change (or --check that none would change)",
     )
     p.add_argument(
         "--out",
@@ -834,22 +802,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="do not write anything; fail (ABG404) if re-recording any "
-        "committed fixture from the current tree would change it",
-    )
-    p.add_argument(
-        "--record-on-green",
-        action="store_true",
-        help="re-record only stale fixtures (missing file, scenario drift, "
-        "or digest drift); byte-fresh fixtures are left untouched so their "
-        "committed bytes and provenance never churn",
+        help="do not write anything; fail (ABG403/ABG404) on every fixture "
+        "that re-recording from the current tree would rewrite",
     )
     p.add_argument(
         "--from-experiments",
         choices=("smoke", "reduced", "full"),
         default=None,
         metavar="SCALE",
-        help="instead of the default registry, materialize and record the "
+        help="instead of the default registry, record (or --check) the "
         "first --sets job sets of the fig6 sweep at this scale",
     )
     p.add_argument(

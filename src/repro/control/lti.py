@@ -60,7 +60,7 @@ class FirstOrderLoop:
         denom = 1.0 - self.pole
         # The dc gain is genuinely infinite only at an exactly-unit pole
         # (gain == 0); a near-unit pole has a finite, meaningful dc gain.
-        if denom == 0.0:  # noqa: ABG102
+        if denom == 0.0:  # abg: allow[ABG102] reason=only an exactly-unit pole is singular
             return float("inf")
         return (self.gain / self.parallelism) / denom
 

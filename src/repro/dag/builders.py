@@ -111,7 +111,7 @@ def fork_join(
     phase followed by a parallel phase.
 
     Matches the paper's fork-join workload (Section 7.1) with uniform phase
-    dimensions; :func:`repro.workloads.forkjoin.generate_fork_join_phases`
+    dimensions; :class:`repro.workloads.forkjoin.ForkJoinGenerator`
     randomizes the dimensions per phase.
     """
     if num_iterations < 1:

@@ -22,7 +22,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import (
     run_trim_demo,
@@ -48,11 +48,14 @@ from ..runtime.faults import FaultPlan
 from .common import ExperimentTable, format_series, format_table
 from .parallel import map_deterministic
 
+if TYPE_CHECKING:
+    from ..goldens.spec import ScenarioSpec
+
 __all__ = [
     "ExperimentOutcome",
     "RunInterrupted",
     "RunnerResult",
-    "record_from_experiments",
+    "experiment_scenarios",
     "resume_status",
     "run_everything",
     "SCALES",
@@ -281,21 +284,21 @@ def _markdown_table(name: str, records: list[dict[str, Any]]) -> str:
     return text
 
 
-def record_from_experiments(
-    out_dir: str | Path, *, scale: str = "smoke", sets: int = 2
-) -> list[Path]:
-    """Record golden fixtures straight from the fig6 sweep configuration.
+def experiment_scenarios(scale: str = "smoke", sets: int = 2) -> list[ScenarioSpec]:
+    """Golden scenarios straight from the fig6 sweep configuration.
 
     Materializes the first ``sets`` job sets of the Figure 6 experiment at
     ``scale`` — same seed, same ``[seed, index]`` child-stream recipe, same
-    machine and workload parameters as ``python -m repro all`` — and records
-    each as a golden bundle under ``out_dir``.  This is the bridge from "an
-    experiment produced a number I trust" to "that exact run is now a
+    machine and workload parameters as ``python -m repro all`` — for the
+    golden writer and freshness check
+    (:func:`repro.goldens.record.record_fixtures`,
+    :func:`repro.goldens.record.check_freshness`).  This is the bridge from
+    "an experiment produced a number I trust" to "that exact run is now a
     regression fixture" (``python -m repro record-traces
     --from-experiments``); the committed default registry stays separate and
     smaller (:func:`repro.goldens.record.default_scenarios`).
     """
-    from ..goldens.record import record_fixtures, scenario_from_fig6
+    from ..goldens.record import scenario_from_fig6
     from .common import default_rng_seed
 
     if sets < 1:
@@ -304,7 +307,7 @@ def record_from_experiments(
         kwargs for name, _driver, kwargs in _experiments(scale) if name == "fig6"
     )
     count = min(sets, int(fig6_kwargs.get("num_sets", sets)))
-    scenarios = [
+    return [
         scenario_from_fig6(
             f"fig6-{scale}-set{i}",
             seed=default_rng_seed,
@@ -316,7 +319,6 @@ def record_from_experiments(
         )
         for i in range(count)
     ]
-    return record_fixtures(out_dir, scenarios)
 
 
 def resume_status(out_dir: str | Path, scale: str = "reduced") -> tuple[int, int]:

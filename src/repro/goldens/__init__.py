@@ -5,7 +5,8 @@ The package turns "the traces changed" into a deterministic verdict:
 - **record** (:mod:`repro.goldens.record`) materializes fig6-style
   scenarios into explicit job sets, executes them on the serial reference
   path, and writes versioned golden bundles with provenance and a content
-  digest (``python -m repro record-traces``);
+  digest; ``python -m repro record-traces`` rewrites exactly the stale
+  fixtures, and ``--check`` reports them;
 - **replay** (:mod:`repro.goldens.verify`) re-executes every committed
   fixture on both execution paths — the serial reference loop and the
   windowed superstep loop — and reports the *first diverging quantum*
@@ -30,7 +31,6 @@ from .record import (
     fixture_paths,
     record_bundle,
     record_fixtures,
-    record_stale_fixtures,
     scenario_from_fig6,
 )
 from .shrink import (
@@ -54,7 +54,6 @@ __all__ = [
     "fixture_paths",
     "record_bundle",
     "record_fixtures",
-    "record_stale_fixtures",
     "scenario_from_fig6",
     "ShrinkResult",
     "cross_path_divergence",

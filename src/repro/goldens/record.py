@@ -13,13 +13,16 @@ RNG-free and rebuilds jobs from the explicit phase lists only.
 Freshness: because the bundle digest covers scenario + traces but not
 provenance, re-recording a fixture's *stored* scenario under the current
 tree must reproduce the committed digest bit-for-bit.  If it does not,
-the tree's behaviour changed without re-recording the fixture —
-:func:`check_freshness` turns that into an ``ABG404`` finding for CI.
+the tree's behaviour changed without re-recording the fixture.  One scan
+decides which fixtures are stale: ``record-traces`` rewrites exactly those
+(:func:`record_fixtures`), and ``record-traces --check`` reports them as
+``ABG404`` findings (:func:`check_freshness`).
 """
 
 from __future__ import annotations
 
 import subprocess
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -33,7 +36,7 @@ from ..io.traces import (
     save_golden_bundle,
 )
 from ..sim.replay import replay_path
-from ..verify.findings import LintFinding, RULES
+from ..verify.findings import LintFinding
 from ..workloads.arrivals import staggered_releases
 from ..workloads.jobsets import JobSetGenerator
 from .spec import DEFAULT_POLICY_PARAMS, ExplicitJob, ScenarioSpec, machine_budgets
@@ -45,10 +48,9 @@ __all__ = [
     "machines_scenario",
     "default_scenarios",
     "record_bundle",
-    "record_fixtures",
-    "record_stale_fixtures",
     "fixture_paths",
     "check_freshness",
+    "record_fixtures",
 ]
 
 #: Where committed fixtures live, relative to the repository root.
@@ -395,157 +397,125 @@ def record_bundle(
     )
 
 
-def record_fixtures(
-    out_dir: str | Path,
-    scenarios: Sequence[ScenarioSpec] | None = None,
-) -> list[Path]:
-    """Record every scenario into ``out_dir`` as ``<scenario_id>.json``."""
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    specs = tuple(scenarios) if scenarios is not None else default_scenarios()
-    for spec in specs:
-        bundle = record_bundle(spec)
-        written.append(
-            save_golden_bundle(directory / f"{spec.scenario_id}.json", bundle)
-        )
-    return written
-
-
-def record_stale_fixtures(
-    out_dir: str | Path,
-    scenarios: Sequence[ScenarioSpec] | None = None,
-) -> tuple[list[Path], list[Path]]:
-    """Re-record only the stale fixtures — the write-side twin of
-    :func:`check_freshness` (the CLI's ``--record-on-green`` mode).
-
-    A registry fixture is *stale* when its file is missing or unreadable,
-    its stored scenario no longer matches the registry's materialization,
-    or its digest differs from a fresh recording.  Extra fixtures beyond
-    the registry (shrinker-emitted regressions) are re-recorded from their
-    *stored* scenarios when their digest drifted, and left alone when
-    unreadable (``check_freshness`` surfaces those as findings).  Fresh
-    fixtures are never rewritten, so their bytes — including historical
-    ``recorded_rev`` provenance — stay untouched.
-
-    Returns ``(written, skipped)`` paths, each in deterministic order.
-    """
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    registry = tuple(scenarios) if scenarios is not None else default_scenarios()
-    written: list[Path] = []
-    skipped: list[Path] = []
-    registry_files: set[str] = set()
-    for spec in registry:
-        path = directory / f"{spec.scenario_id}.json"
-        registry_files.add(path.name)
-        fresh = record_bundle(spec)
-        stale = True
-        if path.exists():
-            try:
-                bundle = load_golden_bundle(path)
-            except ValueError:
-                pass
-            else:
-                stale = (
-                    bundle.scenario != fresh.scenario
-                    or bundle.digest != fresh.digest
-                )
-        if stale:
-            written.append(save_golden_bundle(path, fresh))
-        else:
-            skipped.append(path)
-    for path in fixture_paths(directory):
-        if path.name in registry_files:
-            continue
-        try:
-            bundle = load_golden_bundle(path)
-            stored = ScenarioSpec.from_dict(bundle.scenario)
-        except ValueError:
-            continue
-        fresh = record_bundle(stored)
-        if fresh.digest != bundle.digest:
-            written.append(save_golden_bundle(path, fresh))
-        else:
-            skipped.append(path)
-    return written, skipped
-
-
 def fixture_paths(fixture_dir: str | Path) -> list[Path]:
     """All fixture files in a directory, in deterministic name order."""
     return sorted(Path(fixture_dir).glob("*.json"))
 
 
-def _finding(code: str, path: str, message: str) -> LintFinding:
-    severity, _summary = RULES[code]
-    return LintFinding(
-        path=path, line=1, col=0, code=code, message=message, severity=severity
+@dataclass(frozen=True, slots=True)
+class _StaleFixture:
+    """One fixture that re-recording from the current tree would change.
+
+    ``finding`` says why (``ABG403`` unreadable, ``ABG404`` stale);
+    ``fresh`` is the bundle to write in its place, or None when there is
+    no scenario to record from (an unreadable fixture outside the
+    registry).
+    """
+
+    path: Path
+    finding: LintFinding
+    fresh: GoldenBundle | None
+
+
+def _check_fixture(path: Path, spec: ScenarioSpec | None) -> _StaleFixture | None:
+    """Whether the fixture at ``path`` (recorded from the registry's
+    ``spec``, or from its own stored scenario when ``spec`` is None) is
+    stale; None when re-recording reproduces it."""
+
+    def stale(code: str, message: str, fresh: GoldenBundle | None) -> _StaleFixture:
+        finding = LintFinding(path=str(path), line=1, col=0, code=code, message=message)
+        return _StaleFixture(path, finding, fresh)
+
+    if spec is not None and not path.exists():
+        return stale(
+            "ABG404",
+            f"registry scenario {spec.scenario_id!r} has no recorded fixture; "
+            "run `python -m repro record-traces`",
+            record_bundle(spec),
+        )
+    try:
+        bundle = load_golden_bundle(path)
+        stored = ScenarioSpec.from_dict(bundle.scenario)
+    except ValueError as exc:
+        return stale("ABG403", str(exc), None if spec is None else record_bundle(spec))
+    if spec is not None and spec.to_dict() != bundle.scenario:
+        return stale(
+            "ABG404",
+            f"fixture scenario {stored.scenario_id!r} no longer matches the "
+            "registry's materialization; re-record with "
+            "`python -m repro record-traces`",
+            record_bundle(spec),
+        )
+    fresh = record_bundle(stored)
+    if fresh.digest == bundle.digest:
+        return None
+    return stale(
+        "ABG404",
+        f"re-recording scenario {stored.scenario_id!r} from the current tree "
+        f"changes its digest ({bundle.digest[:12]} -> {fresh.digest[:12]}); "
+        "behaviour drifted — re-record or fix the regression",
+        fresh,
     )
+
+
+def _scan_fixtures(
+    fixture_dir: str | Path,
+    scenarios: Sequence[ScenarioSpec] | None = None,
+) -> tuple[list[_StaleFixture], list[Path]]:
+    """Would re-recording from the current tree change any fixture?
+
+    The registry (``scenarios``, default :func:`default_scenarios`) owns
+    ``<scenario_id>.json``: that file is stale when it is missing or
+    unreadable, when its stored scenario no longer matches the registry's
+    materialization, or when re-recording gives a different digest.  Any
+    other fixture in the directory (e.g. a shrinker-emitted regression) is
+    re-recorded from its own stored scenario and is stale when its digest
+    drifted or it is unreadable.
+
+    Returns ``(stale, fresh)``, each in fixture-name order.
+    """
+    directory = Path(fixture_dir)
+    registry = tuple(scenarios) if scenarios is not None else default_scenarios()
+    owner: dict[Path, ScenarioSpec | None] = dict.fromkeys(fixture_paths(directory))
+    owner.update((directory / f"{spec.scenario_id}.json", spec) for spec in registry)
+    stale: list[_StaleFixture] = []
+    fresh: list[Path] = []
+    for path in sorted(owner):
+        verdict = _check_fixture(path, owner[path])
+        if verdict is None:
+            fresh.append(path)
+        else:
+            stale.append(verdict)
+    return stale, fresh
 
 
 def check_freshness(
     fixture_dir: str | Path,
     scenarios: Sequence[ScenarioSpec] | None = None,
 ) -> list[LintFinding]:
-    """Would re-recording from the current tree change any fixture?
+    """The staleness scan's verdict as findings (``record-traces
+    --check``): ``ABG404`` per stale fixture, ``ABG403`` per unreadable one."""
+    stale, _fresh = _scan_fixtures(fixture_dir, scenarios)
+    return [s.finding for s in stale]
 
-    Three checks, each an ``ABG404`` finding when violated:
 
-    - every committed fixture, re-recorded from its own *stored* scenario
-      (RNG-free), must reproduce the committed digest;
-    - every registry scenario must have a fixture file, and that file's
-      stored scenario must match the registry's materialization (catches a
-      generator or registry edit without re-recording);
-    - unreadable fixtures surface as ``ABG403``.
+def record_fixtures(
+    out_dir: str | Path,
+    scenarios: Sequence[ScenarioSpec] | None = None,
+) -> tuple[list[Path], list[Path]]:
+    """Re-record exactly the fixtures the staleness scan finds stale
+    (``record-traces``).
 
-    Extra fixture files beyond the registry (e.g. shrinker-emitted
-    regressions) are allowed; they are still digest-checked.
+    Fresh fixtures are never rewritten, so their bytes, including the
+    ``recorded_rev`` provenance of the tree that recorded them, stay
+    untouched and a re-record's diff shows exactly which behaviours
+    changed.  An unreadable fixture outside the registry is left alone
+    (``--check`` reports it).  Returns ``(written, fresh)`` paths.
     """
-    directory = Path(fixture_dir)
-    registry = tuple(scenarios) if scenarios is not None else default_scenarios()
-    findings: list[LintFinding] = []
-    by_id = {spec.scenario_id: spec for spec in registry}
-    seen: set[str] = set()
-    for path in fixture_paths(directory):
-        rel = str(path)
-        try:
-            bundle = load_golden_bundle(path)
-            stored = ScenarioSpec.from_dict(bundle.scenario)
-        except ValueError as exc:
-            findings.append(_finding("ABG403", rel, str(exc)))
-            continue
-        seen.add(stored.scenario_id)
-        registered = by_id.get(stored.scenario_id)
-        if registered is not None and registered.to_dict() != bundle.scenario:
-            findings.append(
-                _finding(
-                    "ABG404",
-                    rel,
-                    f"fixture scenario {stored.scenario_id!r} no longer matches "
-                    "the registry's materialization; re-record with "
-                    "`python -m repro record-traces`",
-                )
-            )
-            continue
-        fresh = record_bundle(stored)
-        if fresh.digest != bundle.digest:
-            findings.append(
-                _finding(
-                    "ABG404",
-                    rel,
-                    f"re-recording scenario {stored.scenario_id!r} from the "
-                    f"current tree changes its digest ({bundle.digest[:12]} -> "
-                    f"{fresh.digest[:12]}); behaviour drifted — re-record or "
-                    "fix the regression",
-                )
-            )
-    for scenario_id in sorted(set(by_id) - seen):
-        findings.append(
-            _finding(
-                "ABG404",
-                str(directory / f"{scenario_id}.json"),
-                f"registry scenario {scenario_id!r} has no recorded fixture; "
-                "run `python -m repro record-traces`",
-            )
-        )
-    return findings
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    stale, fresh = _scan_fixtures(directory, scenarios)
+    written = [
+        save_golden_bundle(s.path, s.fresh) for s in stale if s.fresh is not None
+    ]
+    return written, fresh

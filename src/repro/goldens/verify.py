@@ -27,12 +27,7 @@ from ..experiments.parallel import map_deterministic
 from ..io.traces import load_golden_bundle
 from ..runtime import FaultPlan, unit_key
 from ..sim.replay import EXECUTION_PATHS, replay_path
-from ..verify.findings import (
-    LintFinding,
-    exit_code,
-    findings_payload,
-    rule_severity,
-)
+from ..verify.findings import LintFinding, exit_code, findings_payload
 from .diff import first_divergence
 from .spec import ScenarioSpec
 
@@ -115,12 +110,7 @@ def _finding_for(outcome: dict[str, Any]) -> LintFinding | None:
             code = "ABG402"
         message = f"[{outcome['path']}] {divergence['summary']}"
     return LintFinding(
-        path=outcome["fixture"],
-        line=1,
-        col=0,
-        code=code,
-        message=message,
-        severity=rule_severity(code),
+        path=outcome["fixture"], line=1, col=0, code=code, message=message
     )
 
 

@@ -54,7 +54,7 @@ quantum it checks whether the next is a literal fixed point of it: the
 feedback recurrences hold every request bit-identical
 (:meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`), the
 allocator certifies its grants repeat
-(:meth:`~repro.core.allocators.base.Allocator.allocation_fixed_point`), and
+(:meth:`~repro.allocators.base.Allocator.allocation_fixed_point`), and
 every job's remaining segment chunks sustain identical pure quanta (closed
 forms in :mod:`repro.sim.superstep`).  When all hold, ``K`` quanta advance
 at once and their ``K`` identical records land as one repeat-group in the

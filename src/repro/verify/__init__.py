@@ -20,7 +20,7 @@ map, and CONTRIBUTING.md for how to run both locally.
 All exports resolve lazily: the engines import
 :mod:`repro.verify.violations` for their strict mode, so this package
 ``__init__`` must not (transitively) import the engines back, and
-``python -m repro.verify.lint`` must not import the audit stack at all.
+``python -m repro lint`` must not import the audit stack at all.
 """
 
 from __future__ import annotations

@@ -264,7 +264,7 @@ def audit_trace(
 
     # d(1) is assigned verbatim by FeedbackPolicy.first_request, never
     # computed, so exact comparison is the correct check here.
-    if request[0] != 1.0:  # noqa: ABG102
+    if request[0] != 1.0:  # abg: allow[ABG102] reason=d(1) is assigned verbatim
         out.append(
             Violation(
                 V.V_FIRST_REQUEST,

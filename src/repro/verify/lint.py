@@ -1,86 +1,32 @@
 """Repo-specific determinism and correctness lint pass.
 
 A small AST linter encoding the rules that generic tools cannot know about
-this codebase (see CONTRIBUTING.md "Ground rules"):
+this codebase (see CONTRIBUTING.md "Ground rules").  The ``ABG1xx`` rules
+and ``ABG290`` apply to every file; ``ABG311`` and ``ABG313`` only to the
+array-kernel modules (:data:`KERNEL_PATTERNS`), where tests cannot
+reliably reach the hazard.  :data:`repro.verify.findings.RULES` describes
+each rule; ``python -m repro lint --explain CODE`` prints one.
 
-``ABG101`` **unseeded randomness** — the ``random`` stdlib module and the
-legacy ``numpy.random.<fn>()`` global-state functions are banned inside
-``src/repro``; every source of randomness must be an explicitly passed
-``numpy.random.Generator`` (``default_rng(seed)`` construction is allowed).
-Global random state silently breaks bit-for-bit reproducibility.
-
-``ABG102`` **float equality** — ``==`` / ``!=`` against a float literal.
-Controller states and spans are accumulated floats; exact comparison is a
-latent flake.  Compare against a tolerance, or suppress with ``# noqa:
-ABG102`` where exactness is structural (e.g. a value assigned verbatim).
-
-``ABG103`` **mutable default argument** — list/dict/set displays or
-constructor calls as parameter defaults alias state across calls.
-
-``ABG104`` **set-order iteration** — ``for`` loops (and sorted-less
-comprehensions) iterating a set display or ``set(...)`` call directly.
-Set iteration order depends on hash seeding; schedulers must iterate in a
-deterministic order (sort first).
-
-``ABG105`` **__all__ consistency** — every name exported in ``__all__``
-must exist at module top level, and every public top-level function/class
-must be listed in ``__all__`` (when the module declares one).
-
-``ABG290`` **unjustified suppression** — an ``# abg: allow[...]`` comment
-without a ``reason=`` clause (see :mod:`repro.verify.findings`).
-
-Two numeric rules apply only to the array-kernel modules
-(:data:`KERNEL_PATTERNS`), where tests cannot reliably reach the hazard:
-
-``ABG311`` **unstable indirect sort** — ``argsort`` without
-``kind="stable"``.  Tie order under the default introsort follows memory
-layout, and test data may never produce the ties that expose it.  Plain
-value sorts are deterministic under any algorithm and are not flagged.
-
-``ABG313`` **platform-dependent dtype** — ``np.arange``/``array``/
-``asarray``/``fromiter``/``full`` without ``dtype=``.  Integer results
-default to the platform C long, and CI runs on one platform only.
-(``zeros``/``empty``/``ones`` default to float64 everywhere.)
-
-Suppression: a trailing ``# noqa`` comment silences every rule on that
-line; ``# noqa: ABG102[,ABG104]`` silences specific rules; the
-justification-required ``# abg: allow[ABG104] reason=...`` form works for
-every rule.
-
-Run as a module::
-
-    python -m repro.verify.lint src/repro        # exit 1 on findings
+Run it with ``python -m repro lint [paths...]`` (exit 1 on findings).
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .findings import (
-    LintFinding,
-    is_suppressed,
-    rule_severity,
-    scan_suppressions,
-)
+from .findings import LintFinding, scan_suppressions
 
 __all__ = [
     "LintFinding",
     "check_source",
     "check_file",
     "lint_paths",
-    "main",
-    "RULE_CODES",
     "KERNEL_PATTERNS",
     "is_kernel_path",
 ]
-
-RULE_CODES = (
-    "ABG101", "ABG102", "ABG103", "ABG104", "ABG105", "ABG290", "ABG311", "ABG313"
-)
 
 #: Path globs of the array-kernel modules ABG311/ABG313 cover.
 KERNEL_PATTERNS: tuple[str, ...] = (
@@ -122,8 +68,7 @@ class _Linter(ast.NodeVisitor):
     def __init__(self, path: str, source: str):
         self.path = path
         self.kernel = is_kernel_path(path)
-        self.lines = source.splitlines()
-        self.findings: list[LintFinding] = []
+        self.allowed, self.findings = scan_suppressions(source, path)
         self._np_aliases: set[str] = set()
         self._np_random_aliases: set[str] = set()
         self._random_module_aliases: set[str] = set()
@@ -133,18 +78,9 @@ class _Linter(ast.NodeVisitor):
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
-        if is_suppressed(self.lines, line, code):
+        if code in self.allowed.get(line, ()):
             return
-        self.findings.append(
-            LintFinding(
-                path=self.path,
-                line=line,
-                col=col,
-                code=code,
-                message=message,
-                severity=rule_severity(code),
-            )
-        )
+        self.findings.append(LintFinding(self.path, line, col, code, message))
 
     # -- ABG101: unseeded randomness ----------------------------------------
 
@@ -293,8 +229,9 @@ class _Linter(ast.NodeVisitor):
                     node,
                     "ABG102",
                     "exact ==/!= against a float literal; compare with a "
-                    "tolerance (math.isclose) or add `# noqa: ABG102` if "
-                    "the value is assigned verbatim",
+                    "tolerance (math.isclose), or add `# abg: allow[ABG102] "
+                    "reason=<where it is assigned>` if the value is assigned "
+                    "verbatim",
                 )
                 break
         self.generic_visit(node)
@@ -450,13 +387,11 @@ def check_source(source: str, path: str = "<string>") -> list[LintFinding]:
                 col=exc.offset or 0,
                 code="ABG100",
                 message=f"syntax error: {exc.msg}",
-                severity=rule_severity("ABG100"),
             )
         ]
     linter = _Linter(path, source)
     linter.visit(tree)
     linter.check_module_exports(tree)
-    linter.findings.extend(scan_suppressions(linter.lines, path))
     return sorted(linter.findings, key=lambda f: (f.line, f.col, f.code))
 
 
@@ -484,25 +419,3 @@ def lint_paths(paths: Iterable[Path | str]) -> list[LintFinding]:
     for f in _iter_python_files(paths):
         findings.extend(check_file(f))
     return findings
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not args:
-        print("usage: python -m repro.verify.lint <file-or-dir> ...", file=sys.stderr)
-        return 2
-    try:
-        findings = lint_paths(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(f"{len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

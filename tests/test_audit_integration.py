@@ -68,13 +68,3 @@ class TestCliEntryPoints:
         assert main(["--audit", "theorem1"]) == 0
         out = capsys.readouterr().out
         assert "all invariants hold" in out
-
-    def test_audit_subcommand_with_lint(self, capsys, tmp_path):
-        from repro.cli import main
-
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "--lint", str(dirty)])
-        assert exc.value.code == 1
-        assert "ABG101" in capsys.readouterr().out

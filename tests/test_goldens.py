@@ -22,7 +22,6 @@ from repro.goldens import (
     fixture_paths,
     record_bundle,
     record_fixtures,
-    record_stale_fixtures,
     scenario_from_fig6,
     verify_traces,
 )
@@ -471,9 +470,11 @@ class TestFreshness:
         data["digest"] = "0" * 64
         path.write_text(json.dumps(data))
         findings = check_freshness(tmp_path, [tiny_spec()])
-        # the corrupt file is ABG403; its registry scenario is then left
-        # without a usable recording, which is an ABG404 on top
-        assert "ABG403" in {f.code for f in findings}
+        assert [f.code for f in findings] == ["ABG403"]
+        # the writer replaces it from the registry
+        written, _fresh = record_fixtures(tmp_path, [tiny_spec()])
+        assert written == [path]
+        assert check_freshness(tmp_path, [tiny_spec()]) == []
 
     def test_extra_regression_fixture_is_allowed(self, tmp_path):
         scenarios = [tiny_spec()]
@@ -532,7 +533,7 @@ class TestCli:
         record_fixtures(out, [tiny_spec()])
         assert main(["verify-traces", "--fixtures", out, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["errors"] == 0
+        assert payload["summary"] == {"total": 0}
         assert len(payload["outcomes"]) == 2
 
     def test_verify_empty_dir_is_usage_error(self, tmp_path):
@@ -545,24 +546,17 @@ class TestCli:
         from repro.cli import main
 
         out = str(tmp_path / "goldens")
-        assert (
-            main(
-                [
-                    "record-traces",
-                    "--out",
-                    out,
-                    "--from-experiments",
-                    "smoke",
-                    "--sets",
-                    "1",
-                ]
-            )
-            == 0
-        )
+        argv = ["record-traces", "--out", out, "--from-experiments", "smoke", "--sets", "1"]
+        assert main(argv) == 0
         paths = fixture_paths(out)
         assert [p.stem for p in paths] == ["fig6-smoke-set0"]
         report = verify_traces(paths)
         assert report.passed
+        # --check scans against the same experiment scenarios, not the
+        # default registry
+        capsys.readouterr()
+        assert main([*argv, "--check"]) == 0
+        assert capsys.readouterr().out.strip() == "clean: no findings"
 
 
 def dag_spec(scenario_id: str = "dag-tiny", **overrides) -> ScenarioSpec:
@@ -659,22 +653,25 @@ class TestDagScenarios:
 
 
 class TestRecordOnGreen:
+    """``record_fixtures`` (``record-traces``) rewrites exactly the stale
+    fixtures and leaves green ones byte-untouched."""
+
     def test_initial_record_writes_everything(self, tmp_path):
-        written, skipped = record_stale_fixtures(tmp_path, [tiny_spec()])
+        written, skipped = record_fixtures(tmp_path, [tiny_spec()])
         assert [p.stem for p in written] == ["tiny"]
         assert skipped == []
 
     def test_green_fixtures_stay_byte_identical(self, tmp_path):
-        record_stale_fixtures(tmp_path, [tiny_spec()])
+        record_fixtures(tmp_path, [tiny_spec()])
         before = (tmp_path / "tiny.json").read_bytes()
-        written, skipped = record_stale_fixtures(tmp_path, [tiny_spec()])
+        written, skipped = record_fixtures(tmp_path, [tiny_spec()])
         assert written == []
         assert [p.stem for p in skipped] == ["tiny"]
         assert (tmp_path / "tiny.json").read_bytes() == before
 
     def test_only_the_diverged_fixture_is_rewritten(self, tmp_path):
         scenarios = [tiny_spec(), tiny_spec(scenario_id="tiny2", quantum_length=60)]
-        record_stale_fixtures(tmp_path, scenarios)
+        record_fixtures(tmp_path, scenarios)
         fresh_bytes = (tmp_path / "tiny.json").read_bytes()
         # Simulate behaviour drift on one fixture: tamper with its traces.
         path = tmp_path / "tiny2.json"
@@ -682,26 +679,26 @@ class TestRecordOnGreen:
         key = next(iter(data["traces"]))
         data["traces"][key]["records"][0]["allotment"] += 1
         path.write_text(json.dumps(data))
-        written, skipped = record_stale_fixtures(tmp_path, scenarios)
+        written, skipped = record_fixtures(tmp_path, scenarios)
         assert [p.stem for p in written] == ["tiny2"]
         assert [p.stem for p in skipped] == ["tiny"]
         assert (tmp_path / "tiny.json").read_bytes() == fresh_bytes
         assert check_freshness(tmp_path, scenarios) == []
 
     def test_registry_change_re_records_that_fixture(self, tmp_path):
-        record_stale_fixtures(tmp_path, [tiny_spec()])
+        record_fixtures(tmp_path, [tiny_spec()])
         changed = [tiny_spec(quantum_length=60)]
-        written, skipped = record_stale_fixtures(tmp_path, changed)
+        written, skipped = record_fixtures(tmp_path, changed)
         assert [p.stem for p in written] == ["tiny"]
         assert skipped == []
         assert check_freshness(tmp_path, changed) == []
 
     def test_extra_regression_fixture_checked_not_clobbered(self, tmp_path):
-        record_stale_fixtures(tmp_path, [tiny_spec()])
+        record_fixtures(tmp_path, [tiny_spec()])
         extra = tiny_spec(scenario_id="tiny-min")
         save_golden_bundle(tmp_path / "tiny-min.json", record_bundle(extra))
         before = (tmp_path / "tiny-min.json").read_bytes()
-        written, skipped = record_stale_fixtures(tmp_path, [tiny_spec()])
+        written, skipped = record_fixtures(tmp_path, [tiny_spec()])
         assert written == []
         assert {p.stem for p in skipped} == {"tiny", "tiny-min"}
         assert (tmp_path / "tiny-min.json").read_bytes() == before
@@ -711,8 +708,10 @@ class TestRecordOnGreen:
 
         out = str(tmp_path / "goldens")
         assert main(["record-traces", "--out", out]) == 0
-        capsys.readouterr()
-        assert main(["record-traces", "--out", out, "--record-on-green"]) == 0
+        assert "re-recorded 9 stale fixture(s)" in capsys.readouterr().out
+        before = {p.name: p.read_bytes() for p in fixture_paths(out)}
+        assert main(["record-traces", "--out", out]) == 0
+        assert {p.name: p.read_bytes() for p in fixture_paths(out)} == before
         text = capsys.readouterr().out
         assert "re-recorded 0 stale fixture(s)" in text
         assert "left 9 green fixture(s) untouched" in text

@@ -8,11 +8,12 @@ stdlib); ``ruff`` and ``mypy --strict`` run when the tools are installed
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 import re
 import shutil
 import subprocess
 import sys
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -29,27 +30,42 @@ def test_custom_lint_clean() -> None:
 
 
 
-def test_suppressions_name_known_rules() -> None:
-    """Every code in an ``abg: allow[...]`` or ``noqa: ABGnnn`` comment is a
-    live rule: a suppression of a deleted or misspelled rule is dead text."""
-    from repro.verify.findings import RULES
+#: A fully qualified Sphinx cross-reference into the package.
+_XREF = re.compile(r":(?:mod|func|class|meth|data|attr):`~?(repro(?:\.\w+)+)`")
 
-    unknown: list[str] = []
+
+def _resolve(target: str) -> None:
+    """Import the longest module prefix of ``target``, then look up the
+    rest as attributes (a dataclass field counts as one)."""
+    parts = target.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[i:]:
+            if name in getattr(obj, "__annotations__", {}) and not hasattr(obj, name):
+                return
+            obj = getattr(obj, name)
+        return
+    raise ImportError(f"no module in {target!r}")
+
+
+def test_docstring_cross_references_resolve() -> None:
+    """Every ``:func:`repro...```-style reference in the source names
+    something that exists."""
+    broken: list[str] = []
+    targets = 0
     for path in sorted(SRC.rglob("*.py")):
-        with path.open("rb") as handle:
-            for tok in tokenize.tokenize(handle.readline):
-                if tok.type != tokenize.COMMENT:
-                    continue
-                codes: list[str] = []
-                allow = re.search(r"abg:\s*allow\[([^\]]*)\]", tok.string)
-                if allow:
-                    codes += [c.strip().upper() for c in allow.group(1).split(",")]
-                noqa = re.search(r"noqa:([^#]*)", tok.string)
-                if noqa:
-                    codes += re.findall(r"ABG\d{3}", noqa.group(1).upper())
-                where = f"{path.relative_to(REPO_ROOT)}:{tok.start[0]}"
-                unknown += [f"{where} {c}" for c in codes if c not in RULES]
-    assert unknown == [], "\n".join(unknown)
+        for match in _XREF.finditer(path.read_text(encoding="utf-8")):
+            targets += 1
+            try:
+                _resolve(match.group(1))
+            except (ImportError, AttributeError) as exc:
+                broken.append(f"{path.relative_to(REPO_ROOT)}: {match.group(1)} ({exc})")
+    assert targets > 100
+    assert broken == [], "\n".join(broken)
+
 
 def test_all_signatures_annotated() -> None:
     """Cheap proxy for ``mypy --strict``'s no-untyped-def: every function in
@@ -84,6 +100,19 @@ def test_tools_runner_lints_the_tree() -> None:
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_tools_runner_works_outside_the_repo(tmp_path: Path) -> None:
+    """The shim lints the package from any working directory, and passes
+    flags through instead of mistaking them for paths."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "run_lint.py"), "--format", "json"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["summary"] == {"total": 0}
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")

@@ -1,10 +1,11 @@
 """Tests for the determinism/invariant lint pass (``repro.verify.lint``).
 
 Each rule must fire on a minimal synthetic source, stay quiet on the
-idiomatic alternative, and honor ``# noqa`` / ``# abg: allow`` suppression;
-the kernel-module rules must fire on seeded mutations of the real tree; the
-rule registry, the ``--explain`` catalogue and docs/STATIC_ANALYSIS.md must
-list the same rules; the shipped source tree must lint clean.
+idiomatic alternative, and honor only the ``# abg: allow`` suppression;
+the kernel-module rules must fire on seeded mutations of the real tree;
+``--explain`` must describe every rule in ``RULES``, and
+docs/STATIC_ANALYSIS.md must list the same codes and summaries; the
+shipped source tree must lint clean.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.verify.catalogue import CATALOGUE, explain
-from repro.verify.findings import RULES
-from repro.verify.lint import check_source, is_kernel_path, lint_paths, main
+from repro.verify.findings import RULES, explain
+from repro.verify.lint import check_source, is_kernel_path, lint_paths
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 DOC_PATH = REPO_SRC.parent.parent / "docs" / "STATIC_ANALYSIS.md"
@@ -109,11 +109,13 @@ class TestDunderAllConsistency:
 
 
 class TestNoqaSuppression:
-    def test_specific_code_suppressed(self):
-        assert codes("if x == 1.0:  # noqa: ABG102\n    pass\n") == []
+    """``# noqa`` is not an ABG suppression: only ``# abg: allow`` is."""
 
-    def test_bare_noqa_suppresses_everything(self):
-        assert codes("for x in {1, 2}:  # noqa\n    pass\n") == []
+    def test_noqa_code_does_not_suppress(self):
+        assert codes("if x == 1.0:  # noqa: ABG102\n    pass\n") == ["ABG102"]
+
+    def test_bare_noqa_does_not_suppress(self):
+        assert codes("for x in {1, 2}:  # noqa\n    pass\n") == ["ABG104"]
 
     def test_other_code_not_suppressed(self):
         assert "ABG102" in codes("if x == 1.0:  # noqa: ABG104\n    pass\n")
@@ -125,17 +127,22 @@ class TestTreeAndRunner:
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_main_exit_codes(self, tmp_path: Path, capsys):
+        """``repro lint``: 0 when clean, 1 with findings."""
         clean = tmp_path / "clean.py"
         clean.write_text("def f() -> int:\n    return 1\n")
         dirty = tmp_path / "dirty.py"
         dirty.write_text("import random\n")
-        assert main([str(clean)]) == 0
-        assert main([str(dirty)]) == 1
+        assert cli_main(["lint", str(clean)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lint", str(dirty)])
+        assert exc.value.code == 1
         assert "ABG101" in capsys.readouterr().out
-        assert main([]) == 2
 
     def test_main_rejects_missing_path(self, tmp_path: Path, capsys):
-        assert main([str(tmp_path / "nope.py")]) == 2
+        """``repro lint``: 2 for a missing path, message on stderr."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lint", str(tmp_path / "nope.py")])
+        assert exc.value.code == 2
         assert "no such file" in capsys.readouterr().err
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path: Path):
@@ -168,6 +175,15 @@ class TestAllowSuppression:
             "ABG102",
             "ABG290",
         ]
+
+    @pytest.mark.parametrize("listed", ["", " ", "ABG999", "ABG102, ABG999"])
+    def test_allow_naming_no_known_code_is_inert(self, listed):
+        src = f"if x == 1.0:  # abg: allow[{listed}] reason=because\n    pass\n"
+        assert codes(src) == ["ABG102", "ABG290"]
+
+    def test_allow_inside_a_string_is_not_a_comment(self):
+        src = 'MSG = "# abg: allow[ABG102]"\nok = x == 1.0  # abg: allow[ABG102] reason=sentinel\n'
+        assert codes(src) == []
 
 
 class TestKernelPathMatching:
@@ -327,11 +343,7 @@ class TestLintCli:
         clean.write_text("def f() -> int:\n    return 1\n")
         assert cli_main(["lint", "--format", "json", str(clean)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {
-            "schema": 3,
-            "findings": [],
-            "summary": {"total": 0, "errors": 0},
-        }
+        assert payload == {"schema": 4, "findings": [], "summary": {"total": 0}}
 
     def test_json_format_reports_findings(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
@@ -339,22 +351,27 @@ class TestLintCli:
         with pytest.raises(SystemExit):
             cli_main(["lint", "--format", "json", str(dirty)])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["errors"] == 1
+        assert payload["summary"] == {"total": 1}
         assert payload["findings"][0]["code"] == "ABG101"
+        assert "severity" not in payload["findings"][0]
 
 
 class TestCatalogue:
+    """``RULES`` is the one rule table: ``--explain`` formats it and the
+    doc lists its codes and summaries."""
+
     def test_registry_covers_every_rule(self):
-        assert set(CATALOGUE) == set(RULES)
+        for code, rule in RULES.items():
+            assert rule.summary and rule.hazard, code
+            assert rule.example and rule.suppression, code
 
     def test_doc_mentions_every_code(self):
         live, _, _ = DOC_PATH.read_text().partition("## Removed rules")
         assert set(re.findall(r"ABG\d{3}", live)) == set(RULES)
 
     def test_descriptions_track_the_rule_registry(self):
-        for code, entry in CATALOGUE.items():
-            assert entry.description == RULES[code][1]
-            assert entry.hazard and entry.example and entry.suppression
+        table = re.findall(r"^\| `(ABG\d{3})` \| (.+) \|$", DOC_PATH.read_text(), re.M)
+        assert dict(table) == {code: rule.summary for code, rule in RULES.items()}
 
     def test_explain_formats_an_entry(self):
         text = explain("ABG311")
@@ -368,4 +385,18 @@ class TestCatalogue:
     def test_explain_cli(self, capsys):
         assert cli_main(["lint", "--explain", "abg313"]) == 0
         out = capsys.readouterr().out
-        assert "ABG313" in out and "Suppression guidance" in out
+        assert "ABG313" in out and "Suppression:" in out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lint", "--explain", "ABG999"])
+        assert exc.value.code == 2
+        assert "unknown rule 'ABG999'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", sorted(RULES))
+    def test_explain_every_rule(self, code, capsys):
+        assert cli_main(["lint", "--explain", code]) == 0
+        out = capsys.readouterr().out
+        rule = RULES[code]
+        assert out.startswith(f"{code}: {rule.summary}\n")
+        for title in ("Hazard:", "Example (fires the rule):", "Suppression:"):
+            assert title in out
+        assert rule.hazard in out and rule.suppression in out

@@ -6,8 +6,8 @@ Exists so the lint can be invoked without an installed package or a
 
     python tools/run_lint.py [--format json] [paths...]
 
-Defaults to linting ``src/repro`` when no paths are given; flags pass
-through to the ``lint`` subcommand.
+Arguments pass through to the ``lint`` subcommand, which lints the
+``repro`` package itself when no paths are given.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    if not any(not a.startswith("-") for a in args):
-        args = [*args, str(REPO_ROOT / "src" / "repro")]
-    sys.exit(main(["lint", *args]))
+    sys.exit(main(["lint", *sys.argv[1:]]))
