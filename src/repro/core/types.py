@@ -34,6 +34,7 @@ __all__ = [
     "JobTrace",
     "columns_valid",
     "integer_request",
+    "integer_requests",
     "quantum_records_from_columns",
     "transition_factor_of_series",
 ]
@@ -53,6 +54,17 @@ def integer_request(d: float) -> int:
     if d != d or d < 0:  # NaN or negative
         raise ValueError(f"invalid processor request {d!r}")
     return max(1, math.ceil(d - 1e-9))
+
+
+def integer_requests(d: np.ndarray) -> np.ndarray:
+    """:func:`integer_request` over an array of requests, as int64.
+
+    The same ceiling-with-tolerance arithmetic, without the validation: each
+    caller decides what a NaN or negative entry means (the simulation kernel
+    raises, the auditor reports a violation), and must keep every entry it
+    converts below ``2**63``.
+    """
+    return np.maximum(1, np.ceil(d - 1e-9).astype(np.int64))
 
 
 @dataclass(frozen=True, slots=True)

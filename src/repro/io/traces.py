@@ -27,9 +27,13 @@ those objects one field at a time:
   ``:``, so the text's colon count equals the parsed payload's key count
   exactly when no key was dropped and no string holds a colon.  On any
   other count the text is parsed again with a hook that rejects the first
-  duplicate key.  Record fields are then type-checked per column; a trace
-  whose columns fail any check goes through the row-by-row checks, which
-  raise the first error in row order.
+  duplicate key.  Record fields are type-checked per column, and the key
+  count reuses that check: a ``"records"`` list whose objects each hold
+  exactly the ten record fields and pass it is counted from its length
+  and keeps its checked columns, so no record value is visited twice.  A
+  record list that fails the column check is counted key by key, so the
+  duplicate-key check still comes first, and then goes through the
+  row-by-row checks, which raise the first error in row order.
 
 Golden bundles
 --------------
@@ -292,6 +296,8 @@ def _columns_from_records(records: list[Any], where: str) -> TraceColumns:
     the error raised is the first one in row order — exactly what building
     the trace record by record raises.
     """
+    if type(records) is _CheckedRecords:
+        return records.columns
     columns = _checked_columns(records)
     if columns is not None:
         return columns
@@ -395,11 +401,37 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
+class _CheckedRecords(list[Any]):
+    """A parsed ``"records"`` list whose column check passed while
+    :func:`_count_keys` counted its keys, carrying the checked columns so
+    the trace loader does not check them again."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, records: list[Any], columns: TraceColumns) -> None:
+        super().__init__(records)
+        self.columns = columns
+
+
+def _flat_record_columns(records: list[Any]) -> TraceColumns | None:
+    """Checked columns of a record list whose objects hold exactly the
+    :data:`RECORD_FIELDS` (so no nested object hides a key), else None."""
+    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(RECORD_FIELDS)}:
+        return None
+    return _checked_columns(records)
+
+
 def _count_keys(value: Any) -> int:
     """Keys of every JSON object in a parsed ``value``, nested ones included.
 
     Walks one nesting level at a time, so a list of flat record objects
-    costs a few C-level passes rather than a python call per field.
+    costs a few C-level passes rather than a python call per field.  A
+    ``"records"`` list whose objects all pass the column check holds
+    exactly ``len(RECORD_FIELDS)`` scalar fields each: it is counted from
+    its length and replaced in its parent object by a
+    :class:`_CheckedRecords` holding the checked columns, which the walk
+    does not enter.  Any other list, record lists with extra keys or a bad
+    field included, is walked.
     """
     total = 0
     level = [value]
@@ -407,6 +439,11 @@ def _count_keys(value: Any) -> int:
         objects = [v for v in level if type(v) is dict]
         lists = [v for v in level if type(v) is list]
         total += sum(map(len, objects))
+        for obj in objects:
+            records = obj.get("records")
+            if type(records) is list and (columns := _flat_record_columns(records)) is not None:
+                obj["records"] = _CheckedRecords(records, columns)
+                total += len(RECORD_FIELDS) * len(records)
         level = [*chain.from_iterable(map(dict.values, objects)), *chain.from_iterable(lists)]
     return total
 

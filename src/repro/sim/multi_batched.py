@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.feedback import FeedbackPolicy
 from ..core.overhead import ReallocationOverhead
-from ..core.types import JobTrace
+from ..core.types import JobTrace, integer_requests
 from ..dag.graph import Dag
 from ..engine.batched import supports_batched
 from ..engine.phased import PhasedJob
@@ -456,14 +456,14 @@ class MultiBatchKernel:
     # ------------------------------------------------------------------
 
     def integer_requests(self) -> np.ndarray:
-        """Vectorized :func:`repro.core.types.integer_request` over all slots
-        (same validation, same ceiling-with-tolerance arithmetic)."""
+        """:func:`repro.core.types.integer_requests` over all slots, with
+        :func:`~repro.core.types.integer_request`'s validation."""
         d = self.request
         ok = d >= 0  # NaN fails the comparison, so one mask catches both
         if not ok.all():
             offender = float(d[int(np.flatnonzero(~ok)[0])])
             raise ValueError(f"invalid processor request {offender!r}")
-        return np.maximum(1, np.ceil(d - 1e-9).astype(np.int64))
+        return integer_requests(d)
 
     def execute_quantum(
         self, alloc: np.ndarray, length: int, overhead: ReallocationOverhead

@@ -28,14 +28,37 @@ capacity/deq-unfair/reservation fair + non-reserving allocator, 5.1 & 6.3
 precedence / incomplete-dag     dag model, Section 2
 not-lowest-level-first          B-Greedy's lowest-level-first rule
 ==============================  =============================================
+
+Checking on columns
+-------------------
+Trace audits read a trace's :class:`~repro.core.columnar.TraceColumns`;
+:func:`audit_multi_result` joins the traces' columns in blocks of about
+:data:`_BLOCK_ROWS` rows, so the per-row checks hold one block's arrays at
+a time.  Each per-row check is one boolean mask over a block
+(:func:`_row_flags`, :func:`_placement_flags`; the A-Control recurrence
+with the scalar check's float operations in the same order), and the
+machine-wide checks reduce every row's start step, allotment and integer
+request grouped by start step (:func:`_boundary_flags`).  The masks decide
+only *where to look*: the scalar checks (:func:`_trace_report`,
+:func:`_boundary_violations`, :func:`_placement_violations`) write every
+message and rerun on the flagged rows and boundaries alone.  So a report —
+violations, their order, their messages and the ``checks`` tuple — is the
+one the scalar checks give on every row, and a clean run costs a few array
+passes.  Where int64 could overflow (a huge request's ceiling, a huge
+``a(q) * steps`` or allotment sum) the mask flags and the python-int check
+decides.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import math
+from typing import Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..analysis.bounds import theorem3_time_bound, theorem4_waste_bound
-from ..core.types import JobTrace, integer_request
+from ..core.columnar import RECORD_FIELDS, TraceColumns
+from ..core.types import JobTrace, integer_request, integer_requests
 from ..dag.graph import Dag
 from ..sim.multi import MultiJobResult
 from . import violations as V
@@ -93,56 +116,196 @@ def _rel_close(a: float, b: float, rtol: float, atol: float) -> bool:
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
-def audit_trace(
-    trace: JobTrace,
-    expect: TraceExpectations | None = None,
-    *,
-    rtol: float = 1e-9,
-    atol: float = 1e-6,
-) -> AuditReport:
-    """Audit one job's quantum trace against the paper's model invariants.
+#: The checks every trace audit runs, in report order.
+_TRACE_CHECKS = (
+    V.V_QUANTUM_INDEX,
+    V.V_FIRST_REQUEST,
+    V.V_REQUEST_NOT_CEIL,
+    V.V_ALLOTMENT_EXCEEDS_AVAILABLE,
+    V.V_ALLOTMENT_EXCEEDS_REQUEST,
+    V.V_STEPS_EXCEED_QUANTUM,
+    V.V_EARLY_STOP_NOT_LAST,
+    V.V_WORK_EXCEEDS_CAPACITY,
+    V.V_IDLE_WITH_READY_TASKS,
+    V.V_SPAN_EXCEEDS_WORK,
+)
 
-    Returns an :class:`AuditReport`; ``report.ok`` means every applicable
-    invariant held.  Pass a :class:`TraceExpectations` to unlock the checks
-    that need ground truth (conservation against the job's true ``T1`` /
-    ``Tinf``, the A-Control recurrence for a known convergence rate, and the
-    Theorem 3/4 bounds).
+#: Below this magnitude an int64 product, sum or ceiling cannot overflow;
+#: at or above it the column flags leave the verdict to the python-int check.
+_INT64_SAFE = 2.0**62
+
+#: The columns the per-row checks read, in the order :func:`_trace_report`
+#: unpacks them.
+_ROW_FIELDS = RECORD_FIELDS[:-1]  # every field but start_step
+
+
+#: Rows per block of traces whose columns the row checks join at once: they
+#: hold one block's arrays at a time, however long the run.
+_BLOCK_ROWS = 8192
+
+
+# ---------------------------------------------------------------------------
+# Column flags: which rows and boundaries the scalar checks must look at
+# ---------------------------------------------------------------------------
+
+
+def _blocks(lengths: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Consecutive trace ranges ``[lo, hi)`` holding at least
+    :data:`_BLOCK_ROWS` rows each, the last one what is left."""
+    lo = rows = 0
+    for k, n in enumerate(lengths):
+        rows += n
+        if rows >= _BLOCK_ROWS:
+            yield lo, k + 1
+            lo, rows = k + 1, 0
+    if lo < len(lengths):
+        yield lo, len(lengths)
+
+
+def _join(columns: Sequence[TraceColumns], name: str) -> np.ndarray:
+    """Field ``name`` of every trace, end to end."""
+    if not columns:  # np.concatenate needs at least one array
+        return getattr(TraceColumns.empty(), name)
+    return np.concatenate([getattr(c, name) for c in columns])
+
+
+def _concat(columns: Sequence[TraceColumns]) -> tuple[TraceColumns, np.ndarray]:
+    """Every trace's columns end to end, with the row offsets: trace ``k``
+    holds rows ``offsets[k]:offsets[k + 1]``."""
+    offsets = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in columns], out=offsets[1:])
+    if len(columns) == 1:
+        return columns[0], offsets
+    return TraceColumns(**{name: _join(columns, name) for name in RECORD_FIELDS}), offsets
+
+
+def _row_flags(
+    cols: TraceColumns,
+    offsets: np.ndarray,
+    exps: Sequence[TraceExpectations],
+    rtol: float,
+    atol: float,
+) -> np.ndarray:
+    """Rows on which some per-row check of :func:`_trace_report` may fire.
+
+    ``cols`` holds the traces audited under ``exps`` end to end (see
+    :func:`_concat`).  Each mask repeats its scalar check's comparison on
+    the int64/float64 columns, the A-Control recurrence with the same float
+    operations in the same order.  Where int64 could overflow (the ceiling
+    of a huge request, a huge ``a(q) * steps``) the row is flagged and the
+    python-int check decides.
     """
-    exp = expect if expect is not None else TraceExpectations()
-    jid = trace.job_id
-    out: list[Violation] = []
-    checks: list[str] = [
-        V.V_QUANTUM_INDEX,
-        V.V_FIRST_REQUEST,
-        V.V_REQUEST_NOT_CEIL,
-        V.V_ALLOTMENT_EXCEEDS_AVAILABLE,
-        V.V_ALLOTMENT_EXCEEDS_REQUEST,
-        V.V_STEPS_EXCEED_QUANTUM,
-        V.V_EARLY_STOP_NOT_LAST,
-        V.V_WORK_EXCEEDS_CAPACITY,
-        V.V_IDLE_WITH_READY_TASKS,
-        V.V_SPAN_EXCEEDS_WORK,
-    ]
+    n = len(cols)
+    lengths = np.diff(offsets)
+    position = np.arange(n, dtype=np.int64) - np.repeat(offsets[:-1], lengths)
+    last = np.zeros(n, dtype=bool)
+    last[offsets[1:][lengths > 0] - 1] = True
+    breadth_first = np.repeat(np.array([e.breadth_first for e in exps], dtype=bool), lengths)
+    rates = [e.convergence_rate for e in exps]
+    has_rate = np.repeat(np.array([r is not None for r in rates], dtype=bool), lengths)
+    rate = np.repeat(np.array([0.0 if r is None else r for r in rates], dtype=np.float64), lengths)
+    d, d_int = cols.request, cols.request_int
+    a, steps, ql = cols.allotment, cols.steps, cols.quantum_length
+    t1, tinf = cols.work, cols.span
+    with np.errstate(all="ignore"):
+        ceil_ok = (d >= 0.0) & (d < _INT64_SAFE)  # False on NaN
+        flags = cols.index != position + 1
+        flags |= ~ceil_ok | (integer_requests(np.where(ceil_ok, d, 0.0)) != d_int)
+        flags |= (a > cols.available) | (a > d_int) | (steps > ql)
+        flags |= (steps < ql) & ~last
+        flags |= (np.abs(a * steps.astype(np.float64)) >= _INT64_SAFE) | (t1 > a * steps)
+        flags |= t1 < steps
+        flags |= tinf > t1 + atol
+        flags |= breadth_first & (tinf > steps + atol)
+        rows = np.flatnonzero(has_rate & (position > 0))
+        if rows.size:
+            r, here, d_prev = rate[rows], d[rows], d[rows - 1]
+            t1_prev, tinf_prev = t1[rows - 1], tinf[rows - 1]
+            a_prev = np.where(tinf_prev == 0, 0.0, t1_prev / tinf_prev)
+            expected = np.where(a_prev <= 0.0, d_prev, r * d_prev + (1.0 - r) * a_prev)
+            scale = np.maximum(np.abs(here), np.abs(expected))
+            close = np.abs(here - expected) <= atol + rtol * scale
+            flags[rows[~close]] = True
+    return flags
 
+
+def _placement_flags(
+    cols: TraceColumns, offsets: np.ndarray, releases: Sequence[int], L: int
+) -> np.ndarray:
+    """Rows that start off the machine-wide quantum grid, plus each trace's
+    first row when it starts before the job's release."""
+    starts = cols.start_step
+    flags = starts % L != 0
+    nonempty = np.diff(offsets) > 0
+    firsts = offsets[:-1][nonempty]
+    early = starts[firsts] < np.asarray(releases)[nonempty]
+    flags[firsts[early]] = True
+    return flags
+
+
+def _boundary_flags(
+    allot: np.ndarray,
+    req: np.ndarray,
+    heads: np.ndarray,
+    P: int,
+    fair: bool,
+    non_reserving: bool,
+) -> np.ndarray:
+    """Boundaries on which some check of :func:`_boundary_violations` may fire.
+
+    Rows are sorted by start step; boundary ``b`` is the run of rows from
+    ``heads[b]`` to the next head.  If an allotment sum could overflow
+    int64, every boundary is flagged.
+    """
+    if not heads.size:
+        return np.zeros(0, dtype=bool)
+    if float(np.abs(allot.astype(np.float64)).max()) * allot.size >= _INT64_SAFE:
+        return np.ones(heads.size, dtype=bool)
+    allotted = np.add.reduceat(allot, heads)
+    flags = allotted > P
+    deprived = allot < req
+    any_deprived = np.logical_or.reduceat(deprived, heads)
+    if fair:
+        hi, lo = allot.max(), allot.min()
+        worst = np.minimum.reduceat(np.where(deprived, allot, hi), heads)
+        spread = np.maximum.reduceat(np.where(deprived, allot, lo), heads) - worst
+        best_satisfied = np.maximum.reduceat(np.where(deprived, lo, allot), heads)
+        any_satisfied = ~np.logical_and.reduceat(deprived, heads)
+        above = any_satisfied & (best_satisfied > worst + 1)
+        flags |= any_deprived & ((spread > 1) | above)
+    if non_reserving:
+        flags |= any_deprived & (allotted < P)
+    return flags
+
+
+# ---------------------------------------------------------------------------
+# Scalar checks: the message writers, run on flagged rows and boundaries
+# ---------------------------------------------------------------------------
+
+
+def _trace_report(
+    trace: JobTrace,
+    exp: TraceExpectations,
+    rows: np.ndarray,
+    rtol: float,
+    atol: float,
+) -> AuditReport:
+    """One trace's report: the per-row checks on ``rows`` (ascending
+    positions; :func:`_row_flags` picks them, and every other row passes
+    them), the whole-trace checks once."""
+    jid = trace.job_id
     cols = trace.columns
     n = len(cols)
-    if not n:
-        return AuditReport(violations=(), checks=tuple(checks))
+    out: list[Violation] = []
+    checks = list(_TRACE_CHECKS)
     # Python scalars, never numpy ones: they end up in the violations.
-    index = cols.index.tolist()
-    request = cols.request.tolist()
-    request_int = cols.request_int.tolist()
-    available = cols.available.tolist()
-    allotment = cols.allotment.tolist()
-    work = cols.work.tolist()
-    span = cols.span.tolist()
-    steps = cols.steps.tolist()
-    quantum_length = cols.quantum_length.tolist()
+    flagged: list[tuple[Any, ...]] = []
+    if rows.size:
+        values = (getattr(cols, name)[rows].tolist() for name in _ROW_FIELDS)
+        flagged = list(zip(rows.tolist(), *values))
 
     # --- per-quantum structural invariants --------------------------------
-    for i in range(n):
-        q, d, d_int, p, a = index[i], request[i], request_int[i], available[i], allotment[i]
-        t1, tinf, st, ql = work[i], span[i], steps[i], quantum_length[i]
+    for i, q, d, d_int, p, a, t1, tinf, st, ql in flagged:
         if q != i + 1:
             out.append(
                 Violation(
@@ -152,8 +315,18 @@ def audit_trace(
                     quantum=q,
                 )
             )
-        expected_int = integer_request(d)
-        if d_int != expected_int:
+        if not 0.0 <= d < math.inf:  # NaN fails too
+            out.append(
+                Violation(
+                    V.V_REQUEST_NOT_CEIL,
+                    f"request_int {d_int} for invalid request d={d!r} "
+                    "(a request is finite and non-negative)",
+                    job_id=jid,
+                    quantum=q,
+                    measured=d_int,
+                )
+            )
+        elif d_int != (expected_int := integer_request(d)):
             out.append(
                 Violation(
                     V.V_REQUEST_NOT_CEIL,
@@ -248,7 +421,7 @@ def audit_trace(
 
     if exp.breadth_first:
         checks.append(V.V_SPAN_EXCEEDS_STEPS)
-        for q, tinf, st in zip(index, span, steps):
+        for _, q, *_, tinf, st, _ in flagged:
             if tinf > st + atol:
                 out.append(
                     Violation(
@@ -264,15 +437,16 @@ def audit_trace(
 
     # d(1) is assigned verbatim by FeedbackPolicy.first_request, never
     # computed, so exact comparison is the correct check here.
-    if request[0] != 1.0:  # abg: allow[ABG102] reason=d(1) is assigned verbatim
+    first = cols.request[0].item() if n else 1.0  # an empty trace has no d(1)
+    if first != 1.0:  # abg: allow[ABG102] reason=d(1) is assigned verbatim
         out.append(
             Violation(
                 V.V_FIRST_REQUEST,
-                f"d(1)={request[0]!r} (the paper initializes every "
+                f"d(1)={first!r} (the paper initializes every "
                 "policy at one processor)",
                 job_id=jid,
                 quantum=1,
-                measured=request[0],
+                measured=first,
                 bound=1.0,
             )
         )
@@ -325,28 +499,35 @@ def audit_trace(
     if exp.convergence_rate is not None:
         checks.append(V.V_ACONTROL_RECURRENCE)
         r = exp.convergence_rate
-        for i in range(1, n):
-            d_prev = request[i - 1]
+        prev = np.maximum(rows - 1, 0)
+        previous = zip(
+            cols.request[prev].tolist(), cols.work[prev].tolist(), cols.span[prev].tolist()
+        )
+        for (i, q, d, *_), (d_prev, t1_prev, tinf_prev) in zip(flagged, previous):
+            if i == 0:
+                continue
             # A(q-1), with QuantumRecord.avg_parallelism's empty-quantum zero.
-            a_prev = 0.0 if span[i - 1] == 0 else work[i - 1] / span[i - 1]
+            a_prev = 0.0 if tinf_prev == 0 else t1_prev / tinf_prev
             # An empty quantum carries no parallelism signal; the policy holds.
             expected = d_prev if a_prev <= 0.0 else r * d_prev + (1.0 - r) * a_prev
-            if not _rel_close(request[i], expected, rtol, atol):
+            if not _rel_close(d, expected, rtol, atol):
                 out.append(
                     Violation(
                         V.V_ACONTROL_RECURRENCE,
-                        f"d({index[i]})={request[i]!r} != r*d(q-1)+(1-r)*A(q-1)"
+                        f"d({q})={d!r} != r*d(q-1)+(1-r)*A(q-1)"
                         f"={expected!r} with r={r}",
                         job_id=jid,
-                        quantum=index[i],
-                        measured=request[i],
+                        quantum=q,
+                        measured=d,
                         bound=expected,
                     )
                 )
 
     # --- Theorem 3 / 4 bound satisfaction ---------------------------------
+    # The bounds are about a run: an empty trace has no running time to bound.
     if (
-        exp.check_bounds
+        n
+        and exp.check_bounds
         and exp.completed
         and exp.convergence_rate is not None
         and exp.total_work is not None
@@ -402,6 +583,127 @@ def audit_trace(
     return AuditReport(violations=tuple(out), checks=tuple(checks))
 
 
+def _placement_violations(
+    jid: int, release: int, cols: TraceColumns, rows: np.ndarray, L: int, out: list[Violation]
+) -> None:
+    """The release check on a trace's first row and the grid check on
+    ``rows`` (ascending positions; :func:`_placement_flags` picks them)."""
+    starts = cols.start_step
+    if len(cols) and (first := starts[0].item()) < release:
+        out.append(
+            Violation(
+                V.V_RELEASE_ORDER,
+                f"first quantum starts at {first} before release at {release}",
+                job_id=jid,
+                quantum=1,
+            )
+        )
+    for q, start in zip(cols.index[rows].tolist(), starts[rows].tolist()):
+        if start % L != 0:
+            out.append(
+                Violation(
+                    V.V_BOUNDARY_ALIGNMENT,
+                    f"quantum starts at {start}, not a multiple "
+                    f"of L={L} (machine-wide quanta are synchronized)",
+                    job_id=jid,
+                    quantum=q,
+                )
+            )
+
+
+def _boundary_violations(
+    start: int,
+    allots: list[int],
+    requests: list[int],
+    P: int,
+    L: int,
+    fair: bool,
+    non_reserving: bool,
+    out: list[Violation],
+) -> None:
+    """The machine-wide checks of the boundary at step ``start``, whose jobs
+    hold ``allots`` against integer ``requests``."""
+    q = start // L + 1
+    allotted = sum(allots)
+    if allotted > P:
+        out.append(
+            Violation(
+                V.V_CAPACITY_EXCEEDED,
+                f"boundary t={start}: total allotment {allotted} > P={P}",
+                quantum=q,
+                measured=float(allotted),
+                bound=float(P),
+            )
+        )
+    deprived = [a for a, d in zip(allots, requests) if a < d]
+    satisfied = [a for a, d in zip(allots, requests) if a >= d]
+    if fair and deprived:
+        if max(deprived) - min(deprived) > 1:
+            out.append(
+                Violation(
+                    V.V_DEQ_UNFAIR,
+                    f"boundary t={start}: deprived jobs' allotments "
+                    f"{sorted(deprived)} differ by more than one",
+                    quantum=q,
+                )
+            )
+        if satisfied:
+            # DEQ's last round grants ``share`` or ``share + 1``, so a job
+            # whose request is exactly ``share + 1`` and that drew the
+            # rotating bonus is satisfied one processor above a deprived
+            # job: allow the same one-processor slack as above.
+            worst = min(deprived)
+            best_satisfied = max(satisfied)
+            if best_satisfied > worst + 1:
+                out.append(
+                    Violation(
+                        V.V_DEQ_UNFAIR,
+                        f"boundary t={start}: a satisfied job holds "
+                        f"{best_satisfied} processors while a deprived job "
+                        f"holds only {worst}",
+                        quantum=q,
+                    )
+                )
+    if non_reserving and deprived and allotted < P:
+        out.append(
+            Violation(
+                V.V_RESERVATION,
+                f"boundary t={start}: {P - allotted} processor(s) idle "
+                "while a job is deprived (allocator must be non-reserving)",
+                quantum=q,
+                measured=float(allotted),
+                bound=float(P),
+            )
+        )
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
+
+
+def audit_trace(
+    trace: JobTrace,
+    expect: TraceExpectations | None = None,
+    *,
+    rtol: float = 1e-9,
+    atol: float = 1e-6,
+) -> AuditReport:
+    """Audit one job's quantum trace against the paper's model invariants.
+
+    Returns an :class:`AuditReport`; ``report.ok`` means every applicable
+    invariant held.  Pass a :class:`TraceExpectations` to unlock the checks
+    that need ground truth (conservation against the job's true ``T1`` /
+    ``Tinf``, the A-Control recurrence for a known convergence rate, and the
+    Theorem 3/4 bounds).
+    """
+    exp = expect if expect is not None else TraceExpectations()
+    cols = trace.columns
+    offsets = np.array([0, len(cols)], dtype=np.int64)
+    rows = np.flatnonzero(_row_flags(cols, offsets, [exp], rtol, atol))
+    return _trace_report(trace, exp, rows, rtol, atol)
+
+
 def audit_multi_result(
     result: MultiJobResult,
     *,
@@ -421,10 +723,31 @@ def audit_multi_result(
     """
     P = result.processors
     L = result.quantum_length
-    reports: list[AuditReport] = []
-    for jid, trace in sorted(result.traces.items()):
-        exp = expectations.get(jid) if expectations is not None else None
-        reports.append(audit_trace(trace, exp, rtol=rtol, atol=atol))
+    traces = result.traces
+    jids = list(traces)
+    columns = [traces[jid].columns for jid in jids]
+    given = expectations if expectations is not None else {}
+    default = TraceExpectations()
+    exps = [given.get(jid) or default for jid in jids]
+    releases = [result.released.get(jid, traces[jid].release_time) for jid in jids]
+
+    # Per-row flags, one block of traces at a time; flagged rows per trace.
+    checked: list[np.ndarray] = []
+    placed: list[np.ndarray] = []
+    for lo, hi in _blocks([len(c) for c in columns]):
+        cols, offsets = _concat(columns[lo:hi])
+        for flags, per_trace in (
+            (_row_flags(cols, offsets, exps[lo:hi], rtol, atol), checked),
+            (_placement_flags(cols, offsets, releases[lo:hi], L), placed),
+        ):
+            rows = np.flatnonzero(flags)
+            cut = np.searchsorted(rows, offsets)  # trace k owns rows[cut[k]:cut[k + 1]]
+            per_trace.extend(rows[cut[k] : cut[k + 1]] - offsets[k] for k in range(hi - lo))
+
+    reports = [
+        _trace_report(traces[jids[k]], exps[k], checked[k], rtol, atol)
+        for k in sorted(range(len(jids)), key=jids.__getitem__)
+    ]
 
     out: list[Violation] = []
     checks: list[str] = [
@@ -437,91 +760,32 @@ def audit_multi_result(
     if non_reserving:
         checks.append(V.V_RESERVATION)
 
-    # Reconstruct machine-wide boundaries from the per-job columns.
-    boundaries: dict[int, list[tuple[int, int, int]]] = {}
-    for jid, trace in result.traces.items():
-        release = result.released.get(jid, trace.release_time)
-        cols = trace.columns
-        starts = cols.start_step.tolist()
-        if starts and starts[0] < release:
-            out.append(
-                Violation(
-                    V.V_RELEASE_ORDER,
-                    f"first quantum starts at {starts[0]} before release at {release}",
-                    job_id=jid,
-                    quantum=1,
-                )
-            )
-        rows = zip(
-            cols.index.tolist(), starts, cols.allotment.tolist(), cols.request_int.tolist()
-        )
-        for q, start, a, d_int in rows:
-            if start % L != 0:
-                out.append(
-                    Violation(
-                        V.V_BOUNDARY_ALIGNMENT,
-                        f"quantum starts at {start}, not a multiple "
-                        f"of L={L} (machine-wide quanta are synchronized)",
-                        job_id=jid,
-                        quantum=q,
-                    )
-                )
-            boundaries.setdefault(start, []).append((jid, a, d_int))
+    for k, rows in enumerate(placed):
+        if rows.size:
+            _placement_violations(jids[k], releases[k], columns[k], rows, L, out)
 
-    for start, entries in sorted(boundaries.items()):
-        q = start // L + 1
-        allotted = sum(a for _, a, _ in entries)
-        if allotted > P:
-            out.append(
-                Violation(
-                    V.V_CAPACITY_EXCEEDED,
-                    f"boundary t={start}: total allotment {allotted} > P={P}",
-                    quantum=q,
-                    measured=float(allotted),
-                    bound=float(P),
-                )
-            )
-        deprived = [(j, a) for j, a, d in entries if a < d]
-        satisfied = [(j, a) for j, a, d in entries if a >= d]
-        if fair and deprived:
-            allots = [a for _, a in deprived]
-            if max(allots) - min(allots) > 1:
-                out.append(
-                    Violation(
-                        V.V_DEQ_UNFAIR,
-                        f"boundary t={start}: deprived jobs' allotments "
-                        f"{sorted(allots)} differ by more than one",
-                        quantum=q,
-                    )
-                )
-            if satisfied:
-                # DEQ's last round grants ``share`` or ``share + 1``, so a job
-                # whose request is exactly ``share + 1`` and that drew the
-                # rotating bonus is satisfied one processor above a deprived
-                # job: allow the same one-processor slack as above.
-                worst = min(allots)
-                best_satisfied = max(a for _, a in satisfied)
-                if best_satisfied > worst + 1:
-                    out.append(
-                        Violation(
-                            V.V_DEQ_UNFAIR,
-                            f"boundary t={start}: a satisfied job holds "
-                            f"{best_satisfied} processors while a deprived job "
-                            f"holds only {worst}",
-                            quantum=q,
-                        )
-                    )
-        if non_reserving and deprived and allotted < P:
-            out.append(
-                Violation(
-                    V.V_RESERVATION,
-                    f"boundary t={start}: {P - allotted} processor(s) idle "
-                    "while a job is deprived (allocator must be non-reserving)",
-                    quantum=q,
-                    measured=float(allotted),
-                    bound=float(P),
-                )
-            )
+    # Machine-wide boundaries: every row grouped by start step, in step order.
+    starts = _join(columns, "start_step")
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    allot = _join(columns, "allotment")[order]
+    req = _join(columns, "request_int")[order]
+    opens = np.ones(starts.size, dtype=bool)
+    opens[1:] = starts[1:] != starts[:-1]
+    heads = np.flatnonzero(opens)
+    ends = [*heads[1:].tolist(), starts.size]
+    for b in np.flatnonzero(_boundary_flags(allot, req, heads, P, fair, non_reserving)).tolist():
+        h, e = int(heads[b]), ends[b]
+        _boundary_violations(
+            starts[h].item(),
+            allot[h:e].tolist(),
+            req[h:e].tolist(),
+            P,
+            L,
+            fair,
+            non_reserving,
+            out,
+        )
 
     reports.append(AuditReport(violations=tuple(out), checks=tuple(checks)))
     return V.merge_reports(reports)
