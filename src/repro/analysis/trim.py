@@ -67,14 +67,13 @@ def trimmed_availability(trace: JobTrace, trim_steps: float) -> float:
     Every quantum contributes ``steps`` time steps at availability ``p(q)``.
     The ``trim_steps`` steps with the *highest* availability are removed and
     the mean availability of the remaining steps returned.  If trimming
-    swallows the whole execution the bound is vacuous and 0 is returned.
+    swallows the whole execution (an empty trace has none to begin with) the
+    bound is vacuous and 0 is returned.
     """
     if trim_steps < 0:
         raise ValueError("cannot trim a negative number of steps")
     avail = np.array([rec.available for rec in trace], dtype=np.float64)
     steps = np.array([rec.steps for rec in trace], dtype=np.float64)
-    if avail.size == 0:
-        raise ValueError("empty trace")
     order = np.argsort(-avail)  # highest availability first
     avail, steps = avail[order], steps[order]
     remaining_to_trim = float(trim_steps)

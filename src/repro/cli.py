@@ -11,7 +11,7 @@ Usage::
                          [--retries K] [--task-timeout S]
     python -m repro all [--out results] [--scale reduced] [--jobs N]
                         [--resume] [--retries K] [--task-timeout S]
-                        [--faults SPEC] [--compact-journal]
+                        [--faults SPEC]
     python -m repro theorem1
     python -m repro bounds
     python -m repro ablation-rate | ablation-quantum | ablation-discipline |
@@ -395,7 +395,6 @@ def _cmd_all(args: argparse.Namespace) -> str:
         retries=args.retries,
         task_timeout=args.task_timeout,
         faults=args.faults,
-        compact_journal=args.compact_journal,
     )
     lines = [f"ran {len(result.outcomes)} experiments at scale '{result.scale}' "
              f"in {result.total_seconds:.1f}s"]
@@ -736,12 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="replay experiments already checkpointed under <out>/.journal "
         "instead of re-running them (--no-resume clears the journal first)",
-    )
-    p.add_argument(
-        "--compact-journal",
-        action="store_true",
-        help="after a successful run, fold the per-unit checkpoint files "
-        "into one atomic segment file (resume behaviour is unchanged)",
     )
     p.add_argument(
         "--faults",

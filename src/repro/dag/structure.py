@@ -48,7 +48,8 @@ A dag whose every level (after the sources) is a barrier, chain, or
 permuted-chain level therefore decomposes into *segments* — maximal
 chain-linked runs of constant width, separated by barriers — and behaves
 exactly like a :class:`~repro.engine.phased.PhasedJob` whose phases are the
-segments.  All of the paper's workloads (fork-join jobs,
+segments (:meth:`LevelStructure.segment_phases`), and
+:class:`~repro.engine.batched.BatchedDagExecutor` runs it as one.  All of the paper's workloads (fork-join jobs,
 constant-parallelism jobs, the Figure 2 fragment, chains, diamonds) are of
 this shape; random layered and series-parallel dags generally are not and
 keep the reference engine.
@@ -113,7 +114,7 @@ class LevelStructure:
     ``num_levels + 1``); global completion position in level-major order."""
 
     level_major: bool
-    """Whether the batched kernel may execute this dag."""
+    """Whether the batched dag executor may execute this dag."""
 
     rank_aligned: bool
     """Whether every chain-like level is the *identity* on ranks (no
@@ -143,7 +144,8 @@ def analyze_level_structure(dag: "Dag") -> LevelStructure:
 
     Returns a :class:`LevelStructure` with ``level_major=True`` when every
     level is a source, chain, or barrier level (see module docstring), in
-    which case the batched kernel reproduces the reference engine exactly.
+    which case the batched dag executor reproduces the reference engine
+    (work and steps exactly, span to 1e-12).
     Prefer the cached :attr:`Dag.structure` over calling this directly.
     """
     levels0 = dag.levels - 1  # 0-indexed levels

@@ -1,6 +1,6 @@
-"""Execution engines: the step-accurate explicit-dag reference engine, the
-batched level-major kernel for counts-determined dags, and the closed-form
-fork-join (phased) engine."""
+"""Execution engines: the step-accurate explicit-dag reference engine and
+the closed-form fork-join (phased) engine, which also runs counts-determined
+dags over their segments (the batched dag executor)."""
 
 from .base import JobExecutor, QuantumExecution
 from .batched import BatchedDagExecutor, UnsupportedDagStructure, supports_batched

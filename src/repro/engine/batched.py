@@ -1,42 +1,39 @@
-"""Batched level-major execution of explicit dags — the vectorized kernel.
+"""Batched level-major execution of explicit dags — the closed form on dags.
 
-:class:`BatchedDagExecutor` executes a whole scheduling quantum of B-Greedy's
-breadth-first discipline in O(segments touched) integer arithmetic instead of
-the reference engine's O(tasks) heap pops.  It applies to dags whose level
-structure is *counts-determined* (every level a chain, permuted-chain, or
-barrier level — see :mod:`repro.dag.structure`), which covers all of the
-paper's workloads: the scheduler's per-step decisions then depend only on
-per-level completion counts, so the engine can track ``(frontier level,
-tasks done on it)`` instead of a ready heap.
+A dag whose level structure is *counts-determined* (every level a chain,
+permuted-chain, or barrier level — see :mod:`repro.dag.structure`) behaves
+under B-Greedy's breadth-first discipline exactly like a
+:class:`~repro.engine.phased.PhasedJob` whose phases are the dag's segments
+(maximal chain-linked runs of constant width between barriers).  That covers
+all of the paper's workloads, so :class:`BatchedDagExecutor` *is* a
+:class:`~repro.engine.phased.PhasedExecutor` over
+:meth:`~repro.dag.structure.LevelStructure.segment_phases`: one quantum costs
+O(segments touched) integer arithmetic instead of the reference engine's
+O(tasks) heap pops.
 
-Why the arithmetic is exact
----------------------------
-Within a segment (a maximal chain-linked run of ``k`` levels of constant
-width ``w``), breadth-first keeps the completed region level-major with at
-most one partially-complete level, and the ready count is
+Within a segment of ``k`` levels of width ``w``, breadth-first keeps the
+completed region level-major with at most one partially-complete level, so
+the phased state ``(segment p, tasks done d)`` pins the dag's state down:
+the frontier level is ``seg_start[p] + d // w`` with ``d % w`` of its tasks
+done.  The ready count is ``w`` while the frontier is not the segment's last
+level (remaining frontier tasks plus the next level's already-enabled
+prefix) and the frontier's remaining tasks on the last level.
 
-- ``w`` while the frontier is not the segment's last level (the wavefront:
-  remaining frontier tasks plus the next level's already-enabled prefix), and
-- ``remaining tasks`` on the last level (the next segment is blocked behind
-  the barrier).
-
-So per-step progress is ``min(a, w)`` in the first regime and
-``min(a, remaining)`` in the second — the same two-regime closed form the
-:class:`~repro.engine.phased.PhasedExecutor` uses per phase, applied per
-segment.  The test suite cross-validates this kernel step-for-step and
-schedule-for-schedule against :class:`~repro.engine.explicit.ExplicitExecutor`
-(see ``tests/test_engine_batched.py``).
+Work, steps, the finished flag, the per-level completion staircase and the
+ready count equal :class:`~repro.engine.explicit.ExplicitExecutor`'s exactly.
+Span agrees to 1e-12, not bit for bit: the closed form adds ``delta / w``
+once per chunk, the reference engine ``n / w`` once per step, and the
+rounding of the two sums can differ in the last place.
 
 ``record_schedule=True`` reconstructs the exact per-step task lists from the
-level-rank arrays (levels drain as ascending-id prefixes) — byte-identical to
-the reference engine's recording and replayable through
+level-rank arrays (levels drain as ascending-id prefixes) — identical to the
+reference engine's recording and replayable through
 :func:`repro.verify.auditor.audit_dag_schedule`.  Recording requires the
 *rank-aligned* structure (no permuted-chain levels): a permuted level's
 drain order depends on which parents completed first, which the counts model
 does not track — work/span/steps stay exact on permuted structures, the
-per-task identities do not.  ``strict=True`` re-validates
-every closed-form quantum against the invariants the arithmetic guarantees,
-like the phased engine's strict mode.
+per-task identities do not.  ``strict=True`` re-validates every quantum with
+the phased engine's check.
 """
 
 from __future__ import annotations
@@ -44,15 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..dag.graph import Dag
-from ..dag.structure import LevelStructure
-from ..verify.violations import (
-    InvariantError,
-    V_IDLE_WITH_READY_TASKS,
-    V_SPAN_EXCEEDS_STEPS,
-    V_WORK_EXCEEDS_CAPACITY,
-    Violation,
-)
-from .base import JobExecutor, QuantumExecution
+from .base import QuantumExecution
+from .phased import PhasedExecutor, PhasedJob
 
 __all__ = ["BatchedDagExecutor", "UnsupportedDagStructure", "supports_batched"]
 
@@ -68,25 +58,14 @@ def supports_batched(dag: Dag, discipline: str = "breadth-first") -> bool:
     return discipline == "breadth-first" and dag.structure.level_major
 
 
-class BatchedDagExecutor(JobExecutor):
+class BatchedDagExecutor(PhasedExecutor):
     """Closed-form breadth-first execution state of a level-major dag.
 
     Raises :class:`UnsupportedDagStructure` when the dag's level structure
-    does not permit counts-determined execution.  Results (work, span,
-    steps, ready counts, recorded schedules) are bit-identical to
-    :class:`~repro.engine.explicit.ExplicitExecutor` with the
-    ``"breadth-first"`` discipline.
+    does not permit counts-determined execution.
     """
 
-    __slots__ = (
-        "_dag",
-        "_struct",
-        "_frontier",
-        "_done_on_frontier",
-        "_remaining",
-        "_strict",
-        "schedule",
-    )
+    __slots__ = ("_dag", "schedule")
 
     def __init__(
         self,
@@ -106,93 +85,32 @@ class BatchedDagExecutor(JobExecutor):
                 "permuted-chain level drains in a data-dependent order the "
                 "counts model cannot reconstruct; use the reference engine"
             )
+        super().__init__(PhasedJob(structure.segment_phases()), strict=strict)
         self._dag = dag
-        self._struct: LevelStructure = structure
-        self._frontier = 0  # 0-indexed level currently draining
-        self._done_on_frontier = 0  # tasks completed on the frontier level
-        self._remaining = dag.num_tasks
-        self._strict = bool(strict)
         self.schedule: list[tuple[int, list[int]]] | None = (
             [] if record_schedule else None
         )
 
-    # ------------------------------------------------------------------
-
     def execute_quantum(self, allotment: int, max_steps: int) -> QuantumExecution:
+        if self.schedule is None:
+            return super().execute_quantum(allotment, max_steps)
+        # Recording: the same counts model advanced one step at a time,
+        # emitting the exact task ids (each level drains as an ascending-id
+        # prefix).
         self._check_quantum_args(allotment, max_steps)
-        if self.schedule is not None:
-            return self._execute_recording(allotment, max_steps)
-        s = self._struct
-        a = allotment
-        steps_left = max_steps
-        work = 0
-        span = 0.0
-        while steps_left > 0 and self._remaining > 0:
-            f = self._frontier
-            seg = int(s.seg_of[f])
-            start = int(s.seg_start[seg])
-            end = int(s.seg_end[seg])
-            w = int(s.widths[f])
-            done = (f - start) * w + self._done_on_frontier
-            total = (end - start + 1) * w
-            boundary = total - w  # tasks strictly before the last level
-            if done < boundary:
-                # Regime 1: a deeper level's enabled prefix keeps the
-                # wavefront full, so the scheduler sustains min(a, w)/step.
-                rate = min(a, w)
-                need = -(-(boundary - done) // rate)  # ceil division
-                use = min(steps_left, need)
-                delta = rate * use
-            else:
-                # Regime 2: only the segment's last level remains; the ready
-                # count shrinks with the remaining tasks.
-                r = total - done
-                need = -(-r // a)
-                use = min(steps_left, need)
-                delta = min(a * use, r)
-            done += delta
-            work += delta
-            span += delta / w
-            steps_left -= use
-            self._remaining -= delta
-            if done == total:
-                self._frontier = end + 1
-                self._done_on_frontier = 0
-            else:
-                self._frontier = start + done // w
-                self._done_on_frontier = done % w
-        steps_used = max_steps - steps_left
-        if self._strict:
-            self._check_quantum(work, span, steps_used, a)
-        return QuantumExecution(
-            work=work,
-            span=span,
-            steps=steps_used,
-            finished=self._remaining == 0,
-        )
-
-    def _execute_recording(
-        self, allotment: int, max_steps: int
-    ) -> QuantumExecution:
-        """Per-step path used when a schedule is recorded: the same counts
-        model advanced one step at a time, emitting the exact task ids (each
-        level drains as an ascending-id prefix)."""
-        s = self._struct
+        s = self._dag.structure
         a = allotment
         steps = 0
         work = 0
         span = 0.0
-        assert self.schedule is not None
-        while steps < max_steps and self._remaining > 0:
-            f = self._frontier
-            seg = int(s.seg_of[f])
-            end = int(s.seg_end[seg])
+        while steps < max_steps and not self.finished:
+            p = self._phase_idx
+            f, x = self._frontier()
             w = int(s.widths[f])
-            x = self._done_on_frontier
             take_f = min(a, w - x)
             tasks = s.level_tasks[f][x : x + take_f].tolist()
             n = take_f
-            if n < a and f < end:
+            if n < a and f < int(s.seg_end[p]):
                 # Spill into the next level's enabled prefix (its first x
                 # ranks are ready: their chain parents completed earlier).
                 spill = min(a - n, x)
@@ -203,71 +121,24 @@ class BatchedDagExecutor(JobExecutor):
             work += n
             span += n / w
             self._remaining -= n
-            done = x + take_f
-            if done == w:
-                if f == end:
-                    self._frontier = f + 1
-                    self._done_on_frontier = 0
-                else:
-                    self._frontier = f + 1
-                    self._done_on_frontier = n - take_f
-            else:
-                self._done_on_frontier = done
+            self._done_in_phase += n
+            if self._done_in_phase == self._job.phases[p].work:
+                self._phase_idx += 1
+                self._done_in_phase = 0
         if self._strict:
             self._check_quantum(work, span, steps, a)
         return QuantumExecution(
-            work=work, span=span, steps=steps, finished=self._remaining == 0
+            work=work, span=span, steps=steps, finished=self.finished
         )
 
-    # ------------------------------------------------------------------
-
-    def _check_quantum(
-        self, work: int, span: float, steps: int, allotment: int
-    ) -> None:
-        """Re-validate a closed-form quantum against B-Greedy semantics
-        (strict mode) — same guarantees the phased engine re-checks."""
-        if work > allotment * steps:
-            raise InvariantError(
-                Violation(
-                    V_WORK_EXCEEDS_CAPACITY,
-                    f"batched kernel produced T1(q)={work} > a*steps="
-                    f"{allotment * steps}",
-                )
-            )
-        if work < steps:
-            raise InvariantError(
-                Violation(
-                    V_IDLE_WITH_READY_TASKS,
-                    f"batched kernel produced T1(q)={work} < steps={steps}; "
-                    "greedy completes at least one task per step",
-                )
-            )
-        if span > steps + 1e-9:
-            raise InvariantError(
-                Violation(
-                    V_SPAN_EXCEEDS_STEPS,
-                    f"batched kernel produced Tinf(q)={span} > steps={steps}; "
-                    "breadth-first advances at most one level per step",
-                )
-            )
+    def _frontier(self) -> tuple[int, int]:
+        """The level draining now (0-indexed) and its completed tasks."""
+        s = self._dag.structure
+        start = int(s.seg_start[self._phase_idx])
+        level, done = divmod(self._done_in_phase, int(s.widths[start]))
+        return start + level, done
 
     # ------------------------------------------------------------------
-
-    @property
-    def finished(self) -> bool:
-        return self._remaining == 0
-
-    @property
-    def total_work(self) -> int:
-        return self._dag.work
-
-    @property
-    def total_span(self) -> int:
-        return self._dag.span
-
-    @property
-    def remaining_work(self) -> int:
-        return self._remaining
 
     @property
     def dag(self) -> Dag:
@@ -280,11 +151,10 @@ class BatchedDagExecutor(JobExecutor):
     def completed_by_level(self) -> np.ndarray:
         """Cumulative completed-task count per dag level (index 0 = level 1)
         — identical staircase to the reference engine's."""
-        s = self._struct
-        out = s.widths.copy()
-        f = self._frontier
-        if f < s.num_levels:
-            out[f] = self._done_on_frontier
+        out = self._dag.structure.widths.copy()
+        if not self.finished:
+            f, done = self._frontier()
+            out[f] = done
             out[f + 1 :] = 0
         return out
 
@@ -295,9 +165,9 @@ class BatchedDagExecutor(JobExecutor):
         frontier level's remaining tasks."""
         if self.finished:
             return 0.0
-        s = self._struct
-        f = self._frontier
+        s = self._dag.structure
+        f, done = self._frontier()
         w = int(s.widths[f])
-        if f < int(s.seg_end[int(s.seg_of[f])]):
+        if f < int(s.seg_end[self._phase_idx]):
             return float(w)
-        return float(w - self._done_on_frontier)
+        return float(w - done)

@@ -202,11 +202,15 @@ class PhasedExecutor(JobExecutor):
             finished=self._remaining == 0,
         )
 
-    def _check_quantum(
-        self, work: int, span: float, steps: int, allotment: int
-    ) -> None:
+    @staticmethod
+    def _check_quantum(work: int, span: float, steps: int, allotment: int) -> None:
         """Re-validate a closed-form quantum against B-Greedy semantics
-        (strict mode)."""
+        (strict mode).
+
+        The one writer of these three violations: the batched dag executor
+        inherits it, and the multi-job kernel's strict mode masks its arrays
+        and calls it on the first flagged slot.
+        """
         if work > allotment * steps:
             raise InvariantError(
                 Violation(

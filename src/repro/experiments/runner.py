@@ -345,7 +345,6 @@ def run_everything(
     retries: int | None = None,
     task_timeout: float | None = None,
     faults: FaultPlan | None = None,
-    compact_journal: bool = False,
 ) -> RunnerResult:
     """Run every experiment, write artifacts, and produce ``REPORT.md``.
 
@@ -363,10 +362,7 @@ def run_everything(
     a deterministic fault schedule (chaos testing only).  Ctrl-C or
     SIGTERM shuts the pool down cleanly and raises :class:`RunInterrupted`
     — the journal survives, so the next ``--resume`` run picks up where
-    this one stopped.  ``compact_journal=True`` folds the per-unit
-    checkpoint files into one segment file after a successful run —
-    resume behaviour and payloads are unchanged (see
-    :meth:`~repro.runtime.CheckpointJournal.compact`).
+    this one stopped.
     """
     if task_timeout is None:
         task_timeout = default_task_timeout(scale)
@@ -415,10 +411,7 @@ def run_everything(
             report = out / "REPORT.md"
             write_atomic(report, "\n".join(report_sections))
             result.report_path = report
-            if compact_journal:
-                journal.compact()
     except KeyboardInterrupt as exc:
-        journal.flush()
         raise RunInterrupted(
             f"run interrupted with {len(journal)}/{len(items)} experiments "
             f"checkpointed under {out / JOURNAL_DIRNAME}; rerun with --resume"

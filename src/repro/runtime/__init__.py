@@ -17,7 +17,7 @@ argument.
 """
 
 from .atomic import write_atomic
-from .checkpoint import CheckpointJournal, compact_journal, stable_fraction, unit_key
+from .checkpoint import CheckpointJournal, stable_fraction, unit_key
 from .faults import FAULT_KINDS, FAULTS_ENV_VAR, FaultPlan, TransientFault
 from .supervisor import (
     RetryPolicy,
@@ -29,7 +29,6 @@ from .supervisor import (
 
 __all__ = [
     "CheckpointJournal",
-    "compact_journal",
     "FAULT_KINDS",
     "FAULTS_ENV_VAR",
     "FaultPlan",

@@ -26,14 +26,10 @@ from typing import Any, Iterator, Mapping
 
 from .atomic import write_atomic
 
-__all__ = ["CheckpointJournal", "compact_journal", "unit_key", "stable_fraction"]
+__all__ = ["CheckpointJournal", "unit_key", "stable_fraction"]
 
 #: Schema stamp written into every record (bump on incompatible change).
 JOURNAL_SCHEMA = 1
-
-#: File name of the compacted segment (sorts before every key file and is
-#: shaped so the per-unit loader ignores it).
-SEGMENT_FILENAME = "_segment.json"
 
 
 def _canonical(params: Mapping[str, Any]) -> str:
@@ -68,8 +64,7 @@ class CheckpointJournal:
     """A directory of atomically-written per-unit completion records.
 
     Records are durable the moment :meth:`record` returns (each is its own
-    fsync'd file), so there is nothing to lose on interruption;``flush``
-    exists for API symmetry with buffered journals and is a no-op.
+    fsync'd file), so there is nothing to lose on interruption.
     """
 
     def __init__(self, directory: str | Path):
@@ -80,22 +75,7 @@ class CheckpointJournal:
     def _load(self) -> None:
         if not self.directory.is_dir():
             return
-        # Compacted segment first, then per-unit records layered on top —
-        # a record written after the last compaction wins over the segment.
-        segment = self.directory / SEGMENT_FILENAME
-        try:
-            data = json.loads(segment.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            data = None  # no segment (or tampered): per-unit records only
-        if (
-            isinstance(data, dict)
-            and data.get("schema") == JOURNAL_SCHEMA
-            and isinstance(data.get("segment"), dict)
-        ):
-            self._payloads.update(data["segment"])
         for record in sorted(self.directory.glob("*.json")):
-            if record.name == SEGMENT_FILENAME:
-                continue
             try:
                 data = json.loads(record.read_text(encoding="utf-8"))
             except (OSError, ValueError):
@@ -136,39 +116,8 @@ class CheckpointJournal:
         # keep the in-memory view consistent with what a resume would load
         self._payloads[key] = json.loads(body)["payload"]
 
-    def compact(self) -> int:
-        """Fold every completed record into one atomic segment file.
-
-        A long sweep leaves one small file per unit (5000 for full-scale
-        fig6); compaction rewrites them as a single
-        :data:`SEGMENT_FILENAME` — written atomically *before* the
-        per-unit files are unlinked, so a kill at any instant leaves
-        either the original records, both, or the segment alone, and
-        every one of those states resumes with identical payloads
-        (:meth:`_load` layers per-unit records over the segment).
-        Returns the number of records folded.
-        """
-        count = len(self._payloads)
-        body = json.dumps(
-            {
-                "schema": JOURNAL_SCHEMA,
-                "segment": {k: self._payloads[k] for k in sorted(self._payloads)},
-            },
-            default=str,
-        )
-        write_atomic(self.directory / SEGMENT_FILENAME, body)
-        for record in self.directory.glob("*.json"):
-            if record.name == SEGMENT_FILENAME:
-                continue
-            try:
-                record.unlink()
-            except OSError:
-                pass  # still covered by the segment just written
-        return count
-
     def clear(self) -> None:
-        """Delete every record, segment included (a fresh, non-resuming
-        run starts here)."""
+        """Delete every record (a fresh, non-resuming run starts here)."""
         if self.directory.is_dir():
             for record in self.directory.glob("*.json"):
                 try:
@@ -176,16 +125,3 @@ class CheckpointJournal:
                 except OSError:
                     pass
         self._payloads.clear()
-
-    def flush(self) -> None:
-        """No-op: every record is already durable when written."""
-
-
-def compact_journal(directory: str | Path) -> int:
-    """Compact the journal at ``directory``; returns the records folded.
-
-    Convenience wrapper for tooling (``repro all --compact-journal``):
-    loads whatever segment + per-unit state survives at ``directory`` and
-    rewrites it as one segment file.
-    """
-    return CheckpointJournal(directory).compact()

@@ -21,6 +21,7 @@ from ..engine.phased import PhasedExecutor, PhasedJob
 
 __all__ = [
     "JobSpec",
+    "closed_form_phases",
     "make_executor",
     "JobDescription",
     "ExecutorFactory",
@@ -36,6 +37,34 @@ level-major kernel whenever the dag's structure permits it (and falls back to
 the reference engine otherwise), ``"batched"`` requires it (raising
 :class:`~repro.engine.batched.UnsupportedDagStructure` when it does not
 apply), and ``"reference"`` forces the step-accurate heap engine."""
+
+
+def closed_form_phases(
+    job: JobDescription,
+    discipline: Discipline = "breadth-first",
+    *,
+    strict: bool = False,
+    engine: EngineChoice = "auto",
+) -> tuple[tuple[int, int], ...] | None:
+    """The ``(width, levels)`` phases ``job`` runs as in closed form, or None.
+
+    Phases are returned exactly when :func:`make_executor` builds a
+    closed-form engine for ``job``: a :class:`PhasedJob` always (its own
+    phases), and a level-major :class:`Dag` headed for
+    :class:`BatchedDagExecutor` (its segments) — with ``engine="batched"``,
+    or ``engine="auto"`` outside strict mode under breadth-first.  The
+    multi-job kernel admits exactly these jobs.  A non-level-major dag with
+    ``engine="batched"`` gives ``None``; :func:`make_executor` raises
+    :class:`~repro.engine.batched.UnsupportedDagStructure` for it.
+    """
+    if isinstance(job, PhasedJob):
+        return tuple((p.width, p.levels) for p in job.phases)
+    if isinstance(job, Dag) and (
+        (engine == "batched" and job.structure.level_major)
+        or (engine == "auto" and not strict and supports_batched(job, discipline))
+    ):
+        return tuple(job.structure.segment_phases())
+    return None
 
 
 def make_executor(
@@ -66,8 +95,8 @@ def make_executor(
     if isinstance(job, PhasedJob):
         return PhasedExecutor(job, strict=strict)
     if isinstance(job, Dag):
-        if engine == "batched" or (
-            engine == "auto" and not strict and supports_batched(job, discipline)
+        if engine == "batched" or closed_form_phases(
+            job, discipline, strict=strict, engine=engine
         ):
             return BatchedDagExecutor(job, strict=strict)
         return ExplicitExecutor(job, discipline, strict=strict)

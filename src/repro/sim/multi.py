@@ -18,7 +18,7 @@ A set runs on one of two loops, with bit-identical traces either way:
 - the *serial reference loop* (one executor per job, one mapping
   ``allocate`` call per quantum) is the oracle.  It runs every set under
   ``batch="off"``, and every set holding a job that is not
-  counts-determined (:func:`~repro.sim.multi_batched.segment_profile` is
+  counts-determined (:func:`~repro.sim.jobs.closed_form_phases` is
   ``None``: reference-engine dags, executor factories, strict-mode
   ``engine="auto"`` dags) or driven by an allocator with no array-native
   ``allocate_batch``;
@@ -78,9 +78,8 @@ from ..core.columnar import TraceColumns
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..engine.base import JobExecutor
-from .jobs import JobSpec, make_executor
+from .jobs import JobSpec, closed_form_phases, make_executor
 from .metrics import makespan, mean_response_time
-from .multi_batched import segment_profile
 from .sharded import Profile, simulate_windowed
 from .single import run_quantum_with_overhead
 
@@ -231,7 +230,9 @@ def simulate_job_set(
         pending.append((spec.release_time, jid, spec))
         if profiles is None:
             continue
-        profile = segment_profile(spec, strict=strict)
+        profile = closed_form_phases(
+            spec.job, spec.discipline, strict=strict, engine=spec.engine
+        )
         if profile is None:
             if shards is not None:
                 raise ValueError(

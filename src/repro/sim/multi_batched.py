@@ -12,20 +12,14 @@ executes as array arithmetic over every job at once.
 What qualifies
 --------------
 A job is *batchable* when the executor :func:`repro.sim.jobs.make_executor`
-would select for it is one of the closed-form engines, i.e. when its
-execution is fully described by a ``(width, levels)`` segment profile:
-
-- a :class:`~repro.engine.phased.PhasedJob` (always runs the phased closed
-  form — its phases are the profile), or
-- a level-major :class:`~repro.dag.graph.Dag` headed for the batched kernel
-  (``engine="batched"``, or ``engine="auto"`` in non-strict mode — the
-  cached :class:`~repro.dag.structure.LevelStructure` supplies the profile,
-  including the permuted-chain structures PR 5 lifted into eligibility).
-
-Everything else (reference-engine dags, executor factories such as work
-stealing, strict-mode ``engine="auto"`` dags) is not batchable, and a set
-holding such a job runs on the serial reference loop — see
-:func:`segment_profile`.
+would build for it is a closed-form engine, i.e. when
+:func:`repro.sim.jobs.closed_form_phases` gives its ``(width, levels)``
+segment profile: a :class:`~repro.engine.phased.PhasedJob` (its phases), or
+a level-major :class:`~repro.dag.graph.Dag` headed for the batched dag
+executor (its segments, permuted-chain structures included).  Everything
+else (reference-engine dags, executor factories such as work stealing,
+strict-mode ``engine="auto"`` dags) is not batchable, and a set holding such
+a job runs on the serial reference loop.
 
 Why the vectorization is exact
 ------------------------------
@@ -50,50 +44,11 @@ import numpy as np
 from ..core.feedback import FeedbackPolicy
 from ..core.overhead import ReallocationOverhead
 from ..core.types import JobTrace, integer_requests
-from ..dag.graph import Dag
-from ..engine.batched import supports_batched
-from ..engine.phased import PhasedJob
-from ..verify.violations import (
-    InvariantError,
-    V_IDLE_WITH_READY_TASKS,
-    V_SPAN_EXCEEDS_STEPS,
-    V_WORK_EXCEEDS_CAPACITY,
-    Violation,
-)
+from ..engine.phased import PhasedExecutor
 from .jobs import JobSpec
 from .superstep import SuperstepArena, SuperstepPlan, pure_quantum_counts
 
-__all__ = ["MultiBatchKernel", "QuantumBatch", "SlotState", "segment_profile"]
-
-
-def segment_profile(
-    spec: JobSpec, *, strict: bool
-) -> tuple[tuple[int, int], ...] | None:
-    """The ``(width, levels)`` segment profile of a batchable job, else None.
-
-    Mirrors :func:`repro.sim.jobs.make_executor` exactly: a profile is
-    returned precisely when the executor the serial path would build is a
-    closed-form engine whose results the kernel reproduces bit-for-bit.  A
-    non-level-major dag with ``engine="batched"`` also returns ``None`` — the
-    serial loop's ``make_executor`` then raises the canonical
-    :class:`~repro.engine.batched.UnsupportedDagStructure` at admission.
-    """
-    job = spec.job
-    if isinstance(job, PhasedJob):
-        # make_executor always picks PhasedExecutor for phased jobs.
-        return tuple((p.width, p.levels) for p in job.phases)
-    if isinstance(job, Dag):
-        if spec.engine == "batched":
-            if not job.structure.level_major:
-                return None
-            return tuple(job.structure.segment_phases())
-        if (
-            spec.engine == "auto"
-            and not strict
-            and supports_batched(job, spec.discipline)
-        ):
-            return tuple(job.structure.segment_phases())
-    return None
+__all__ = ["MultiBatchKernel", "QuantumBatch", "SlotState"]
 
 
 @dataclass(slots=True)
@@ -149,37 +104,13 @@ def _strict_check(
     work: np.ndarray, span: np.ndarray, steps: np.ndarray, allotment: np.ndarray
 ) -> None:
     """Re-validate every executed quantum against B-Greedy semantics (strict
-    mode) — the same three invariants the per-job engines re-check."""
-    bad = work > allotment * steps
+    mode): one mask over the slots, then the phased engine's check on the
+    first flagged slot, which raises."""
+    bad = (work > allotment * steps) | (work < steps) | (span > steps + 1e-9)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise InvariantError(
-            Violation(
-                V_WORK_EXCEEDS_CAPACITY,
-                f"multi-job kernel produced T1(q)={int(work[i])} > a*steps="
-                f"{int(allotment[i] * steps[i])}",
-            )
-        )
-    bad = work < steps
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise InvariantError(
-            Violation(
-                V_IDLE_WITH_READY_TASKS,
-                f"multi-job kernel produced T1(q)={int(work[i])} < steps="
-                f"{int(steps[i])}; greedy completes at least one task per step",
-            )
-        )
-    bad = span > steps + 1e-9
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise InvariantError(
-            Violation(
-                V_SPAN_EXCEEDS_STEPS,
-                f"multi-job kernel produced Tinf(q)={float(span[i])} > steps="
-                f"{int(steps[i])}; breadth-first advances at most one level "
-                "per step",
-            )
+        PhasedExecutor._check_quantum(
+            int(work[i]), float(span[i]), int(steps[i]), int(allotment[i])
         )
 
 

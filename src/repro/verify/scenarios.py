@@ -158,8 +158,9 @@ def _scenario_multiprogrammed_deq() -> AuditReport:
 
 
 def _scenario_multiprogrammed_roundrobin() -> AuditReport:
-    # ablation-allocator workload: round-robin promises neither fairness nor
-    # non-reservation, so only the universal invariants are audited.
+    # ablation-allocator workload: round-robin is fair (its rotation grants
+    # every deprived job ``share`` or ``share + 1``) but not non-reserving,
+    # so the audit checks what the allocator declares.
     rng = np.random.default_rng(_SEED + 3)
     gen = ForkJoinGenerator(100)
     specs = [
@@ -173,7 +174,11 @@ def _scenario_multiprogrammed_roundrobin() -> AuditReport:
     result = simulate_job_set(
         specs, RoundRobinAllocator(), processors=16, quantum_length=100
     )
-    return audit_multi_result(result, fair=False, non_reserving=False)
+    return audit_multi_result(
+        result,
+        fair=RoundRobinAllocator.fair,
+        non_reserving=RoundRobinAllocator.non_reserving,
+    )
 
 
 def _scenario_mixed_policies() -> AuditReport:

@@ -99,9 +99,8 @@ class TestTrimmedAvailability:
         with pytest.raises(ValueError):
             trimmed_availability(self._two_quanta(), -1)
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            trimmed_availability(JobTrace(quantum_length=10), 0)
+    def test_empty_trace_is_vacuous(self):
+        assert trimmed_availability(JobTrace(quantum_length=10), 0) == 0.0
 
     def test_monotone_in_trim(self):
         trace = self._two_quanta()
@@ -192,6 +191,13 @@ class TestTheorem3:
         )
         assert report.bound == float("inf")
         assert report.holds
+
+    def test_vacuous_on_empty_trace(self):
+        report = theorem3_time_bound(
+            JobTrace(quantum_length=100), 0, 0.0, 0.2, transition_factor=2.0
+        )
+        assert report.trimmed_availability == 0.0
+        assert report.bound == float("inf")
 
 
 class TestTheorem4:

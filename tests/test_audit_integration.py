@@ -48,6 +48,14 @@ class TestAuditSuite:
         assert report.checked("reservation")
         assert report.checked("capacity-exceeded")
 
+    def test_roundrobin_scenario_checks_what_the_allocator_declares(
+        self, suite_results
+    ):
+        # RoundRobinAllocator is fair but not non-reserving.
+        report = dict(suite_results)["multiprogrammed-roundrobin"]
+        assert report.checked("deq-unfair")
+        assert not report.checked("reservation")
+
     def test_format_suite_summarizes(self, suite_results):
         text = format_suite(suite_results)
         assert "all invariants hold" in text

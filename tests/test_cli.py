@@ -208,6 +208,12 @@ class TestUsageErrors:
         err = self._usage_error(["giant", "--shards", count], capsys)
         assert f"unrecognized arguments: --shards {count}" in err
 
+    def test_all_has_no_compact_journal_flag(self, tmp_path, capsys):
+        err = self._usage_error(
+            ["all", "--out", str(tmp_path), "--compact-journal"], capsys
+        )
+        assert "unrecognized arguments: --compact-journal" in err
+
 
 class TestFormatting:
     def test_format_table_alignment(self):

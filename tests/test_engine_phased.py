@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.core.reference import FixedRequest
+from repro.core.types import JobTrace
+from repro.dag import builders
+from repro.engine import phased
+from repro.engine.batched import BatchedDagExecutor
 from repro.engine.phased import Phase, PhasedExecutor, PhasedJob
+from repro.sim.jobs import JobSpec, closed_form_phases
+from repro.sim.multi_batched import MultiBatchKernel
+from repro.sim.superstep import SuperstepPlan
+from repro.verify.violations import (
+    InvariantError,
+    V_IDLE_WITH_READY_TASKS,
+    V_SPAN_EXCEEDS_STEPS,
+    V_WORK_EXCEEDS_CAPACITY,
+)
 
 
 class TestPhase:
@@ -185,3 +202,84 @@ class TestPhasedExecutorAccounting:
         while not ex.finished:
             r = ex.execute_quantum(3, 4)
             assert r.span <= r.steps + 1e-9
+
+
+class TestStrictModeSingleWriter:
+    """Strict mode on every closed-form entry point (the phased engine, the
+    batched dag executor, the multi-job kernel) raises the three
+    closed-form violations from one check, ``PhasedExecutor._check_quantum``.
+
+    The arithmetic cannot break these invariants on a valid job, so each
+    case feeds an entry point state it trusts: a forged phase table (a
+    ``work`` that is not ``width * levels``, a fractional width), a closed
+    form whose throughput cap is broken, or a forged superstep plan.
+    """
+
+    @staticmethod
+    def _forge(executor, width, levels, work):
+        executor._job = SimpleNamespace(
+            phases=[SimpleNamespace(width=width, levels=levels, work=work)]
+        )
+        return executor
+
+    @staticmethod
+    def _executors():
+        return [
+            PhasedExecutor(PhasedJob([(1, 1)]), strict=True),
+            BatchedDagExecutor(builders.chain(1), strict=True),
+        ]
+
+    def _raises(self, code, run):
+        with pytest.raises(InvariantError) as info:
+            run()
+        assert info.value.violation.code == code
+        assert info.value.violation.message.startswith("closed form produced")
+
+    def test_span_exceeds_steps(self):
+        for ex in self._executors():
+            # Four tasks on a width-1 level in one step: Tinf(q) = 4.
+            self._forge(ex, 1, 1, 4)
+            self._raises(V_SPAN_EXCEEDS_STEPS, lambda: ex.execute_quantum(4, 1))
+
+    def test_idle_with_ready_tasks(self):
+        for ex in self._executors():
+            # Half a task per step: T1(q) = 1 over 2 steps.
+            self._forge(ex, 0.5, 3, 1.5)
+            self._raises(V_IDLE_WITH_READY_TASKS, lambda: ex.execute_quantum(1, 2))
+
+    def test_work_exceeds_capacity(self, monkeypatch):
+        # min -> max: the wavefront runs all 5 chains on 2 processors.
+        monkeypatch.setattr(phased, "min", max, raising=False)
+        for ex in self._executors():
+            self._forge(ex, 5, 3, 15)
+            self._raises(V_WORK_EXCEEDS_CAPACITY, lambda: ex.execute_quantum(2, 2))
+
+    @pytest.mark.parametrize(
+        "delta, span, code",
+        [
+            ([10, 30], [1.0, 3.0], V_WORK_EXCEEDS_CAPACITY),
+            ([10, 1], [1.0, 0.1], V_IDLE_WITH_READY_TASKS),
+            ([10, 10], [1.0, 12.0], V_SPAN_EXCEEDS_STEPS),
+        ],
+    )
+    def test_kernel_first_flagged_slot(self, delta, span, code):
+        kernel = MultiBatchKernel(strict=True)
+        for jid in (0, 1):
+            spec = JobSpec(job=PhasedJob([(10, 50)]), feedback=FixedRequest(2.0))
+            kernel.admit(
+                jid=jid,
+                seq=jid,
+                spec=spec,
+                trace=JobTrace(quantum_length=10, job_id=jid),
+                profile=closed_form_phases(spec.job),
+                request=2.0,
+            )
+        # Slot 0's quantum is clean (10 tasks on 1 processor for 10 steps);
+        # slot 1's forged quantum breaks one invariant.
+        plan = SuperstepPlan(
+            quanta=np.array([5, 5], dtype=np.int64),
+            delta=np.array(delta, dtype=np.int64),
+            span=np.array(span, dtype=np.float64),
+        )
+        alloc = np.array([1, 2], dtype=np.int64)
+        self._raises(code, lambda: kernel.apply_superstep(1, plan, alloc, 10))

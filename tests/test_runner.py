@@ -133,33 +133,3 @@ class TestTaskTimeoutDefaults:
         captured = self._capture_map(monkeypatch)
         run_everything(tmp_path, scale="smoke", task_timeout=7.5)
         assert captured["task_timeout"] == 7.5
-
-
-class TestCompactJournalFlag:
-    def test_compact_journal_folds_and_resumes(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.experiments.runner import JOURNAL_DIRNAME
-        from repro.runtime.checkpoint import SEGMENT_FILENAME
-
-        assert (
-            main(
-                [
-                    "all", "--out", str(tmp_path), "--scale", "smoke",
-                    "--compact-journal",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        journal_dir = tmp_path / JOURNAL_DIRNAME
-        files = sorted(p.name for p in journal_dir.glob("*.json"))
-        assert files == [SEGMENT_FILENAME]
-        # the compacted journal resumes exactly like per-unit records
-        completed, total = resume_status(tmp_path, scale="smoke")
-        assert completed == total >= 17
-        assert (
-            main(["all", "--resume", "--out", str(tmp_path), "--scale", "smoke"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "(100%)" in out

@@ -8,12 +8,11 @@ import pytest
 
 from repro.runtime import (
     CheckpointJournal,
-    compact_journal,
     stable_fraction,
     unit_key,
     write_atomic,
 )
-from repro.runtime.checkpoint import JOURNAL_SCHEMA, SEGMENT_FILENAME
+from repro.runtime.checkpoint import JOURNAL_SCHEMA
 
 
 class TestWriteAtomic:
@@ -180,69 +179,19 @@ class TestCheckpointJournal:
 
 
 class TestJournalCompaction:
-    def test_compact_folds_records_into_one_segment(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j")
-        journal.record("unit-a", {"rows": [1, 2]})
-        journal.record("unit-b", {"rows": [3]})
-        assert journal.compact() == 2
-        files = sorted(p.name for p in (tmp_path / "j").glob("*.json"))
-        assert files == [SEGMENT_FILENAME]
-        reloaded = CheckpointJournal(tmp_path / "j")
-        assert list(reloaded.keys()) == ["unit-a", "unit-b"]
-        assert reloaded.payload("unit-a") == {"rows": [1, 2]}
-        assert reloaded.payload("unit-b") == {"rows": [3]}
+    """Journals do not compact.  A ``_segment.json`` that the compaction of
+    older versions left behind is not a record: its units re-run."""
 
-    def test_records_after_compaction_layer_over_segment(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j")
-        journal.record("unit-a", 1)
-        journal.compact()
-        journal.record("unit-b", 2)
-        journal.record("unit-a", 99)  # re-record wins over the segment
-        reloaded = CheckpointJournal(tmp_path / "j")
-        assert reloaded.payload("unit-a") == 99
-        assert reloaded.payload("unit-b") == 2
-
-    def test_kill_between_segment_write_and_unlink_is_safe(self, tmp_path):
-        """Both the segment and the per-unit files present (the window
-        between compact()'s atomic segment write and the unlinks) must
-        load exactly the same payloads as either end state."""
-        journal = CheckpointJournal(tmp_path / "j")
-        journal.record("unit-a", {"x": 1})
-        journal.record("unit-b", {"x": 2})
-        before = {k: journal.payload(k) for k in journal.keys()}
-        # Reproduce the mid-compaction state: write the segment, keep files.
-        body = json.dumps(
-            {"schema": JOURNAL_SCHEMA, "segment": before}
-        )
-        write_atomic(tmp_path / "j" / SEGMENT_FILENAME, body)
-        mid = CheckpointJournal(tmp_path / "j")
-        assert {k: mid.payload(k) for k in mid.keys()} == before
-        # Finishing the compaction from that state converges too.
-        mid.compact()
-        after = CheckpointJournal(tmp_path / "j")
-        assert {k: after.payload(k) for k in after.keys()} == before
-
-    def test_compact_twice_is_idempotent(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j")
-        journal.record("u", [1, 2, 3])
-        assert journal.compact() == 1
-        assert journal.compact() == 1
-        assert CheckpointJournal(tmp_path / "j").payload("u") == [1, 2, 3]
-
-    def test_compact_journal_helper(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j")
-        journal.record("unit-a", 1)
-        journal.record("unit-b", 2)
-        assert compact_journal(tmp_path / "j") == 2
-        assert list(CheckpointJournal(tmp_path / "j").keys()) == [
-            "unit-a",
-            "unit-b",
-        ]
+    @staticmethod
+    def _leftover_segment(directory, body=None):
+        if body is None:
+            body = json.dumps({"schema": JOURNAL_SCHEMA, "segment": {"unit-a": 1}})
+        (directory / "_segment.json").write_text(body)
 
     def test_clear_removes_segment(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j")
         journal.record("u", 1)
-        journal.compact()
+        self._leftover_segment(tmp_path / "j")
         journal.clear()
         assert not list((tmp_path / "j").glob("*.json"))
         assert len(CheckpointJournal(tmp_path / "j")) == 0
@@ -250,6 +199,8 @@ class TestJournalCompaction:
     def test_tampered_segment_treated_as_absent(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j")
         journal.record("u", 1)
-        journal.compact()
-        (tmp_path / "j" / SEGMENT_FILENAME).write_text("{ truncated")
-        assert len(CheckpointJournal(tmp_path / "j")) == 0
+        for body in (None, "{ truncated"):
+            self._leftover_segment(tmp_path / "j", body)
+            reloaded = CheckpointJournal(tmp_path / "j")
+            assert list(reloaded.keys()) == ["u"]
+            assert reloaded.payload("u") == 1

@@ -26,10 +26,9 @@ from repro.core.overhead import ReallocationOverhead
 from repro.core.reference import FixedRequest
 from repro.dag import builders
 from repro.dag.graph import Dag
-from repro.engine.phased import PhasedJob
-from repro.sim.jobs import JobSpec
+from repro.engine.phased import PhasedExecutor, PhasedJob
+from repro.sim.jobs import JobSpec, closed_form_phases, make_executor
 from repro.sim.multi import simulate_job_set
-from repro.sim.multi_batched import segment_profile
 
 
 # ---------------------------------------------------------------------------
@@ -94,62 +93,74 @@ def random_phased_job(rng: np.random.Generator) -> PhasedJob:
 
 
 # ---------------------------------------------------------------------------
-# segment_profile: which jobs the kernel may take
+# closed_form_phases: which jobs the kernel may take
 # ---------------------------------------------------------------------------
 
 
 class TestSegmentProfile:
     def test_phased_job_always_profiled(self):
         job = PhasedJob([(1, 3), (5, 2)])
-        spec = JobSpec(job=job, feedback=AControl())
-        assert segment_profile(spec, strict=False) == ((1, 3), (5, 2))
+        assert closed_form_phases(job) == ((1, 3), (5, 2))
         # strict mode keeps phased jobs on the (closed-form) phased engine
-        assert segment_profile(spec, strict=True) == ((1, 3), (5, 2))
+        assert closed_form_phases(job, strict=True) == ((1, 3), (5, 2))
 
     def test_auto_level_major_dag_profiled(self):
         dag = builders.fork_join_from_phases([(1, 2), (4, 3)])
-        spec = JobSpec(job=dag, feedback=AControl())
-        assert segment_profile(spec, strict=False) == ((1, 2), (4, 3))
+        assert closed_form_phases(dag) == ((1, 2), (4, 3))
 
     def test_auto_strict_dag_not_profiled(self):
         """strict auto dags stay on the reference engine (per-decision
         checking), so the kernel must not take them."""
         dag = builders.fork_join_from_phases([(1, 2), (4, 3)])
-        spec = JobSpec(job=dag, feedback=AControl())
-        assert segment_profile(spec, strict=True) is None
+        assert closed_form_phases(dag, strict=True) is None
 
     def test_reference_engine_not_profiled(self):
         dag = builders.fork_join_from_phases([(1, 2), (4, 3)])
-        spec = JobSpec(job=dag, feedback=AControl(), engine="reference")
-        assert segment_profile(spec, strict=False) is None
+        assert closed_form_phases(dag, engine="reference") is None
 
     def test_non_breadth_first_not_profiled(self):
         dag = builders.fork_join_from_phases([(1, 2), (4, 3)])
-        spec = JobSpec(job=dag, feedback=AControl(), discipline="fifo")
-        assert segment_profile(spec, strict=False) is None
+        assert closed_form_phases(dag, "fifo") is None
 
     def test_non_level_major_not_profiled(self):
         rng = np.random.default_rng(11)
         layered = builders.random_layered(rng, num_levels=6, max_width=5)
-        auto = JobSpec(job=layered, feedback=AControl())
-        forced = JobSpec(job=layered, feedback=AControl(), engine="batched")
-        assert segment_profile(auto, strict=False) is None
+        assert closed_form_phases(layered) is None
         # engine="batched" on an unsupported dag defers to the fallback
         # path, which raises the canonical error at admission
-        assert segment_profile(forced, strict=False) is None
+        assert closed_form_phases(layered, engine="batched") is None
 
     def test_engine_batched_level_major_profiled(self):
         dag = builders.fork_join_from_phases([(3, 4)])
-        spec = JobSpec(job=dag, feedback=AControl(), engine="batched")
-        assert segment_profile(spec, strict=False) == ((3, 4),)
+        assert closed_form_phases(dag, engine="batched") == ((3, 4),)
 
     def test_permuted_chain_dag_profiled(self):
-        """The PR 5 lift: permuted-parent constant-width levels stay
-        counts-determined, so the kernel takes them under engine='auto'."""
+        """Permuted-parent constant-width levels stay counts-determined, so
+        the kernel takes them under engine='auto'."""
         dag = permuted_chain_dag(4, 5, seed=3)
         assert dag.structure.level_major and not dag.structure.rank_aligned
-        spec = JobSpec(job=dag, feedback=AControl())
-        assert segment_profile(spec, strict=False) == ((4, 5),)
+        assert closed_form_phases(dag) == ((4, 5),)
+
+    def test_agrees_with_make_executor(self):
+        """Phases exactly when make_executor builds a closed-form engine."""
+        rng = np.random.default_rng(12)
+        jobs = [
+            PhasedJob([(1, 3), (5, 2)]),
+            builders.fork_join_from_phases([(1, 2), (4, 3)]),
+            permuted_chain_dag(4, 5, seed=3),
+            builders.random_layered(rng, num_levels=6, max_width=5),
+        ]
+        for job in jobs:
+            for discipline in ("breadth-first", "fifo"):
+                for strict in (False, True):
+                    for engine in ("auto", "reference"):
+                        phases = closed_form_phases(
+                            job, discipline, strict=strict, engine=engine
+                        )
+                        ex = make_executor(
+                            job, discipline, strict=strict, engine=engine
+                        )
+                        assert (phases is not None) == isinstance(ex, PhasedExecutor)
 
 
 class TestBatchArgument:

@@ -33,9 +33,9 @@ from repro.engine.batched import BatchedDagExecutor
 from repro.engine.explicit import ExplicitExecutor
 from repro.engine.phased import PhasedJob
 from repro.sim import sharded
-from repro.sim.jobs import JobSpec
+from repro.sim.jobs import JobSpec, closed_form_phases
 from repro.sim.multi import simulate_job_set
-from repro.sim.multi_batched import MultiBatchKernel, segment_profile
+from repro.sim.multi_batched import MultiBatchKernel
 from repro.sim.superstep import (
     QuantumLog,
     SuperstepArena,
@@ -112,7 +112,7 @@ def random_phased_job(rng: np.random.Generator) -> PhasedJob:
 def single_slot_kernel(phases, request: float) -> MultiBatchKernel:
     kernel = MultiBatchKernel()
     spec = JobSpec(job=PhasedJob(phases), feedback=FixedRequest(request))
-    profile = segment_profile(spec, strict=False)
+    profile = closed_form_phases(spec.job)
     assert profile is not None
     kernel.admit(
         jid=0,
