@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .types import QuantumRecord
+from .types import QuantumRecord, integer_requests
 
 __all__ = ["FeedbackPolicy"]
 
@@ -77,44 +77,67 @@ class FeedbackPolicy(ABC):
         steps: np.ndarray,
         quanta: int,
     ) -> np.ndarray | None:
-        """Closed-form multi-quantum advance: the requests after ``quanta``
-        consecutive quanta that all repeat exactly these measurements, or
-        ``None`` when the recurrence cannot be fast-forwarded.
+        """The request trajectory through up to ``quanta`` consecutive quanta
+        that all repeat these measurements at integer request
+        ``request_int``, or ``None`` when no quantum can be fast-forwarded.
 
-        The superstep layer (:mod:`repro.sim.multi`) fast-forwards ``K``
-        quanta only when the per-quantum measurements are literally constant,
-        so the K-step recurrence collapses: every policy in the repo — ABG's
-        geometric filter ``d' = r*d + (1-r)*A``, A-Greedy's multiplicative
-        update, and the fixed policies — maps a *bitwise* fixed point of one
-        application to itself for any ``K``, and any ``d`` that is **not** a
-        fixed point changes the request at the very next boundary, which is
-        an event that ends the superstep.  The base implementation therefore
-        evaluates :meth:`next_request_batch` once and returns the result iff
-        it is bit-identical to ``request``; a policy with no batch form
-        (``next_request_batch`` is ``None`` — per-job scalar fallback)
-        returns ``None``, forcing the superstep to ``K = 1``.
+        The superstep layer (:mod:`repro.sim.sharded`) fast-forwards ``K``
+        quanta when the allocator's grants and every job's measurements
+        repeat.  The real request may still move: A-Control's filter
+        ``d' = r*d + (1-r)*A`` approaches ``A`` geometrically, so ``ceil(d)``
+        — and with it the allocation — settles many quanta before ``d``
+        becomes a bitwise fixed point.  Those quanta differ only in their
+        ``request`` field, which this method supplies.
 
-        A subclass whose recurrence moves even at a fixed record (e.g. a
-        time-dependent controller) inherits correct behaviour automatically:
-        its ``next_request_batch`` result differs from ``request`` and the
-        superstep never engages.  ``quanta`` (>= 1) is part of the contract
-        for overrides that can advance a *moving* recurrence in closed form.
+        The result ``traj`` has shape ``(k + 1, n)`` with
+        ``1 <= k <= quanta``: row ``j < k`` is the request of the ``j``-th
+        repeated quantum (row 0 is ``request``) and every one of those rows
+        has integer request ``request_int``; row ``k`` is the request after
+        the ``k``-th quantum, with which the next quantum starts (its integer
+        request may differ — that change is what ended the trajectory when
+        ``k < quanta``).  Each row is :meth:`next_request_batch` applied to
+        the previous one with the constant measurements: the same IEEE-754
+        operations the serial loop applies per record, so every row is
+        bit-identical to iterating :meth:`next_request`.  A row that is a
+        bitwise fixed point of one application repeats to row ``quanta``.
+
+        ``None`` means refusal: ``request`` itself is not a valid request
+        at integer request ``request_int``, or the policy has no batch form
+        (``next_request_batch`` is ``None`` — per-job scalar fallback).
         """
         if quanta < 1:
             raise ValueError("a superstep advance covers at least one quantum")
-        nxt = self.next_request_batch(
-            request=request,
-            request_int=request_int,
-            allotment=allotment,
-            work=work,
-            span=span,
-            steps=steps,
-        )
-        if nxt is None:
+        cur = np.ascontiguousarray(request, dtype=np.float64)
+        if not _holds(cur, request_int):
             return None
-        if nxt.tobytes() == np.ascontiguousarray(request).tobytes():
-            return nxt
-        return None
+        rows = [cur]
+        while len(rows) <= quanta:
+            nxt = self.next_request_batch(
+                request=cur,
+                request_int=request_int,
+                allotment=allotment,
+                work=work,
+                span=span,
+                steps=steps,
+            )
+            if nxt is None:
+                return None
+            if nxt.tobytes() == cur.tobytes():
+                tail = np.broadcast_to(nxt, (quanta + 1 - len(rows), nxt.size))
+                return np.concatenate((np.stack(rows), tail))
+            rows.append(nxt)
+            if not _holds(nxt, request_int):
+                break
+            cur = nxt
+        return np.stack(rows)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def _holds(request: np.ndarray, request_int: np.ndarray) -> bool:
+    """Whether every request is valid (NaN and negatives are not) and rounds
+    to its entry of ``request_int``."""
+    return bool((request >= 0).all()) and np.array_equal(
+        integer_requests(request), request_int
+    )

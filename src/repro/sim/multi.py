@@ -49,18 +49,23 @@ kernel replays the same closed-form chunk sequence as the per-job engines
 Supersteps
 ----------
 The windowed loop fast-forwards between *events* — a job completing, an
-arrival admission, or a feedback-driven request change.  After each
-quantum it checks whether the next is a literal fixed point of it: the
-feedback recurrences hold every request bit-identical
-(:meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`), the
-allocator certifies its grants repeat
+arrival admission, or a change of some job's integer request.  After each
+quantum it checks whether the next quanta repeat it: the feedback left
+every integer request ``ceil(d)`` unchanged, every job's remaining segment
+chunks sustain identical pure quanta (closed forms in
+:mod:`repro.sim.superstep`), the allocator certifies its grants repeat
 (:meth:`~repro.allocators.base.Allocator.allocation_fixed_point`), and
-every job's remaining segment chunks sustain identical pure quanta (closed
-forms in :mod:`repro.sim.superstep`).  When all hold, ``K`` quanta advance
-at once and their ``K`` identical records land as one repeat-group in the
-log.  The traces are byte-identical to executing those quanta one at a
-time, because a superstep engages exactly when the per-quantum path would
-have produced those ``K`` quanta anyway; the tests check this by patching
+the feedback recurrences, iterated on the repeated measurements, keep
+every integer request in place
+(:meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`).  The
+real request need not be a fixed point: A-Control's request converges
+geometrically (Theorem 1) and its ceiling settles long before its last
+bit does.  When all checks hold, ``K`` quanta advance at once and land as
+one repeat-group in the log, which repeats every column but the request
+and takes each quantum's request from the recurrence's trajectory.  The
+traces are byte-identical to executing those quanta one at a time,
+because a superstep engages exactly when the per-quantum path would have
+produced those ``K`` quanta anyway; the tests check this by patching
 :func:`repro.sim.sharded._attempt_superstep` to refuse every attempt.
 """
 

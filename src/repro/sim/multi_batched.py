@@ -595,7 +595,7 @@ class MultiBatchKernel:
         arena.next_q[: arena.n] += 1
 
     def superstep_plan(self, alloc: np.ndarray, length: int) -> SuperstepPlan | None:
-        """Closed-form count of the identical quanta every slot can
+        """Closed-form count of the pure quanta every slot can
         fast-forward under the (fixed) allotment ``alloc``, or ``None`` when
         some slot reaches an event — a chunk boundary, segment transition,
         or completion — within the very next quantum.

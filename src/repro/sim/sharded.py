@@ -152,7 +152,7 @@ def _batch_feedback(
     return scalar_fb
 
 
-def _requests_hold(
+def _request_trajectory(
     kernel: MultiBatchKernel,
     alloc_arr: np.ndarray,
     req_int: np.ndarray,
@@ -160,27 +160,27 @@ def _requests_hold(
     span: np.ndarray,
     steps: np.ndarray,
     quanta: int,
-) -> bool:
-    """Whether every slot's feedback recurrence, fed the predicted repeated
-    record ``quanta`` times, leaves its request bit-identical (see
+) -> np.ndarray | None:
+    """Every slot's request trajectory through up to ``quanta`` repeats of
+    the predicted record: a ``(k + 1, n)`` array whose first ``k`` rows are
+    the repeated quanta's requests and whose last row is the request after
+    them, or ``None`` when a policy refuses (see
     :meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`)."""
     uniform = kernel.uniform_policy
     if uniform is not None:
-        return (
-            uniform.advance_request_batch(
-                request=kernel.request,
-                request_int=req_int,
-                allotment=alloc_arr,
-                work=work,
-                span=span,
-                steps=steps,
-                quanta=quanta,
-            )
-            is not None
+        return uniform.advance_request_batch(
+            request=kernel.request,
+            request_int=req_int,
+            allotment=alloc_arr,
+            work=work,
+            span=span,
+            steps=steps,
+            quanta=quanta,
         )
     request = kernel.request
+    traj = np.empty((quanta + 1, request.size), dtype=np.float64)
     for policy, sub in kernel.policy_groups():
-        nxt = policy.advance_request_batch(
+        part = policy.advance_request_batch(
             request=request[sub],
             request_int=req_int[sub],
             allotment=alloc_arr[sub],
@@ -189,17 +189,21 @@ def _requests_hold(
             steps=steps[sub],
             quanta=quanta,
         )
-        if nxt is None:
-            return False
-    return True
+        if part is None:
+            return None
+        # A shorter trajectory caps the later groups' (rows are independent
+        # of where a trajectory stops, so the earlier groups' prefixes hold).
+        quanta = part.shape[0] - 1
+        traj[: quanta + 1, sub] = part
+    return traj[: quanta + 1]
 
 
 def _attempt_superstep(
     kernel: MultiBatchKernel,
     log: QuantumLog,
     allocator: Allocator,
-    group: QuantumGroup,
     req_int: np.ndarray,
+    next_int: np.ndarray,
     avail: np.ndarray,
     alloc_arr: np.ndarray,
     processors: int,
@@ -210,18 +214,23 @@ def _attempt_superstep(
 ) -> int:
     """Fast-forward up to ``max_skip`` quanta (the rest of the window, which
     ends before the next admission) past the one that just executed at
-    ``start``; returns how many were skipped (0 when any check fails).
+    ``start`` with integer requests ``req_int``; ``next_int`` are the
+    integer requests its feedback left.  Returns how many quanta were
+    skipped (0 when any check fails).
 
-    The checks, in order: the quantum's feedback left every request at its
-    pre-quantum value; every slot's remaining chunk sustains ``K >= 1`` pure
-    quanta under the same allotment (closed form, also bounding ``K``); the
-    feedback recurrences hold the requests fixed over the predicted
-    records; and the allocator certifies (and state-advances through) ``K``
+    The checks, cheapest first: the quantum's feedback left every integer
+    request at ``req_int`` (the real request may still move); every slot's
+    remaining chunk sustains ``K >= 1`` pure quanta under the same allotment
+    (closed form, also bounding ``K``); the allocator's probe certifies its
+    grants repeat (bounding ``K`` again); the feedback recurrences, iterated
+    on the predicted records, keep every integer request at ``req_int``
+    (their trajectory supplies each skipped quantum's real request and ends
+    ``K``); and the allocator certifies (and state-advances through) ``K``
     repeats of its grants.  All are exact, so the emitted repeat-group and
     the fast-forwarded arena state are byte-identical to executing the
     ``K`` quanta one at a time.
     """
-    if kernel.request.tobytes() != group.request.tobytes():
+    if not np.array_equal(next_int, req_int):
         return 0
     plan = kernel.superstep_plan(alloc_arr, length)
     if plan is None:
@@ -229,22 +238,25 @@ def _attempt_superstep(
     limit = min(int(plan.quanta.min()), max_skip)
     if limit < 1:
         return 0
-    steps_pred = np.full(len(kernel.slots), length, dtype=np.int64)
-    if not _requests_hold(
-        kernel, alloc_arr, req_int, plan.delta, plan.span, steps_pred, limit
-    ):
-        return 0
     ids_sorted, order = kernel.allocation_order()
-    k = allocator.allocation_fixed_point(
-        ids_sorted, req_int[order], alloc_arr[order], processors, limit
+    fixed = (ids_sorted, req_int[order], alloc_arr[order], processors)
+    limit = allocator.fixed_point_probe(*fixed, limit)
+    if limit < 1:
+        return 0
+    steps_pred = np.full(len(kernel.slots), length, dtype=np.int64)
+    traj = _request_trajectory(
+        kernel, alloc_arr, req_int, plan.delta, plan.span, steps_pred, limit
     )
+    if traj is None:
+        return 0
+    k = allocator.allocation_fixed_point(*fixed, traj.shape[0] - 1)
     if k < 1:
         return 0
     log.append_quantum(
         start_step=start + length,
         repeat=k,
         index0=kernel.next_q,
-        request=group.request,
+        request=traj[:k].ravel(order="F"),
         request_int=req_int,
         available=avail,
         allotment=alloc_arr,
@@ -253,6 +265,7 @@ def _attempt_superstep(
         steps=steps_pred,
     )
     kernel.apply_superstep(k, plan, alloc_arr, length)
+    kernel.request = traj[k]
     return k
 
 
@@ -302,6 +315,9 @@ def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult
     finished: list[tuple[int, int, int, JobTrace]] = []
     executed = 0
     t = task.start
+    # The next quantum's integer requests, when the last iteration computed
+    # them to compare against its own.
+    next_int: np.ndarray | None = None
     while executed < task.quanta and len(kernel) > 0:
         nk = len(kernel)
         if layout_dirty:
@@ -311,7 +327,7 @@ def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult
                 np.asarray(kernel.jids, dtype=np.int64), task.processors
             )
             layout_dirty = False
-        req_int = kernel.integer_requests()
+        req_int = kernel.integer_requests() if next_int is None else next_int
         ids_sorted, order = kernel.allocation_order()
         req_sorted = req_int[order]
         grants = allocator.allocate_batch(ids_sorted, req_sorted, task.budget)
@@ -357,16 +373,23 @@ def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult
             kernel.remove(finished_pos)
             layout_dirty = True
         # Superstep: with no event this quantum — nothing finished, no
-        # scalar feedback — try to fast-forward through the quanta the
-        # group provably repeats.
+        # scalar feedback — and room left in the window, try to fast-forward
+        # through the quanta the group provably repeats.
+        next_int = None
         skipped = 0
-        if not scalar_fb and not finished_pos and len(kernel) > 0:
+        if (
+            not scalar_fb
+            and not finished_pos
+            and len(kernel) > 0
+            and executed + 1 < task.quanta
+        ):
+            next_int = kernel.integer_requests()
             skipped = _attempt_superstep(
                 kernel,
                 log,
                 allocator,
-                group,
                 req_int,
+                next_int,
                 avail,
                 alloc_arr,
                 task.budget,
@@ -374,6 +397,8 @@ def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult
                 t,
                 max_skip=task.quanta - executed - 1,
             )
+            if skipped:
+                next_int = None
         t += (skipped + 1) * L
         executed += skipped + 1
     return GroupWindowResult(finished=finished, executed=executed)

@@ -16,17 +16,20 @@ lift the kernel to whole-*run* granularity:
 :class:`QuantumLog`
     Columnar record emission for the whole simulation: per quantum the
     simulation loop appends one *group* of aligned column arrays (O(1) python,
-    no per-slot work), and a superstep of ``K`` identical quanta appends one
-    group with ``repeat=K``.  At the end of the run :meth:`QuantumLog.build_traces`
-    expands and sorts the groups once, vectorized, and gives every kernel
-    job a trace backed by its :class:`~repro.core.columnar.TraceColumns`
-    view — records themselves are never built unless someone asks for them.
+    no per-slot work), and a superstep of ``K`` quanta appends one group
+    with ``repeat=K``.  The ``K`` quanta repeat every column but the real
+    request, which may still converge towards the integer request it holds
+    (the group stores it per row).  At the end of the run
+    :meth:`QuantumLog.build_traces` sorts the groups' compact rows by job
+    and expands them once, vectorized, and gives every kernel job a trace
+    backed by its :class:`~repro.core.columnar.TraceColumns` view — records
+    themselves are never built unless someone asks for them.
 
 :func:`pure_quantum_counts`
     The closed form behind multi-quantum fast-forwarding.  A quantum is
     *pure* for a job when a single ``(segment, regime)`` chunk consumes the
-    entire quantum — then the quantum's record is fully determined by
-    ``(allotment, width, regime)`` and repeats unchanged.  The function
+    entire quantum — then the quantum's measurements are fully determined
+    by ``(allotment, width, regime)`` and repeat unchanged.  The function
     counts, per slot, how many consecutive pure quanta remain from the
     current state:
 
@@ -191,7 +194,7 @@ SupersetArena = SuperstepArena
 class SuperstepPlan:
     """Per-slot closed-form description of the upcoming pure quanta.
 
-    ``quanta[i]`` is how many consecutive identical quanta slot ``i`` can
+    ``quanta[i]`` is how many consecutive pure quanta slot ``i`` can
     fast-forward; each completes ``delta[i]`` tasks (= the record's work)
     with span ``span[i]`` over the full quantum length.
     """
@@ -232,7 +235,9 @@ def pure_quantum_counts(
 
 @dataclass(slots=True)
 class QuantumGroup:
-    """One emitted stretch of ``repeat`` identical machine quanta."""
+    """One emitted stretch of ``repeat`` machine quanta that differ at most
+    in their requests: ``request`` holds one value per row, slot-major,
+    every other column one value per slot."""
 
     epoch: int
     start_step: int
@@ -290,10 +295,14 @@ class QuantumLog:
         span: np.ndarray,
         steps: np.ndarray,
     ) -> QuantumGroup:
-        """Record ``repeat`` consecutive identical quanta, the first starting
-        at ``start_step``.  ``index0`` and ``request`` are snapshotted (the
-        simulation mutates them in place after emission); the remaining
-        columns must be freshly-computed arrays that are never written again.
+        """Record ``repeat`` consecutive quanta, the first starting at
+        ``start_step``, that repeat every column but ``request``.
+
+        ``request`` holds one value per emitted row, slot-major (slot ``i``'s
+        ``repeat`` requests are consecutive).  ``index0`` and ``request``
+        are snapshotted (the simulation mutates them in place after
+        emission); the remaining columns carry one value per slot and must
+        be freshly-computed arrays that are never written again.
 
         Validation mirrors the per-record path: one vectorized pass over the
         row invariants, falling back to scalar construction on failure so the
@@ -302,6 +311,7 @@ class QuantumLog:
         """
         quantum_length = self.quantum_length
         index0 = index0.copy()
+        request = request.copy()
         if not columns_valid(
             index=index0,
             request_int=request_int,
@@ -315,7 +325,7 @@ class QuantumLog:
             # Raise the scalar constructor's error for the first bad row.
             quantum_records_from_columns(
                 index=index0.tolist(),
-                request=request,
+                request=request[::repeat],
                 request_int=request_int,
                 available=available,
                 allotment=allotment,
@@ -330,7 +340,7 @@ class QuantumLog:
             start_step=start_step,
             repeat=repeat,
             index0=index0,
-            request=request.copy(),
+            request=request,
             request_int=request_int,
             available=available,
             allotment=allotment,
@@ -344,24 +354,28 @@ class QuantumLog:
     # ------------------------------------------------------------------
 
     def build_traces(self, traces: MutableMapping[int, JobTrace]) -> None:
-        """Expand the groups once, sort rows by job, and replace every
-        logged job's (empty) trace with one backed by its
-        :class:`TraceColumns` view.
+        """Sort the logged rows by job once, and replace every logged job's
+        (empty) trace with one backed by its :class:`TraceColumns` view.
 
-        Group order is chronological and rows within a superstep group are
-        slot-major (slot ``i``'s ``K`` quanta are consecutive), so a stable
-        sort by job id leaves each job's rows in quantum order.
+        The sort runs on the compact rows, one per slot per group: group
+        order is chronological and a job holds one slot per group, so a
+        stable sort by job id leaves each job's compact rows in quantum
+        order.  Only then are repeat groups expanded, each compact row into
+        its ``repeat`` consecutive quanta, with the per-row requests
+        gathered through the expanded order.
         """
-        if not self._groups:
+        groups = self._groups
+        if not groups:
             return
         L = self.quantum_length
-        jid_parts: list[np.ndarray] = []
-        idx_parts: list[np.ndarray] = []
-        start_parts: list[np.ndarray] = []
-        value_parts: dict[str, list[np.ndarray]] = {
-            name: []
+        sizes = np.array([grp.index0.size for grp in groups], dtype=np.int64)
+        repeats = np.array([grp.repeat for grp in groups], dtype=np.int64)
+        jid_all = np.concatenate([self._layouts[grp.epoch] for grp in groups])
+        order = np.argsort(jid_all, kind="stable")
+        jid_sorted = jid_all[order]
+        cols = {
+            name: np.concatenate([getattr(grp, name) for grp in groups])[order]
             for name in (
-                "request",
                 "request_int",
                 "available",
                 "allotment",
@@ -370,39 +384,35 @@ class QuantumLog:
                 "steps",
             )
         }
-        for grp in self._groups:
-            layout = self._layouts[grp.epoch]
-            n = int(grp.index0.size)
-            k = grp.repeat
-            if k == 1:
-                jid_parts.append(layout)
-                idx_parts.append(grp.index0)
-                start_parts.append(np.full(n, grp.start_step, dtype=np.int64))
-            else:
-                offsets = np.arange(k, dtype=np.int64)
-                jid_parts.append(np.repeat(layout, k))
-                idx_parts.append(np.repeat(grp.index0, k) + np.tile(offsets, n))
-                start_parts.append(
-                    grp.start_step + L * np.tile(offsets, n)
-                )
-            for name, parts in value_parts.items():
-                col: np.ndarray = getattr(grp, name)
-                parts.append(col if k == 1 else np.repeat(col, k))
-        jid_all = np.concatenate(jid_parts)
-        order = np.argsort(jid_all, kind="stable")
-        jid_sorted = jid_all[order]
-        cols = {
-            name: np.concatenate(parts)[order]
-            for name, parts in value_parts.items()
-        }
-        cols["index"] = np.concatenate(idx_parts)[order]
-        cols["start_step"] = np.concatenate(start_parts)[order]
+        cols["index"] = np.concatenate([grp.index0 for grp in groups])[order]
+        group_start = np.array([grp.start_step for grp in groups], dtype=np.int64)
+        cols["start_step"] = np.repeat(group_start, sizes)[order]
+        request = np.concatenate([grp.request for grp in groups])
+        # Each job's compact rows are ``edges[i]:edges[i + 1]``.
+        cut = np.flatnonzero(np.diff(jid_sorted)) + 1
+        jobs = jid_sorted[np.concatenate(([0], cut))].tolist()
+        edges = np.concatenate(([0], cut, [jid_sorted.size]))
+        if int(repeats.max()) == 1:
+            cols["request"] = request[order]
+        else:
+            # Requests are group-major and slot-major, so compact row ``c``'s
+            # ``repeat`` requests follow those of every compact row before it.
+            per_slot = np.repeat(repeats, sizes)
+            first = (np.cumsum(per_slot) - per_slot)[order]
+            counts = per_slot[order]
+            # Expanded row -> its quantum within its compact row.
+            row0 = np.concatenate(([0], np.cumsum(counts)))
+            offset = np.arange(row0[-1], dtype=np.int64) - np.repeat(
+                row0[:-1], counts
+            )
+            cols = {name: np.repeat(col, counts) for name, col in cols.items()}
+            cols["index"] += offset
+            cols["start_step"] += L * offset
+            cols["request"] = request[np.repeat(first, counts) + offset]
+            edges = row0[edges]
         # One zero-stride column of L shared by every job's slice.
-        cols["quantum_length"] = np.broadcast_to(np.int64(L), jid_sorted.shape)
-        bounds = np.flatnonzero(np.diff(jid_sorted)) + 1
-        starts = np.concatenate(([0], bounds, [jid_sorted.size]))
-        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
-            jid = int(jid_sorted[a])
+        cols["quantum_length"] = np.broadcast_to(np.int64(L), (int(edges[-1]),))
+        for jid, a, b in zip(jobs, edges[:-1].tolist(), edges[1:].tolist()):
             empty = traces[jid]
             traces[jid] = JobTrace(
                 empty.quantum_length,

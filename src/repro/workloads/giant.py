@@ -6,12 +6,13 @@ group 0 holds *churners* — jobs alternating between a narrow and a wide
 phase every few hundred levels, so every quantum crosses a phase boundary,
 the batched kernel can never certify a superstep for them, and the group
 executes quantum by quantum.  Every other group holds long single-phase
-*stable* jobs whose A-Control requests reach their bitwise fixed point
-within a few quanta, after which whole windows collapse into supersteps.
+*stable* jobs whose A-Control integer requests settle within a few quanta
+(the real request keeps converging towards it), after which whole
+windows collapse into supersteps.
 
 In one machine-wide window one churning group pins the entire machine to
-per-quantum execution (a machine-wide superstep needs *every* slot at a
-fixed point).  In per-group windows (the route ``repro giant`` always
+per-quantum execution (a machine-wide superstep needs *every* slot's
+quanta to repeat).  In per-group windows (the route ``repro giant`` always
 takes) the stable groups fast-forward their windows independently while
 only group 0 pays the per-quantum cost — the speedup the giant benchmark
 workload measures.

@@ -14,6 +14,7 @@ and pin the allocator/feedback fixed-point contracts the layer composes.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -21,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.allocators.equipartition import DynamicEquiPartitioning
+from repro.allocators.hierarchical import HierarchicalAllocator
+from repro.allocators.machines import DisjointMachines
 from repro.allocators.roundrobin import RoundRobinAllocator
 from repro.core.abg import AControl
 from repro.core.agreedy import AGreedy
@@ -330,15 +333,21 @@ class TestAdvanceRequestBatch:
 
     def test_fixed_point_advances(self):
         policy = AControl(0.2)
-        # d == A(q) == w: the geometric filter maps w to itself bitwise
+        # d == A(q) == w: the geometric filter maps w to itself bitwise, so
+        # the trajectory is constant through all 50 quanta
         cols = self._cols([8.0], [8], [800], [100.0])
-        nxt = policy.advance_request_batch(**cols, quanta=50)
-        assert nxt is not None and float(nxt[0]) == 8.0
+        traj = policy.advance_request_batch(**cols, quanta=50)
+        assert traj is not None and traj.shape == (51, 1)
+        assert (traj == 8.0).all()
 
-    def test_moving_recurrence_returns_none(self):
+    def test_moving_recurrence_stops_at_integer_change(self):
         policy = AControl(0.2)
-        cols = self._cols([4.0], [4], [400], [50.0])  # A=8 != d=4: moving
-        assert policy.advance_request_batch(**cols, quanta=2) is None
+        # A=8, d=4: d' = 0.2*4 + 0.8*8 = 7.2 and ceil(7.2) = 8 != 4, so the
+        # trajectory covers one quantum and ends at the request after it
+        cols = self._cols([4.0], [4], [400], [50.0])
+        traj = policy.advance_request_batch(**cols, quanta=2)
+        assert traj is not None and traj.shape == (2, 1)
+        assert traj[:, 0].tolist() == [4.0, 0.2 * 4.0 + (1.0 - 0.2) * 8.0]
 
     def test_scalar_only_policy_returns_none(self):
         class ScalarOnly(AControl):
@@ -352,6 +361,95 @@ class TestAdvanceRequestBatch:
         cols = self._cols([8.0], [8], [800], [100.0])
         with pytest.raises(ValueError):
             AControl().advance_request_batch(**cols, quanta=0)
+
+
+class TestRequestTrajectory:
+    """The trajectory a superstep takes its per-quantum requests from."""
+
+    L = 100
+
+    def _cols(self, request, request_int, allotment, work, span):
+        n = len(request)
+        return dict(
+            request=np.asarray(request, dtype=np.float64),
+            request_int=np.asarray(request_int, dtype=np.int64),
+            allotment=np.asarray(allotment, dtype=np.int64),
+            work=np.asarray(work, dtype=np.int64),
+            span=np.asarray(span, dtype=np.float64),
+            steps=np.full(n, self.L, dtype=np.int64),
+        )
+
+    def _scalar(self, policy, cols, slot, request, quanta):
+        """``quanta + 1`` requests from iterating ``next_request`` on one
+        slot's record."""
+        record = QuantumRecord(
+            index=1,
+            request=request,
+            request_int=int(cols["request_int"][slot]),
+            available=64,
+            allotment=int(cols["allotment"][slot]),
+            work=int(cols["work"][slot]),
+            span=float(cols["span"][slot]),
+            steps=self.L,
+            quantum_length=self.L,
+        )
+        out = [request]
+        for _ in range(quanta):
+            record = dataclasses.replace(
+                record, request=policy.next_request(record)
+            )
+            out.append(record.request)
+        return out
+
+    def test_equals_scalar_next_request_iterated(self):
+        policy = AControl(0.2)
+        # A = work/span: 4 (from 3.4 below), 8 (from 7.2 below), 2 (fixed)
+        cols = self._cols(
+            [3.4, 7.2, 2.0], [4, 8, 2], [4, 8, 2], [400, 800, 200],
+            [100.0, 100.0, 100.0],
+        )
+        traj = policy.advance_request_batch(**cols, quanta=60)
+        assert traj is not None and traj.shape == (61, 3)
+        for slot in range(3):
+            expect = self._scalar(policy, cols, slot, float(cols["request"][slot]), 60)
+            got = traj[:, slot].tolist()
+            # bitwise: the same float, row for row
+            assert [x.hex() for x in got] == [x.hex() for x in expect]
+
+    def test_acontrol_converges_to_the_integer_it_holds(self):
+        cols = self._cols([3.4], [4], [4], [400], [100.0])
+        traj = AControl(0.2).advance_request_batch(**cols, quanta=200)
+        assert traj is not None and traj.shape == (201, 1)
+        d = traj[:, 0]
+        assert d[0] == 3.4 and d[1] == 0.2 * 3.4 + (1.0 - 0.2) * 4.0
+        assert d[-1] == 4.0
+        assert (np.ceil(d - 1e-9) == 4).all()
+        assert (np.diff(d) >= 0).all()  # Theorem 1: no overshoot
+        # the real request moves for many quanta after ceil(d) settles
+        assert int(np.argmax(d == 4.0)) > 10
+
+    def test_agreedy_stops_at_its_first_integer_change(self):
+        policy = AGreedy(2.0, 0.8)
+        # efficient and satisfied: the request doubles, 2 -> 4
+        cols = self._cols([2.0], [2], [2], [200], [100.0])
+        traj = policy.advance_request_batch(**cols, quanta=10)
+        assert traj is not None and traj[:, 0].tolist() == [2.0, 4.0]
+        # efficient but deprived: the request holds, a constant trajectory
+        cols = self._cols([6.0], [6], [3], [300], [100.0])
+        traj = policy.advance_request_batch(**cols, quanta=10)
+        assert traj is not None and traj.shape == (11, 1)
+        assert (traj == 6.0).all()
+
+    def test_one_moving_slot_ends_every_slot(self):
+        # slot 1 leaves its integer after one quantum; slot 0 is fixed
+        cols = self._cols([8.0, 4.0], [8, 4], [8, 4], [800, 400], [100.0, 50.0])
+        traj = AControl(0.2).advance_request_batch(**cols, quanta=30)
+        assert traj is not None and traj.shape == (2, 2)
+        assert traj[:, 0].tolist() == [8.0, 8.0]
+
+    def test_request_off_its_integer_refused(self):
+        cols = self._cols([4.5], [4], [4], [400], [100.0])
+        assert AControl(0.2).advance_request_batch(**cols, quanta=5) is None
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +535,9 @@ class TestQuantumLog:
         log.set_layout([5, 3])
         log.append_quantum(start_step=0, repeat=1, **self._group_cols(
             [1, 1], [2.0, 4.0], [20, 40]))
-        log.append_quantum(start_step=10, repeat=3, **self._group_cols(
-            [2, 2], [2.0, 4.0], [20, 40]))
+        repeated = self._group_cols([2, 2], [2.0, 4.0], [20, 40])
+        repeated["request"] = np.repeat(repeated["request"], 3)  # per row
+        log.append_quantum(start_step=10, repeat=3, **repeated)
         log.set_layout([3])  # job 5 left
         log.append_quantum(start_step=40, repeat=1, **self._group_cols(
             [5], [4.0], [12]))
@@ -620,6 +719,135 @@ class TestSuperstepIdentity:
         for r in recs:
             total += r.span
         assert total == span
+
+
+class TestIntegerRequestSupersteps:
+    """Supersteps certified on the integer request while A-Control's real
+    request is still converging (Theorem 1: ``ceil(d)`` settles long before
+    ``d`` is a bitwise fixed point)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_stable_sets_match_serial(self, seed):
+        rng = np.random.default_rng(2400 + seed)
+        kind = ("deq", "hierarchical", "machines")[seed % 3]
+        n = int(rng.integers(2, 9))
+        L = int(rng.integers(5, 30))
+        overhead = (
+            ReallocationOverhead(fixed=2.0, per_processor=0.5)
+            if rng.integers(2)
+            else ReallocationOverhead()
+        )
+        jobs = [
+            PhasedJob(
+                [
+                    (int(rng.integers(1, 10)), int(rng.integers(20, 90)) * L)
+                    for _ in range(int(rng.integers(1, 3)))
+                ]
+            )
+            for _ in range(n)
+        ]
+        rates = [float(r) for r in rng.choice([0.0, 0.2, 0.5], n)]
+        greedy = rng.random(n) < 0.3
+        releases = (rng.integers(0, 4, n) * int(rng.integers(1, 20)) * L).tolist()
+        if kind == "machines":
+            budgets = [16, 24]
+            ids = [int(i % 2) * 16 + i // 2 for i in range(n)]
+            processors = sum(budgets)
+        else:
+            ids = list(range(n))
+            processors = int(rng.integers(n, 48))
+
+        def make():
+            return [
+                JobSpec(
+                    job=job,
+                    feedback=AGreedy(2.0, 0.8) if g else AControl(r),
+                    release_time=int(rel),
+                    job_id=jid,
+                )
+                for job, r, g, rel, jid in zip(jobs, rates, greedy, releases, ids)
+            ]
+
+        def allocator():
+            if kind == "hierarchical":
+                return HierarchicalAllocator(group_size=8, rebalance_interval=7)
+            if kind == "machines":
+                return DisjointMachines(budgets)
+            return DynamicEquiPartitioning()
+
+        kwargs = dict(quantum_length=L, overhead=overhead)
+        serial = simulate_job_set(
+            make(), allocator(), processors, batch="off", **kwargs
+        )
+        windowed = simulate_job_set(make(), allocator(), processors, **kwargs)
+        assert_results_identical(serial, windowed)
+        if kind == "hierarchical":
+            per_group = simulate_job_set(
+                make(), allocator(), processors, shards=2, **kwargs
+            )
+            assert_results_identical(serial, per_group)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+    def test_mixed_policy_trajectories_of_different_lengths(self, order):
+        """A slow filter (r=0.9) holds each integer request for a few quanta
+        and then moves on, while a fast one (r=0.2) and a fixed request
+        hold theirs: every policy group's trajectory has another length,
+        and the superstep must end at the shortest."""
+        jobs = [
+            (PhasedJob([(8, 40_000)]), lambda: AControl(0.9)),
+            (PhasedJob([(4, 40_000)]), lambda: AControl(0.2)),
+            (PhasedJob([(3, 40_000)]), lambda: FixedRequest(3)),
+        ]
+
+        def make():
+            return [
+                JobSpec(job=jobs[i][0], feedback=jobs[i][1](), job_id=jid)
+                for jid, i in enumerate(order)
+            ]
+
+        counting = CountingDEQ()
+        fast = simulate_job_set(make(), counting, 64, quantum_length=20)
+        assert counting.batch_calls * 4 < fast.quanta_elapsed
+        serial = simulate_job_set(
+            make(), DynamicEquiPartitioning(), 64, quantum_length=20, batch="off"
+        )
+        assert_results_identical(serial, fast)
+
+    def test_lone_abg_job_fast_forwards_once_its_integer_settles(
+        self, monkeypatch
+    ):
+        """d goes 1 -> 3.4 -> 3.88 -> ...: ``ceil(d) = 4`` from the second
+        quantum on, so the first superstep follows within 4 executed quanta
+        (a bitwise-fixed request would take about 25)."""
+        executed = [0]
+        first_superstep: list[int] = []
+        execute = MultiBatchKernel.execute_quantum
+        apply = MultiBatchKernel.apply_superstep
+
+        def counted_execute(self, *args, **kwargs):
+            executed[0] += 1
+            return execute(self, *args, **kwargs)
+
+        def noted_apply(self, *args, **kwargs):
+            if not first_superstep:
+                first_superstep.append(executed[0])
+            return apply(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiBatchKernel, "execute_quantum", counted_execute)
+        monkeypatch.setattr(MultiBatchKernel, "apply_superstep", noted_apply)
+
+        def make():
+            return [JobSpec(job=PhasedJob([(4, 4000)]), feedback=AControl(0.2))]
+
+        fast = simulate_job_set(make(), DynamicEquiPartitioning(), 16, quantum_length=10)
+        assert first_superstep and first_superstep[0] <= 4
+        serial = simulate_job_set(
+            make(), DynamicEquiPartitioning(), 16, quantum_length=10, batch="off"
+        )
+        assert_results_identical(serial, fast)
+        requests = [r.request for r in fast.traces[0].records]
+        assert requests[1] == 0.2 * 1.0 + (1.0 - 0.2) * 4.0 and requests[-1] == 4.0
+        assert len(set(requests)) > 10  # the fast-forwarded rows still move
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ class TestLayoutEpochBoundary:
         # following epoch's group must start where the expansion left off
         log = QuantumLog(L)
         log.set_layout([5])
-        _emit(log, start_step=0, repeat=3, index0=[1], request=[2.0])
+        _emit(log, start_step=0, repeat=3, index0=[1], request=[2.0, 2.0, 2.0])
         log.set_layout([5, 6])
         _emit(log, start_step=3 * L, repeat=1, index0=[4, 1], request=[2.0, 8.0])
 
