@@ -12,8 +12,8 @@ corrupted or hand-edited fixture fails with a diagnosis, not a traceback.
 
 Column-wise IO
 --------------
-Trace files hold one JSON object per quantum, but neither direction builds
-those objects one field at a time:
+Trace files hold one JSON object per quantum, but neither the writer nor
+the layout reader builds a Python object per quantum:
 
 - **Writing.** ``json.dumps`` with an ``indent`` never uses CPython's C
   encoder, so the private :func:`_dumps` encodes only the envelope (trace
@@ -22,18 +22,25 @@ those objects one field at a time:
   from the trace's columns with one ``%``-template per row.  The output is
   byte for byte what ``json.dumps(..., indent=...)`` of
   :func:`trace_to_dict` writes, ``NaN``/``Infinity`` spellings included.
-- **Reading.** :func:`_loads` parses with the plain C decoder, which keeps
-  the last of two duplicate keys.  Every key in the text is followed by a
-  ``:``, so the text's colon count equals the parsed payload's key count
-  exactly when no key was dropped and no string holds a colon.  On any
-  other count the text is parsed again with a hook that rejects the first
-  duplicate key.  Record fields are type-checked per column, and the key
-  count reuses that check: a ``"records"`` list whose objects each hold
-  exactly the ten record fields and pass it is counted from its length
-  and keeps its checked columns, so no record value is visited twice.  A
-  record list that fails the column check is counted key by key, so the
-  duplicate-key check still comes first, and then goes through the
-  row-by-row checks, which raise the first error in row order.
+- **Reading.** Each loader first tries :func:`_read_by_layout`, which
+  accepts only the bytes :func:`_dumps` writes for that loader's indent
+  and depth.  It reads every record list straight from the file bytes
+  into :class:`TraceColumns` with numpy, building no per-quantum object:
+  a record's lines are found from the newline offsets, each line's fixed
+  text is compared against a window of its own width, ints are parsed
+  from their digit windows and each distinct float spelling once.  Only
+  the envelope, with a placeholder in each list's place, is parsed as
+  JSON.  Any file it does not accept, the same file reformatted or
+  hand-edited, takes the general path: :func:`_loads` parses the text
+  with the plain C decoder, which keeps the last of two duplicate keys.
+  Every key in the text is followed by a ``:``, so the text's colon count
+  equals the parsed payload's key count exactly when no key was dropped
+  and no string holds a colon.  On any other count the text is parsed
+  again with a hook that rejects the first duplicate key.  Record fields
+  are then type-checked per column.  Columns from either path get the
+  finiteness, record and quantum-order checks; a list that fails any
+  check goes through the row-by-row checks, which raise the first error
+  in row order.  Both paths give the same traces, or the same error.
 
 Golden bundles
 --------------
@@ -55,7 +62,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -243,6 +250,29 @@ def _replay(rows: list[tuple[Any, ...]], where: str) -> None:
             raise ValueError(f"invalid record at {where}.records[{i}]: {exc}") from None
 
 
+def _columns_pass(columns: TraceColumns) -> bool:
+    """Whether ``columns`` passes the checks a JSON record list gets: int64
+    counts, finite float64 values, quanta in order, and every row passing
+    :meth:`QuantumRecord.__post_init__ <repro.core.types.QuantumRecord.__post_init__>`."""
+    typed = all(
+        getattr(columns, name).dtype == (np.int64 if name in _INT_RECORD_FIELDS else np.float64)
+        for name in RECORD_FIELDS
+    )
+    if not (typed and np.isfinite(columns.request).all() and np.isfinite(columns.span).all()):
+        return False
+    in_order = np.array_equal(columns.index, np.arange(1, len(columns) + 1, dtype=np.int64))
+    return in_order and columns_valid(
+        index=columns.index,
+        request_int=columns.request_int,
+        available=columns.available,
+        allotment=columns.allotment,
+        work=columns.work,
+        span=columns.span,
+        steps=columns.steps,
+        quantum_length=columns.quantum_length,
+    )
+
+
 def _checked_columns(records: list[Any]) -> TraceColumns | None:
     """Columns of a JSON record list if it passes every check, else None.
 
@@ -267,28 +297,15 @@ def _checked_columns(records: list[Any]) -> TraceColumns | None:
                 if not kinds <= {int, float}:
                     return None
                 arrays[name] = np.array(values, dtype=np.float64)
-                if not np.isfinite(arrays[name]).all():
-                    return None
         except OverflowError:
             return None
     columns = TraceColumns(**arrays)
-    in_order = np.array_equal(columns.index, np.arange(1, len(records) + 1, dtype=np.int64))
-    if not in_order or not columns_valid(
-        index=columns.index,
-        request_int=columns.request_int,
-        available=columns.available,
-        allotment=columns.allotment,
-        work=columns.work,
-        span=columns.span,
-        steps=columns.steps,
-        quantum_length=columns.quantum_length,
-    ):
-        return None
-    return columns
+    return columns if _columns_pass(columns) else None
 
 
-def _columns_from_records(records: list[Any], where: str) -> TraceColumns:
-    """Validated columns of a JSON record list.
+def _columns_from_records(records: list[Any] | TraceColumns, where: str) -> TraceColumns:
+    """Validated columns of a JSON record list, or of a :class:`TraceColumns`
+    such as the layout reader reads from one.
 
     Field types, record invariants and the quantum order are checked per
     column.  If any check fails, the fields are checked again row by row and
@@ -296,8 +313,13 @@ def _columns_from_records(records: list[Any], where: str) -> TraceColumns:
     the error raised is the first one in row order — exactly what building
     the trace record by record raises.
     """
-    if type(records) is _CheckedRecords:
-        return records.columns
+    if isinstance(records, TraceColumns):
+        columns = records.freeze()
+        if _columns_pass(columns):
+            return columns
+        # The same checks again on the record list the columns spell, so
+        # the same error is raised.
+        records = _record_dicts(columns)
     columns = _checked_columns(records)
     if columns is not None:
         return columns
@@ -317,7 +339,12 @@ def _columns_from_records(records: list[Any], where: str) -> TraceColumns:
 
 
 def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
-    """Rehydrate one :class:`JobTrace`; ``where`` prefixes error paths."""
+    """Rehydrate one :class:`JobTrace`; ``where`` prefixes error paths.
+
+    ``data["records"]`` is a JSON record list or, as the layout reader
+    leaves it, a :class:`TraceColumns`; both get every record check, with
+    the same errors.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"field {where} must be an object, got {type(data).__name__}")
     version = data.get("schema")
@@ -331,7 +358,7 @@ def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
     quantum_length = _require_int(data["quantum_length"], f"{where}.quantum_length")
     release_time = _require_int(data.get("release_time", 0), f"{where}.release_time")
     records = data.get("records")
-    if not isinstance(records, list):
+    if not isinstance(records, (list, TraceColumns)):
         raise ValueError(f"field {where}.records must be a list, got {records!r}")
     return JobTrace(
         quantum_length,
@@ -346,7 +373,8 @@ def save_trace(trace: JobTrace, path: str | Path) -> Path:
 
 
 def load_trace(path: str | Path) -> JobTrace:
-    return trace_from_dict(_loads(Path(path).read_text()))
+    data = _read(path, indent=2, depth=1, slots=lambda d: [d] if type(d) is dict else None)
+    return trace_from_dict(data)
 
 
 def traces_payload(traces: dict[int, JobTrace]) -> dict[str, Any]:
@@ -401,37 +429,11 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
-class _CheckedRecords(list[Any]):
-    """A parsed ``"records"`` list whose column check passed while
-    :func:`_count_keys` counted its keys, carrying the checked columns so
-    the trace loader does not check them again."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, records: list[Any], columns: TraceColumns) -> None:
-        super().__init__(records)
-        self.columns = columns
-
-
-def _flat_record_columns(records: list[Any]) -> TraceColumns | None:
-    """Checked columns of a record list whose objects hold exactly the
-    :data:`RECORD_FIELDS` (so no nested object hides a key), else None."""
-    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(RECORD_FIELDS)}:
-        return None
-    return _checked_columns(records)
-
-
 def _count_keys(value: Any) -> int:
     """Keys of every JSON object in a parsed ``value``, nested ones included.
 
-    Walks one nesting level at a time, so a list of flat record objects
-    costs a few C-level passes rather than a python call per field.  A
-    ``"records"`` list whose objects all pass the column check holds
-    exactly ``len(RECORD_FIELDS)`` scalar fields each: it is counted from
-    its length and replaced in its parent object by a
-    :class:`_CheckedRecords` holding the checked columns, which the walk
-    does not enter.  Any other list, record lists with extra keys or a bad
-    field included, is walked.
+    Walks one nesting level at a time, so a list of flat objects costs a
+    few C-level passes rather than a python call per key.
     """
     total = 0
     level = [value]
@@ -439,11 +441,6 @@ def _count_keys(value: Any) -> int:
         objects = [v for v in level if type(v) is dict]
         lists = [v for v in level if type(v) is list]
         total += sum(map(len, objects))
-        for obj in objects:
-            records = obj.get("records")
-            if type(records) is list and (columns := _flat_record_columns(records)) is not None:
-                obj["records"] = _CheckedRecords(records, columns)
-                total += len(RECORD_FIELDS) * len(records)
         level = [*chain.from_iterable(map(dict.values, objects)), *chain.from_iterable(lists)]
     return total
 
@@ -467,8 +464,292 @@ def _loads(text: str) -> Any:
     return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
 
 
+# ---------------------------------------------------------------------------
+# Layout reader
+# ---------------------------------------------------------------------------
+
+#: Lines of one record object as the writer lays it out: ``{``, one line per
+#: field, ``}``.
+_RECORD_LINES = len(RECORD_FIELDS) + 2
+_INT_FIELDS = tuple(n for n in RECORD_FIELDS if n in _INT_RECORD_FIELDS)
+_FLOAT_FIELDS = tuple(n for n in RECORD_FIELDS if n not in _INT_RECORD_FIELDS)
+_INT_LINES = [RECORD_FIELDS.index(n) for n in _INT_FIELDS]
+_FLOAT_LINES = [RECORD_FIELDS.index(n) for n in _FLOAT_FIELDS]
+#: Longest int spelling read: two uint64 words of digits.
+_MAX_DIGITS = 16
+#: Longest float spelling read, in uint64 words: ``json`` spells any float
+#: in at most 24 bytes.
+_FLOAT_WORDS = 3
+#: Records checked and parsed at a time, so that a block's lines stay in
+#: the CPU cache from one check to the next.
+_BLOCK_RECORDS = 4096
+_PLACEHOLDER_BYTES = _QUOTED_PLACEHOLDER.encode()
+#: ``_KEEP[32 + p]`` keeps the bytes of a little-endian uint64 word from
+#: byte ``p`` up: all of them for ``p <= 0``, none for ``p >= 8``.
+_KEEP = np.array(
+    [(~0 << (8 * min(max(p, 0), 8))) & 0xFFFF_FFFF_FFFF_FFFF for p in range(-32, 33)],
+    dtype=np.uint64,
+)
+#: Eight ASCII ``"0"`` bytes, and eight spaces.
+_ZEROS = np.uint64(0x3030_3030_3030_3030)
+_SPACES = np.uint64(0x2020_2020_2020_2020)
+
+
+def _starts_with(data: bytes, starts: np.ndarray, pattern: bytes) -> np.ndarray:
+    """Whether ``pattern`` starts at each offset of ``starts`` in ``data``.
+
+    Indexes a strided view of ``data`` that holds every ``len(pattern)``-byte
+    window as one item, so only the windows picked are copied.  Each window
+    must lie inside ``data``.
+    """
+    width = len(pattern)
+    windows = np.ndarray((len(data) - width + 1,), dtype=f"S{width}", buffer=data, strides=(1,))
+    return np.asarray(windows[starts] == pattern)
+
+
+def _words(
+    data: bytes, ends: np.ndarray, lengths: np.ndarray, count: int, fill: np.uint64
+) -> list[np.ndarray]:
+    """The byte strings ``data[end - length:end]`` XOR ``fill``, each
+    right-aligned in ``count`` little-endian uint64 words with zero bytes on
+    its left: XOR ``fill`` again pads it with ``fill``'s bytes.
+
+    Word ``k`` holds bytes ``end - 8 * (k + 1)`` to ``end - 8 * k``, read
+    from a strided view of ``data`` with one 8-byte window per offset.
+    """
+    windows = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    return [
+        (windows[ends - 8 * (k + 1)] ^ fill) & _KEEP[8 * (k + 1) + 32 - lengths]
+        for k in range(count)
+    ]
+
+
+def _layout_ints(data: bytes, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The unsigned JSON ints ending at ``ends``, or None unless each is
+    1 to :data:`_MAX_DIGITS` digits with no leading zero.
+
+    Eight digits at a time, as one uint64 word: XOR with ``"0"`` maps digit
+    bytes, and only them, to 0-9 with no carry, and three multiply-shifts
+    merge adjacent digits into pairs, pairs into fours and fours into eights.
+    """
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    leading = np.frombuffer(data, dtype=np.uint8)[ends - lengths] == ord("0")
+    if (leading & (lengths > 1)).any():
+        return None
+    values = np.zeros(len(ends), dtype=np.uint64)
+    words = _words(data, ends, lengths, -(-int(lengths.max()) // 8), _ZEROS)
+    for k, x in enumerate(words):
+        # A byte above 9 has its high bit set in x or in x + 0x76.
+        if ((x | (x + 0x7676_7676_7676_7676)) & 0x8080_8080_8080_8080).any():
+            return None
+        x = (x * (10 * 2**8 + 1) >> 8) & 0x00FF_00FF_00FF_00FF
+        x = (x * (100 * 2**16 + 1) >> 16) & 0x0000_FFFF_0000_FFFF
+        values += (x * (10_000 * 2**32 + 1) >> 32) * 10 ** (8 * k)
+    return values.view(np.int64)
+
+
+def _layout_floats(spellings: list[np.ndarray]) -> np.ndarray | None:
+    """The JSON floats of ``spellings`` (:data:`_FLOAT_WORDS` words
+    of each, as :func:`_words` holds them with ``fill`` spaces), or None.
+
+    Each distinct spelling is parsed once, in one ``json.loads`` of them
+    all, which reads it as the general path would: a spelling that is not
+    one number fails to parse, or parses to a count or type of values that
+    gives up.  An integer spelling gives up too, since the writer spells
+    every float field as a float.  ``NaN`` and ``Infinity`` are read here
+    and rejected with the general path's error when the trace is built.
+    """
+    order = np.lexsort(spellings)
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for word in spellings:
+        ranked = word[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    distinct = np.stack(spellings[::-1], axis=1)[order[new]] ^ _SPACES
+    text = np.full((len(distinct), 8 * _FLOAT_WORDS + 1), ord(","), dtype=np.uint8)
+    text[:, :-1] = distinct.astype("<u8", copy=False).view(np.uint8)
+    try:
+        parsed = json.loads(b"[" + text.tobytes()[:-1] + b"]")
+    except ValueError:
+        return None
+    if len(parsed) != len(distinct) or not {float}.issuperset(map(type, parsed)):
+        return None
+    return np.array(parsed, dtype=np.float64)[inverse]
+
+
+def _layout_block(
+    data: bytes, anchors: np.ndarray, last: np.ndarray, item: bytes, prefixes: list[bytes]
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """The int fields of a block of records, one row per field, and the
+    spelling words of its float fields; None unless every record of the
+    block is laid out exactly as :func:`_records_json` writes it.
+
+    Row ``r`` of ``anchors`` holds the offsets of the newlines that open
+    the :data:`_RECORD_LINES` lines of record ``r``, and ``last[r]`` tells
+    whether it ends its list.  Each line is checked from the newline (or
+    the comma and newline) before it against the bytes the writer puts
+    there; what is left of a field line is its value.
+    """
+    closing = b"\n" + item + b"}"
+    after = anchors[:, -1] + len(closing)
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    if not (
+        _starts_with(data, anchors[:, 0], b"\n" + item + b"{\n" + prefixes[0]).all()
+        and all(
+            _starts_with(data, anchors[:, line] - 1, b",\n" + prefix).all()
+            for line, prefix in enumerate(prefixes[1:], 2)
+        )
+        and _starts_with(data, anchors[:, -1], closing).all()
+        and (u8[after] == np.where(last, ord("\n"), ord(","))).all()
+        and (u8[after[~last] + 1] == ord("\n")).all()
+    ):
+        return None
+    # Field f fills line f + 1 after its prefix, up to the comma that ends
+    # every field line but the last.
+    comma = np.arange(len(RECORD_FIELDS)) < len(RECORD_FIELDS) - 1
+    ends = (anchors[:, 2:] - comma).T
+    lengths = ends - anchors[:, 1:-1].T - np.array([len(p) + 1 for p in prefixes])[:, None]
+    ints = _layout_ints(data, ends[_INT_LINES].ravel(), lengths[_INT_LINES].ravel())
+    floats = lengths[_FLOAT_LINES]
+    if ints is None or floats.min() < 1 or floats.max() > 8 * _FLOAT_WORDS:
+        return None
+    words = _words(data, ends[_FLOAT_LINES].ravel(), floats.ravel(), _FLOAT_WORDS, _SPACES)
+    return ints.reshape(len(_INT_LINES), -1), [w.reshape(floats.shape) for w in words]
+
+
+def _layout_columns(
+    data: bytes, anchors: np.ndarray, rows: np.ndarray, indent: int, depth: int
+) -> list[TraceColumns] | None:
+    """The columns of each record list, or None unless every record is laid
+    out exactly as :func:`_records_json` writes it; ``rows[i]`` counts the
+    records of list ``i``, and ``anchors`` is as :func:`_layout_block`
+    takes it, for all of them."""
+    if not len(anchors):
+        return [TraceColumns.empty() for _ in rows]
+    item = b" " * (indent * (depth + 1))
+    prefixes = [b" " * (indent * (depth + 2)) + b'"%s": ' % n.encode() for n in RECORD_FIELDS]
+    # How far past its anchor each window of _layout_block reaches: those
+    # of the last record reach furthest.
+    reach = [len(item) + 3 + len(prefixes[0]), 0, *(len(p) + 1 for p in prefixes[1:]), len(item) + 4]
+    if (anchors[-1] + reach).max() > len(data):
+        return None
+    last = np.zeros(len(anchors), dtype=bool)
+    last[np.cumsum(rows)[rows > 0] - 1] = True
+    ints, spellings = [], []
+    for start in range(0, len(anchors), _BLOCK_RECORDS):
+        block = slice(start, start + _BLOCK_RECORDS)
+        read = _layout_block(data, anchors[block], last[block], item, prefixes)
+        if read is None:
+            return None
+        ints.append(read[0])
+        spellings.append(read[1])
+    floats = _layout_floats([np.concatenate(w, axis=1).ravel() for w in zip(*spellings)])
+    if floats is None:
+        return None
+    fields = {
+        **dict(zip(_INT_FIELDS, np.concatenate(ints, axis=1))),
+        **dict(zip(_FLOAT_FIELDS, floats.reshape(len(_FLOAT_FIELDS), -1))),
+    }
+    bounds = np.concatenate(([0], np.cumsum(rows))).tolist()
+    return [
+        TraceColumns(**{name: column[a:b] for name, column in fields.items()})
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _read_by_layout(
+    data: bytes, *, indent: int, depth: int, slots: Callable[[Any], list[Any] | None]
+) -> Any | None:
+    """The payload of a trace file in the layout ``_dumps(..., indent=indent,
+    depth=depth)`` writes, each trace holding its :class:`TraceColumns` as
+    ``"records"``; None to give the file to the general path.
+
+    A record list opens on a line ``"records": [`` and closes on the next
+    line ``]``, both at the key's indent.  The envelope left when each list
+    is cut out for the placeholder goes to :func:`_loads`, and ``slots``
+    picks the trace objects of the parsed envelope, in document order.  The
+    lists must land one to each trace's ``"records"``.  The placeholder
+    holds a NUL, which JSON spells only as ``\\u0000``; the envelope may
+    spell it once per list, so each placeholder it holds stands for one.
+    """
+    lead = b" " * (indent * depth)
+    head, tail = b"\n" + lead + b'"records": [', b"\n" + lead + b"]"
+    if len(data) < len(head):
+        return None  # too short to hold a list, or a window of one
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(u8 == ord("\n"))
+    # One byte after the indent picks the lines that may open or close a
+    # list; a window of the whole pattern checks them.
+    near = newlines[: np.searchsorted(newlines, len(data) - len(tail), side="right")]
+    marker = u8[near + len(lead) + 1]
+    tails = near[marker == ord("]")]
+    tails = tails[_starts_with(data, tails, tail)]
+    heads = near[(marker == ord('"')) & (near <= len(data) - len(head))]
+    heads = heads[_starts_with(data, heads, head)] + len(head)
+    empty = u8[np.minimum(heads, len(data) - 1)] == ord("]")
+    after = np.searchsorted(tails, heads, side="right")
+    if (after[~empty] == len(tails)).any():
+        return None
+    closes = heads.copy()
+    closes[~empty] = tails[after[~empty]]
+    # A list opening inside another closes where that one does: the two
+    # placeholders then stand side by side, which no JSON parses.
+    envelope: list[bytes] = []
+    done = 0
+    for opened, closed, none in zip(heads.tolist(), closes.tolist(), empty.tolist()):
+        envelope += (data[done : opened - 1], _PLACEHOLDER_BYTES)
+        done = opened + 1 if none else closed + len(tail)
+    envelope.append(data[done:])
+    text = b"".join(envelope)
+    if text.count(b"\\u0000") != len(heads):
+        return None
+    try:
+        payload = _loads(text.decode("ascii"))
+    except ValueError:
+        return None
+    objects = slots(payload)
+    if objects is None or len(objects) != len(heads):
+        return None
+    if any(obj.get("records") != _PLACEHOLDER for obj in objects):
+        return None
+    # A non-empty list's lines run from the newline after its "[" to the
+    # newline before its "]"; an empty list holds none.
+    first, stop = np.searchsorted(newlines, heads), np.searchsorted(newlines, closes)
+    lines = stop - first
+    if (newlines[first[~empty]] != heads[~empty]).any() or (lines % _RECORD_LINES).any():
+        return None
+    slices = [newlines[a:b] for a, b in zip(first.tolist(), stop.tolist())]
+    anchors = np.concatenate([newlines[:0], *slices]).reshape(-1, _RECORD_LINES)
+    columns = _layout_columns(data, anchors, lines // _RECORD_LINES, indent, depth)
+    if columns is None:
+        return None
+    for obj, read in zip(objects, columns):
+        obj["records"] = read
+    return payload
+
+
+def _trace_objects(payload: Any) -> list[Any] | None:
+    """The trace objects of a traces file or golden bundle payload."""
+    traces = payload.get("traces") if type(payload) is dict else None
+    if type(traces) is not dict or not all(type(t) is dict for t in traces.values()):
+        return None
+    return list(traces.values())
+
+
+def _read(
+    path: str | Path, *, indent: int, depth: int, slots: Callable[[Any], list[Any] | None]
+) -> Any:
+    """The parsed payload of a trace file: by layout if it is in the
+    writer's, else by :func:`_loads` of its text."""
+    payload = _read_by_layout(Path(path).read_bytes(), indent=indent, depth=depth, slots=slots)
+    return payload if payload is not None else _loads(Path(path).read_text())
+
+
 def load_traces(path: str | Path) -> dict[int, JobTrace]:
-    data = _loads(Path(path).read_text())
+    data = _read(path, indent=2, depth=3, slots=_trace_objects)
     if not isinstance(data, dict):
         raise ValueError(f"traces file {path} must hold a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -544,7 +825,7 @@ def load_golden_bundle(path: str | Path) -> GoldenBundle:
     unknown schema, a malformed scenario/traces payload, or a digest
     mismatch (the fixture bytes were edited without re-recording).
     """
-    data = _loads(Path(path).read_text())
+    data = _read(path, indent=1, depth=3, slots=_trace_objects)
     if not isinstance(data, dict):
         raise ValueError(f"golden bundle {path} must hold a JSON object")
     if data.get("schema") != GOLDEN_SCHEMA_VERSION:

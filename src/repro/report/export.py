@@ -18,9 +18,25 @@ from ..runtime import write_atomic
 __all__ = ["rows_to_csv", "rows_to_json", "write_csv", "write_json"]
 
 
+#: Field types whose values ``dataclasses.asdict`` returns as they are.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
+def _nests(value: Any) -> bool:
+    """Whether ``dataclasses.asdict`` would recurse into ``value``."""
+    if type(value) in _SCALARS:
+        return False
+    if isinstance(value, (list, tuple, dict)):
+        return True
+    return dataclasses.is_dataclass(value) and not isinstance(value, type)
+
+
 def _record_of(row: Any) -> dict[str, Any]:
     if dataclasses.is_dataclass(row) and not isinstance(row, type):
-        return dataclasses.asdict(row)
+        # A shallow read of the fields: ``asdict`` deep-copies each one,
+        # which only a nested field needs.
+        record = {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
+        return dataclasses.asdict(row) if any(map(_nests, record.values())) else record
     if isinstance(row, dict):
         return dict(row)
     raise TypeError(f"cannot export row of type {type(row).__name__}")

@@ -30,6 +30,14 @@ class Row:
     value: float
 
 
+@dataclass(frozen=True)
+class Nested:
+    label: str
+    inner: Row
+    tags: tuple[int, ...]
+    extra: dict[str, list[Row]]
+
+
 class TestSparkline:
     def test_length_preserved(self):
         assert len(sparkline([1, 5, 3, 8])) == 4
@@ -104,6 +112,26 @@ class TestExport:
     def test_json(self):
         data = json.loads(rows_to_json([Row("a", 1.0)]))
         assert data == [{"name": "a", "value": 1.0}]
+
+    def test_scalar_and_nested_rows_pinned(self):
+        # Scalar rows are read field by field; a row with a nested field
+        # goes through dataclasses.asdict, which renders the nested values
+        # as dicts and tuples.
+        scalar = [Row("a", 1.5), Row("b,c", -0.0)]
+        assert rows_to_csv(scalar) == 'name,value\r\na,1.5\r\n"b,c",-0.0\r\n'
+        assert rows_to_json(scalar, indent=None) == (
+            '[{"name": "a", "value": 1.5}, {"name": "b,c", "value": -0.0}]'
+        )
+        nested = [Nested("n", Row("a", 1.5), (1, 2), {"k": [Row("b", 2.0)]})]
+        assert rows_to_csv(nested) == (
+            "label,inner,tags,extra\r\n"
+            "n,\"{'name': 'a', 'value': 1.5}\",\"(1, 2)\","
+            "\"{'k': [{'name': 'b', 'value': 2.0}]}\"\r\n"
+        )
+        assert rows_to_json(nested, indent=None) == (
+            '[{"label": "n", "inner": {"name": "a", "value": 1.5}, "tags": [1, 2], '
+            '"extra": {"k": [{"name": "b", "value": 2.0}]}}]'
+        )
 
     def test_write_files(self, tmp_path):
         p1 = write_csv([Row("a", 1.0)], tmp_path / "r.csv")

@@ -10,6 +10,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from repro.io.traces import (
 )
 from repro.sim.jobs import JobSpec
 from repro.sim.multi import simulate_job_set
+from repro.workloads.jobsets import JobSetGenerator
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, 0.1 + 0.2, math.inf, -math.inf, math.nan)
@@ -149,15 +154,78 @@ def _deq_traces() -> dict[int, JobTrace]:
     return simulate_job_set(specs, DynamicEquiPartitioning(), 16, quantum_length=20).traces
 
 
-def test_fast_and_fallback_loads_agree(tmp_path, monkeypatch):
+def _no_layout(monkeypatch) -> None:
+    """Send every load down the general path, as if no file were in the
+    writer's layout."""
+    monkeypatch.setattr(traces_io, "_read_by_layout", lambda data, **layout: None)
+
+
+def _saved_files(tmp_path) -> list[tuple[Callable[[Path], Any], Path]]:
+    """A traces file, a single-trace file and a golden bundle of the DEQ
+    set, each with the loader that reads it."""
     simulated = _deq_traces()
-    path = save_traces(simulated, tmp_path / "traces.json")
-    fast = load_traces(path)
-    monkeypatch.setattr(traces_io, "_count_keys", lambda value: -1)
-    monkeypatch.setattr(traces_io, "_checked_columns", lambda records: None)
-    hooked = load_traces(path)
-    assert fast == hooked == simulated
-    assert list(fast) == list(hooked) == sorted(simulated)
+    bundle = GoldenBundle(scenario={"scenario_id": "a:b"}, traces=simulated)
+    return [
+        (load_traces, save_traces(simulated, tmp_path / "traces.json")),
+        (load_trace, save_trace(simulated[3], tmp_path / "trace.json")),
+        (load_golden_bundle, save_golden_bundle(tmp_path / "golden.json", bundle)),
+    ]
+
+
+def _loaded_traces(loaded: Any) -> dict[int, JobTrace]:
+    if isinstance(loaded, GoldenBundle):
+        return loaded.traces
+    return loaded if isinstance(loaded, dict) else {3: loaded}
+
+
+def test_fast_and_fallback_loads_agree(tmp_path):
+    expected = _deq_traces()
+    for load, path in _saved_files(tmp_path):
+        by_layout = _loaded_traces(load(path))
+        with pytest.MonkeyPatch.context() as patch:
+            _no_layout(patch)
+            parsed = _loaded_traces(load(path))
+            patch.setattr(traces_io, "_count_keys", lambda value: -1)
+            patch.setattr(traces_io, "_checked_columns", lambda records: None)
+            hooked = _loaded_traces(load(path))
+        assert by_layout == parsed == hooked
+        assert list(by_layout) == list(parsed) == list(hooked)
+        assert by_layout == {jid: expected[jid] for jid in by_layout}
+
+
+def _general_path_raises(monkeypatch) -> None:
+    def general(*args: Any) -> Any:
+        raise AssertionError("a record list took the general path")
+
+    monkeypatch.setattr(traces_io, "_checked_columns", general)
+    monkeypatch.setattr(traces_io, "_record_values", general)
+
+
+GOLDEN_FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures" / "goldens").glob("*.json"))
+
+
+@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES, ids=lambda p: p.stem)
+def test_committed_goldens_load_by_layout(fixture, monkeypatch):
+    # A writer change that leaves the layout fails here instead of quietly
+    # losing the layout reader's speed.
+    _general_path_raises(monkeypatch)
+    assert load_golden_bundle(fixture).traces
+
+
+def test_saved_files_load_by_layout(tmp_path, monkeypatch):
+    sample = JobSetGenerator(64, quantum_length=100).generate(np.random.default_rng(911), 16.0)
+    specs = [JobSpec(job=job, feedback=AControl(0.2)) for job in sample.jobs]
+    saturated = simulate_job_set(specs, DynamicEquiPartitioning(), 64, quantum_length=100).traces
+    assert len(saturated) > 20 and sum(map(len, saturated.values())) > 1000
+    path = save_traces(saturated, tmp_path / "saturated.json")
+    files = _saved_files(tmp_path)
+    _general_path_raises(monkeypatch)
+    assert load_traces(path) == saturated
+    for load, saved in files:
+        assert _loaded_traces(load(saved))
+    empty = {1: JobTrace(5), 2: _deq_traces()[3]}
+    assert load_traces(save_traces(empty, tmp_path / "empty.json")) == empty
+    assert load_trace(save_trace(JobTrace(5), tmp_path / "empty-trace.json")) == JobTrace(5)
 
 
 def test_golden_bundle_and_single_trace_round_trip(tmp_path):
@@ -309,3 +377,227 @@ def test_column_checks_match_row_checks(edits):
         patch.setattr(traces_io, "_checked_columns", lambda records: None)
         rows = _outcome(data)
     assert fast == rows
+
+
+def _tampered(columns: TraceColumns, name: str, row: int, value: Any) -> TraceColumns:
+    arrays = {n: getattr(columns, n).copy() for n in RECORD_FIELDS}
+    if isinstance(value, float) and arrays[name].dtype.kind == "i":
+        arrays[name] = arrays[name].astype(np.float64)
+    arrays[name][row] = value
+    return TraceColumns(**arrays)
+
+
+@pytest.mark.parametrize(
+    "name, row, value, error",
+    [
+        ("index", 0, 1.0, r"records\[0\]\.index must be an integer"),
+        ("request", 2, math.nan, r"records\[2\]\.request must be finite"),
+        ("span", 1, math.inf, r"records\[1\]\.span must be finite"),
+        ("allotment", 3, 10**6, r"records\[3\]: allotment exceeds availability"),
+        ("index", 2, 9, r"records\[2\]: quantum records must be appended in order"),
+        ("start_step", 0, -5, None),
+    ],
+)
+def test_columns_in_records_get_the_record_list_checks(name, row, value, error):
+    # trace_from_dict takes the columns the layout reader reads as well as
+    # a record list, with the same outcome for the same values.
+    trace = _deq_traces()[7]
+    columns = _tampered(trace.columns, name, row, value)
+    as_columns = {**trace_to_dict(trace), "records": columns}
+    as_records = trace_to_dict(JobTrace(trace.quantum_length, columns, job_id=7))
+    outcome = _outcome(as_columns)
+    assert outcome == _outcome(as_records)
+    if error is None:
+        assert outcome[0] == "ok"
+    else:
+        assert outcome[0] == "ValueError" and re.search(error, outcome[1])
+
+
+# ---------------------------------------------------------------------------
+# Layout reader: any edit of a saved file loads as the general path loads it
+# ---------------------------------------------------------------------------
+
+LOADERS = {load.__name__: load for load in (load_traces, load_trace, load_golden_bundle)}
+FIELD_LINE = re.compile(rb'^ +"\w+": ')
+EDIT_BYTES = [b" ", b"\n", b"0", b"9", b"-", b",", b".", b"e", b"{", b"}", b"]", b'"', b"\\", b"\x00", b"\xff"]
+EDIT_VALUES = [
+    b"true", b"NaN", b"1e400", b"-0", b"01", b"3.0", b"-1", b"0.5", b"1E2", b"7", b" 1",
+    b"9" * 19, b"Infinity", b"null", b'"3"', b"1.0,", b"1.0,2.5", b"-0.0", b"[1.0]",
+    b"-12345678901234567890.123456",
+]
+byte_edits = st.tuples(
+    st.sampled_from(["delete", "insert", "replace"]), st.integers(0, 10**9), st.sampled_from(EDIT_BYTES)
+)
+line_edits = st.tuples(
+    st.sampled_from(["duplicate", "drop", "swap", "blank", "extra"]), st.integers(0, 10**9), st.just(b"")
+)
+value_edits = st.tuples(st.just("value"), st.integers(0, 10**9), st.sampled_from(EDIT_VALUES))
+
+
+@functools.cache
+def _saved_bytes() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {load.__name__: path.read_bytes() for load, path in _saved_files(Path(tmp))}
+
+
+def _edited(text: bytes, edits: list[tuple[str, int, bytes]]) -> bytes:
+    """``text`` after byte edits, or edits of a ``"key": value`` line."""
+    for kind, at, value in edits:
+        if kind in ("delete", "replace"):
+            at %= len(text)
+            text = text[:at] + (value if kind == "replace" else b"") + text[at + 1 :]
+            continue
+        if kind == "insert":
+            at %= len(text) + 1
+            text = text[:at] + value + text[at:]
+            continue
+        lines = text.split(b"\n")
+        keyed = [i for i, line in enumerate(lines) if FIELD_LINE.match(line)]
+        i = keyed[at % len(keyed)]
+        match = FIELD_LINE.match(lines[i])
+        assert match is not None
+        if kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "swap":
+            lines[i - 1], lines[i] = lines[i], lines[i - 1]
+        elif kind == "blank":
+            lines.insert(i, b"")
+        elif kind == "extra":
+            lines.insert(i, match.group(0).split(b'"')[0] + b'"extra": 1,')
+        else:
+            lines[i] = match.group(0) + value + (b"," if lines[i].endswith(b",") else b"")
+        text = b"\n".join(lines)
+    return text
+
+
+def _exact(traces: dict[int, JobTrace]) -> list[Any]:
+    """Everything a loaded trace holds, dtypes and float bits included."""
+    return [
+        (jid, t.quantum_length, t.release_time, t.job_id)
+        + tuple((getattr(t.columns, n).dtype.str, getattr(t.columns, n).tobytes()) for n in RECORD_FIELDS)
+        for jid, t in traces.items()
+    ]
+
+
+def _load_outcome(load: Callable[[Path], Any], path: Path) -> tuple[Any, ...]:
+    try:
+        loaded = load(path)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return (type(exc).__name__, str(exc))
+    if isinstance(loaded, GoldenBundle):
+        return ("ok", _exact(loaded.traces), loaded.scenario, loaded.provenance)
+    return ("ok", _exact(_loaded_traces(loaded)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    loader=st.sampled_from(sorted(LOADERS)),
+    edits=st.lists(byte_edits | line_edits | value_edits, min_size=1, max_size=2),
+)
+@example(loader="load_traces", edits=[("value", 9, b"1e400")])  # a request
+@example(loader="load_traces", edits=[("value", 9, b"1.0,2.5")])
+@example(loader="load_traces", edits=[("value", 14, b"NaN")])  # a span
+@example(loader="load_traces", edits=[("value", 9, b"-12345678901234567890.123456")])
+@example(loader="load_golden_bundle", edits=[("value", 15, b"-0.0")])
+@example(loader="load_traces", edits=[("value", 20, b"true")])
+@example(loader="load_traces", edits=[("swap", 15, b"")])
+@example(loader="load_golden_bundle", edits=[("value", 30, b"-1")])
+@example(loader="load_trace", edits=[("blank", 12, b"")])
+def test_layout_reader_matches_general_path_on_edits(tmp_path_factory, loader, edits):
+    path = tmp_path_factory.mktemp("edit") / "edited.json"
+    path.write_bytes(_edited(_saved_bytes()[loader], edits))
+    by_default = _load_outcome(LOADERS[loader], path)
+    with pytest.MonkeyPatch.context() as patch:
+        _no_layout(patch)
+        general = _load_outcome(LOADERS[loader], path)
+    assert by_default == general
+
+
+def test_unedited_files_match_general_path(tmp_path):
+    for name, text in _saved_bytes().items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text)
+        by_default = _load_outcome(LOADERS[name], path)
+        with pytest.MonkeyPatch.context() as patch:
+            _no_layout(patch)
+            assert _load_outcome(LOADERS[name], path) == by_default
+        assert by_default[0] == "ok"
+
+
+@pytest.mark.parametrize("edit", [("delete", b""), ("insert", b" "), ("insert", b"0")])
+def test_layout_reader_matches_general_path_at_every_byte(tmp_path, edit):
+    # Every byte of a two-record trace file, so no structural byte of the
+    # layout goes unchecked.
+    columns = _deq_traces()[3].columns
+    two = TraceColumns(**{n: getattr(columns, n)[:2] for n in RECORD_FIELDS})
+    text = save_trace(JobTrace(20, two, job_id=3), tmp_path / "two.json").read_bytes()
+    path = tmp_path / "edited.json"
+    kind, value = edit
+    for at in range(len(text) + 1):
+        path.write_bytes(_edited(text, [(kind, at, value)]))
+        by_default = _load_outcome(load_trace, path)
+        with pytest.MonkeyPatch.context() as patch:
+            _no_layout(patch)
+            assert _load_outcome(load_trace, path) == by_default, at
+
+
+def _crafted(tmp_path: Path, case: str) -> tuple[Callable[[Path], Any], bytes]:
+    """A file that parses as JSON but strays from the writer's layout in a
+    way no single-byte or single-line edit reaches."""
+    trace = _deq_traces()[3]
+    if case == "nested":
+        # A list-opening line inside another list's records.
+        lines = _saved_bytes()["load_traces"].split(b"\n")
+        head = next(i for i, line in enumerate(lines) if line.endswith(b'"records": ['))
+        return load_traces, b"\n".join(lines[: head + 20] + [lines[head]] + lines[head + 20 :])
+    if case == "split-empty":
+        # An empty list over two lines, each at the key's indent.
+        text = save_traces({1: JobTrace(5), 3: trace}, tmp_path / "t.json").read_bytes()
+        return load_traces, text.replace(b"[]", b"[\n      ]", 1)
+    if case == "tiny":
+        return load_traces, b"{}"
+    if case == "blank-lines":
+        # As many blank lines as one record has lines, then the file's end.
+        text = save_trace(trace, tmp_path / "t.json").read_bytes()
+        start, stop = text.index(b"[") + 1, text.rindex(b"]")
+        return load_trace, text[:start] + b"\n" * (len(RECORD_FIELDS) + 3) + b"  " + text[stop:]
+    # Golden bundles holding a record list in the scenario, at the depth of
+    # the traces' lists.
+    records = trace_to_dict(trace)["records"][:1]
+    scenario = {"scenario_id": "s", "x": {"records": records}}
+    if case == "scenario-records":
+        bundle = GoldenBundle(scenario=scenario, traces={3: trace})
+        return load_golden_bundle, save_golden_bundle(tmp_path / "g.json", bundle).read_bytes()
+    if case == "moved-list":
+        # The second trace's list indented apart, so the lists found still
+        # number the traces.
+        bundle = GoldenBundle(scenario=scenario, traces={3: trace, 7: _deq_traces()[7]})
+        text = save_golden_bundle(tmp_path / "g.json", bundle).read_bytes()
+        at = text.rindex(b'\n   "records": [') + 1
+        return load_golden_bundle, text[:at] + b" " + text[at:]
+    if case == "placeholder-in-slot":
+        # A trace whose records are a string spelling the placeholder.
+        payload = golden_bundle_payload(GoldenBundle(scenario=scenario, traces={3: trace}))
+        payload["traces"]["3"]["records"] = traces_io._PLACEHOLDER
+        return load_golden_bundle, json.dumps(payload, indent=1).encode()
+    bundle = GoldenBundle(scenario={"scenario_id": "s", "note": traces_io._PLACEHOLDER}, traces={3: trace})
+    return load_golden_bundle, save_golden_bundle(tmp_path / "g.json", bundle).read_bytes()
+
+
+CRAFTED = [
+    "tiny", "nested", "split-empty", "blank-lines", "scenario-records", "moved-list",
+    "placeholder-in-slot", "scenario-placeholder",
+]
+
+
+@pytest.mark.parametrize("case", CRAFTED)
+def test_layout_reader_matches_general_path_on_crafted_files(tmp_path, case):
+    load, text = _crafted(tmp_path, case)
+    path = tmp_path / "crafted.json"
+    path.write_bytes(text)
+    by_default = _load_outcome(load, path)
+    with pytest.MonkeyPatch.context() as patch:
+        _no_layout(patch)
+        assert _load_outcome(load, path) == by_default
