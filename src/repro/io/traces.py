@@ -30,9 +30,11 @@ the layout reader builds a Python object per quantum:
   text is compared against a window of its own width, ints are parsed
   from their digit windows and each distinct float spelling once.  Only
   the envelope, with a placeholder in each list's place, is parsed as
-  JSON.  Any file it does not accept, the same file reformatted or
-  hand-edited, takes the general path: :func:`_loads` parses the text
-  with the plain C decoder, which keeps the last of two duplicate keys.
+  JSON; a file with no record list line at the loader's indent is given
+  up before any parsing.  Any file it does not accept, the same file
+  reformatted or hand-edited, takes the general path: :func:`_loads`
+  parses the text with the plain C decoder, which keeps the last of two
+  duplicate keys.
   Every key in the text is followed by a ``:``, so the text's colon count
   equals the parsed payload's key count exactly when no key was dropped
   and no string holds a colon.  On any other count the text is parsed
@@ -62,7 +64,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -373,7 +375,7 @@ def save_trace(trace: JobTrace, path: str | Path) -> Path:
 
 
 def load_trace(path: str | Path) -> JobTrace:
-    data = _read(path, indent=2, depth=1, slots=lambda d: [d] if type(d) is dict else None)
+    data = _read(path, indent=2, depth=1)
     return trace_from_dict(data)
 
 
@@ -660,20 +662,20 @@ def _layout_columns(
     ]
 
 
-def _read_by_layout(
-    data: bytes, *, indent: int, depth: int, slots: Callable[[Any], list[Any] | None]
-) -> Any | None:
+def _read_by_layout(data: bytes, *, indent: int, depth: int) -> Any | None:
     """The payload of a trace file in the layout ``_dumps(..., indent=indent,
     depth=depth)`` writes, each trace holding its :class:`TraceColumns` as
     ``"records"``; None to give the file to the general path.
 
     A record list opens on a line ``"records": [`` and closes on the next
-    line ``]``, both at the key's indent.  The envelope left when each list
-    is cut out for the placeholder goes to :func:`_loads`, and ``slots``
-    picks the trace objects of the parsed envelope, in document order.  The
-    lists must land one to each trace's ``"records"``.  The placeholder
-    holds a NUL, which JSON spells only as ``\\u0000``; the envelope may
-    spell it once per list, so each placeholder it holds stands for one.
+    line ``]``, both at the key's indent; a file with no such opening line
+    is given up before any parsing.  The envelope left when each list is
+    cut out for the placeholder goes to :func:`_loads`; its trace objects
+    are the payload itself at depth 1, else the values of its
+    ``"traces"``, in document order.  The lists must land one to each
+    trace's ``"records"``.  The placeholder holds a NUL, which JSON spells
+    only as ``\\u0000``; the envelope may spell it once per list, so each
+    placeholder it holds stands for one.
     """
     lead = b" " * (indent * depth)
     head, tail = b"\n" + lead + b'"records": [', b"\n" + lead + b"]"
@@ -689,6 +691,8 @@ def _read_by_layout(
     tails = tails[_starts_with(data, tails, tail)]
     heads = near[(marker == ord('"')) & (near <= len(data) - len(head))]
     heads = heads[_starts_with(data, heads, head)] + len(head)
+    if not len(heads):
+        return None  # no list to read: give up before any parsing
     empty = u8[np.minimum(heads, len(data) - 1)] == ord("]")
     after = np.searchsorted(tails, heads, side="right")
     if (after[~empty] == len(tails)).any():
@@ -710,7 +714,10 @@ def _read_by_layout(
         payload = _loads(text.decode("ascii"))
     except ValueError:
         return None
-    objects = slots(payload)
+    if depth == 1:
+        objects = [payload] if type(payload) is dict else None
+    else:
+        objects = _trace_objects(payload)
     if objects is None or len(objects) != len(heads):
         return None
     if any(obj.get("records") != _PLACEHOLDER for obj in objects):
@@ -739,17 +746,15 @@ def _trace_objects(payload: Any) -> list[Any] | None:
     return list(traces.values())
 
 
-def _read(
-    path: str | Path, *, indent: int, depth: int, slots: Callable[[Any], list[Any] | None]
-) -> Any:
+def _read(path: str | Path, *, indent: int, depth: int) -> Any:
     """The parsed payload of a trace file: by layout if it is in the
     writer's, else by :func:`_loads` of its text."""
-    payload = _read_by_layout(Path(path).read_bytes(), indent=indent, depth=depth, slots=slots)
+    payload = _read_by_layout(Path(path).read_bytes(), indent=indent, depth=depth)
     return payload if payload is not None else _loads(Path(path).read_text())
 
 
 def load_traces(path: str | Path) -> dict[int, JobTrace]:
-    data = _read(path, indent=2, depth=3, slots=_trace_objects)
+    data = _read(path, indent=2, depth=3)
     if not isinstance(data, dict):
         raise ValueError(f"traces file {path} must hold a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -825,7 +830,7 @@ def load_golden_bundle(path: str | Path) -> GoldenBundle:
     unknown schema, a malformed scenario/traces payload, or a digest
     mismatch (the fixture bytes were edited without re-recording).
     """
-    data = _read(path, indent=1, depth=3, slots=_trace_objects)
+    data = _read(path, indent=1, depth=3)
     if not isinstance(data, dict):
         raise ValueError(f"golden bundle {path} must hold a JSON object")
     if data.get("schema") != GOLDEN_SCHEMA_VERSION:

@@ -18,17 +18,11 @@ from ..runtime import write_atomic
 __all__ = ["rows_to_csv", "rows_to_json", "write_csv", "write_json"]
 
 
-#: Field types whose values ``dataclasses.asdict`` returns as they are.
-_SCALARS = frozenset((int, float, str, bool, type(None)))
-
-
 def _nests(value: Any) -> bool:
     """Whether ``dataclasses.asdict`` would recurse into ``value``."""
-    if type(value) in _SCALARS:
-        return False
-    if isinstance(value, (list, tuple, dict)):
-        return True
-    return dataclasses.is_dataclass(value) and not isinstance(value, type)
+    return isinstance(value, (list, tuple, dict)) or (
+        dataclasses.is_dataclass(value) and not isinstance(value, type)
+    )
 
 
 def _record_of(row: Any) -> dict[str, Any]:

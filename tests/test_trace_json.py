@@ -190,7 +190,26 @@ def test_fast_and_fallback_loads_agree(tmp_path):
             hooked = _loaded_traces(load(path))
         assert by_layout == parsed == hooked
         assert list(by_layout) == list(parsed) == list(hooked)
-        assert by_layout == {jid: expected[jid] for jid in by_layout}
+        if load is load_trace:
+            assert by_layout == {3: expected[3]}
+        else:
+            assert by_layout == expected and list(by_layout) == sorted(expected)
+
+
+def test_files_outside_the_layout_are_parsed_once(tmp_path, monkeypatch):
+    # A compact or re-indented file holds no list head at the loader's
+    # indent: the layout reader gives up before parsing its envelope.
+    simulated = _deq_traces()
+    payload = json.loads(save_traces(simulated, tmp_path / "traces.json").read_text())
+    loads = traces_io._loads
+    calls: list[int] = []
+    monkeypatch.setattr(traces_io, "_loads", lambda text: calls.append(len(text)) or loads(text))
+    for indent in (None, 4):
+        path = tmp_path / f"indent-{indent}.json"
+        path.write_text(json.dumps(payload, indent=indent))
+        calls.clear()
+        assert load_traces(path) == simulated
+        assert calls == [len(path.read_text())]
 
 
 def _general_path_raises(monkeypatch) -> None:
