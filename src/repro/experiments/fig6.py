@@ -104,8 +104,9 @@ class Fig6Result:
 #: Job sets per work unit.  A chunk's sets run under both policies as
 #: disjoint DEQ machines of one simulation, so they share its per-quantum
 #: call overhead; more sets per chunk hold more quantum logs at once.  16
-#: sits at the knee of that time/memory trade on a 40-set sweep
-#: (docs/PERFORMANCE.md, "Figure 6 on a machine axis").
+#: sits at the knee of that time/memory trade on 40- and 200-set sweeps
+#: (docs/PERFORMANCE.md, "Figure 6 on a machine axis" and "The quantum
+#: log is the result").
 CHUNK_SETS = 16
 
 

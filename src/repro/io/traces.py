@@ -31,18 +31,16 @@ the layout reader builds a Python object per quantum:
   from their digit windows and each distinct float spelling once.  Only
   the envelope, with a placeholder in each list's place, is parsed as
   JSON; a file with no record list line at the loader's indent is given
-  up before any parsing.  Any file it does not accept, the same file
+  up before any parsing.  The record checks run once over all of the
+  file's lists together.  Any file it does not accept, the same file
   reformatted or hand-edited, takes the general path: :func:`_loads`
-  parses the text with the plain C decoder, which keeps the last of two
-  duplicate keys.
-  Every key in the text is followed by a ``:``, so the text's colon count
-  equals the parsed payload's key count exactly when no key was dropped
-  and no string holds a colon.  On any other count the text is parsed
-  again with a hook that rejects the first duplicate key.  Record fields
-  are then type-checked per column.  Columns from either path get the
-  finiteness, record and quantum-order checks; a list that fails any
-  check goes through the row-by-row checks, which raise the first error
-  in row order.  Both paths give the same traces, or the same error.
+  parses the text with a hook that rejects the first duplicate key, and
+  record fields are then type-checked per column.  Columns from the
+  general path, and from a layout file whose lists fail the checks
+  together, get the finiteness, record and quantum-order checks one list
+  at a time; a list that fails any check goes through the row-by-row
+  checks, which raise the first error in row order.  Both paths give the
+  same traces, or the same error.
 
 Golden bundles
 --------------
@@ -61,7 +59,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Any
@@ -252,17 +249,24 @@ def _replay(rows: list[tuple[Any, ...]], where: str) -> None:
             raise ValueError(f"invalid record at {where}.records[{i}]: {exc}") from None
 
 
-def _columns_pass(columns: TraceColumns) -> bool:
+def _columns_pass(columns: TraceColumns, rows: np.ndarray | None = None) -> bool:
     """Whether ``columns`` passes the checks a JSON record list gets: int64
     counts, finite float64 values, quanta in order, and every row passing
-    :meth:`QuantumRecord.__post_init__ <repro.core.types.QuantumRecord.__post_init__>`."""
+    :meth:`QuantumRecord.__post_init__ <repro.core.types.QuantumRecord.__post_init__>`.
+
+    ``rows`` cuts the columns into consecutive lists of that many records,
+    each of which must hold its quanta in order; by default they are one.
+    """
     typed = all(
         getattr(columns, name).dtype == (np.int64 if name in _INT_RECORD_FIELDS else np.float64)
         for name in RECORD_FIELDS
     )
     if not (typed and np.isfinite(columns.request).all() and np.isfinite(columns.span).all()):
         return False
-    in_order = np.array_equal(columns.index, np.arange(1, len(columns) + 1, dtype=np.int64))
+    index = np.arange(1, len(columns) + 1, dtype=np.int64)
+    if rows is not None:
+        index -= np.repeat(np.cumsum(rows) - rows, rows)
+    in_order = np.array_equal(columns.index, index)
     return in_order and columns_valid(
         index=columns.index,
         request_int=columns.request_int,
@@ -305,7 +309,17 @@ def _checked_columns(records: list[Any]) -> TraceColumns | None:
     return columns if _columns_pass(columns) else None
 
 
-def _columns_from_records(records: list[Any] | TraceColumns, where: str) -> TraceColumns:
+@dataclass(frozen=True, slots=True)
+class _Checked:
+    """Columns the layout reader read from a record list and checked along
+    with every other list of its file: they need no check of their own."""
+
+    columns: TraceColumns
+
+
+def _columns_from_records(
+    records: list[Any] | TraceColumns | _Checked, where: str
+) -> TraceColumns:
     """Validated columns of a JSON record list, or of a :class:`TraceColumns`
     such as the layout reader reads from one.
 
@@ -315,6 +329,8 @@ def _columns_from_records(records: list[Any] | TraceColumns, where: str) -> Trac
     the error raised is the first one in row order — exactly what building
     the trace record by record raises.
     """
+    if isinstance(records, _Checked):
+        return records.columns
     if isinstance(records, TraceColumns):
         columns = records.freeze()
         if _columns_pass(columns):
@@ -345,7 +361,7 @@ def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
 
     ``data["records"]`` is a JSON record list or, as the layout reader
     leaves it, a :class:`TraceColumns`; both get every record check, with
-    the same errors.
+    the same errors, unless the layout reader has already checked them.
     """
     if not isinstance(data, dict):
         raise ValueError(f"field {where} must be an object, got {type(data).__name__}")
@@ -360,7 +376,7 @@ def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
     quantum_length = _require_int(data["quantum_length"], f"{where}.quantum_length")
     release_time = _require_int(data.get("release_time", 0), f"{where}.release_time")
     records = data.get("records")
-    if not isinstance(records, (list, TraceColumns)):
+    if not isinstance(records, (list, TraceColumns, _Checked)):
         raise ValueError(f"field {where}.records must be a list, got {records!r}")
     return JobTrace(
         quantum_length,
@@ -431,38 +447,9 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
-def _count_keys(value: Any) -> int:
-    """Keys of every JSON object in a parsed ``value``, nested ones included.
-
-    Walks one nesting level at a time, so a list of flat objects costs a
-    few C-level passes rather than a python call per key.
-    """
-    total = 0
-    level = [value]
-    while not {dict, list}.isdisjoint(map(type, level)):
-        objects = [v for v in level if type(v) is dict]
-        lists = [v for v in level if type(v) is list]
-        total += sum(map(len, objects))
-        level = [*chain.from_iterable(map(dict.values, objects)), *chain.from_iterable(lists)]
-    return total
-
-
 def _loads(text: str) -> Any:
     """``json.loads`` that rejects duplicate object keys instead of silently
-    keeping the last one (a hand-edited fixture hazard).
-
-    The C decoder keeps the last of two equal keys; a duplicate shows as a
-    payload with fewer keys than the text has colons, and so does a colon
-    inside a string.  Either way the text is parsed again with a hook that
-    raises on the first duplicate, as is a text the C decoder rejects.
-    """
-    try:
-        data = json.loads(text)
-    except ValueError:
-        pass
-    else:
-        if _count_keys(data) == text.count(":"):
-            return data
+    keeping the last one (a hand-edited fixture hazard)."""
     return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
 
 
@@ -624,11 +611,16 @@ def _layout_block(
 
 def _layout_columns(
     data: bytes, anchors: np.ndarray, rows: np.ndarray, indent: int, depth: int
-) -> list[TraceColumns] | None:
+) -> list[TraceColumns] | list[_Checked] | None:
     """The columns of each record list, or None unless every record is laid
     out exactly as :func:`_records_json` writes it; ``rows[i]`` counts the
     records of list ``i``, and ``anchors`` is as :func:`_layout_block`
-    takes it, for all of them."""
+    takes it, for all of them.
+
+    The record checks run once, over all the lists' columns together: if
+    they pass, each list's columns come back :class:`_Checked`; if not,
+    unchecked, for each list's own checks to find its first error.
+    """
     if not len(anchors):
         return [TraceColumns.empty() for _ in rows]
     item = b" " * (indent * (depth + 1))
@@ -656,15 +648,19 @@ def _layout_columns(
         **dict(zip(_FLOAT_FIELDS, floats.reshape(len(_FLOAT_FIELDS), -1))),
     }
     bounds = np.concatenate(([0], np.cumsum(rows))).tolist()
-    return [
+    lists = [
         TraceColumns(**{name: column[a:b] for name, column in fields.items()})
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
+    if _columns_pass(TraceColumns(**fields), rows):
+        return [_Checked(columns) for columns in lists]
+    return lists
 
 
 def _read_by_layout(data: bytes, *, indent: int, depth: int) -> Any | None:
     """The payload of a trace file in the layout ``_dumps(..., indent=indent,
-    depth=depth)`` writes, each trace holding its :class:`TraceColumns` as
+    depth=depth)`` writes, each trace holding its :class:`TraceColumns`
+    (:class:`_Checked` when every list passed the record checks) as
     ``"records"``; None to give the file to the general path.
 
     A record list opens on a line ``"records": [`` and closes on the next

@@ -2,6 +2,7 @@
 
 from .jobs import ExecutorFactory, JobDescription, JobSpec, make_executor
 from .metrics import (
+    JobSummaries,
     job_set_load,
     makespan,
     makespan_lower_bound,
@@ -21,6 +22,7 @@ __all__ = [
     "simulate_job",
     "simulate_job_set",
     "MultiJobResult",
+    "JobSummaries",
     "makespan",
     "mean_response_time",
     "makespan_lower_bound",

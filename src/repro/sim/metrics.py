@@ -13,17 +13,24 @@ normalizes against.
 
 These are the standard bounds used by the paper's references [11, 12] and in
 its Figure 6 normalization.
+
+A run's set-level metrics read :class:`JobSummaries`: per job, the integer
+sums over its quanta that the metrics and the giant artifact need.  They
+are exact integer sums, so they come out the same whether summed over a
+finished trace's rows or over a quantum log's repeat groups.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.types import JobTrace
 
 __all__ = [
+    "JobSummaries",
     "makespan",
     "mean_response_time",
     "makespan_lower_bound",
@@ -46,6 +53,62 @@ def mean_response_time(traces: Iterable[JobTrace]) -> float:
     if not times:
         raise ValueError("no traces")
     return float(np.mean(times))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class JobSummaries:
+    """Per-job totals of one multiprogrammed run, one int64 entry per job in
+    the run's finish order (the order of its ``traces``).
+
+    The order matters: :attr:`mean_response_time` averages in it, and its
+    float sum is order-dependent.
+    """
+
+    job_id: np.ndarray
+    release_time: np.ndarray
+    records: np.ndarray
+    """Quanta the job ran (``len(trace)``)."""
+    running_time: np.ndarray
+    total_work: np.ndarray
+    total_waste: np.ndarray
+    completion_time: np.ndarray
+
+    @classmethod
+    def of_traces(cls, traces: Mapping[int, JobTrace]) -> "JobSummaries":
+        """The summaries of finished traces, keyed by job id, in their order."""
+        rows = [
+            (
+                jid,
+                t.release_time,
+                len(t),
+                t.running_time,
+                t.total_work,
+                t.total_waste,
+                t.completion_time,
+            )
+            for jid, t in traces.items()
+        ]
+        columns = np.array(rows, dtype=np.int64).reshape(len(rows), 7).T
+        return cls(*columns)
+
+    def take(self, rows: np.ndarray) -> "JobSummaries":
+        """The summaries of jobs ``rows`` (positions), in that order."""
+        return JobSummaries(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @property
+    def makespan(self) -> int:
+        """:func:`makespan` of the summarized traces."""
+        if not self.job_id.size:
+            raise ValueError("no traces")
+        return int(self.completion_time.max())
+
+    @property
+    def mean_response_time(self) -> float:
+        """:func:`mean_response_time` of the summarized traces, bit for bit:
+        the same int64 values averaged in the same order."""
+        if not self.job_id.size:
+            raise ValueError("no traces")
+        return float(np.mean(self.completion_time - self.release_time))
 
 
 def makespan_lower_bound(

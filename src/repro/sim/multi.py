@@ -27,9 +27,15 @@ A set runs on one of two loops, with bit-identical traces either way:
   (:mod:`repro.sim.multi_batched`): one numpy step loop advances all jobs
   per quantum, in windows that end at admission and rebalancing barriers.
   Records are emitted *columnar* into a
-  :class:`~repro.sim.superstep.QuantumLog`, whose arrays become the
-  finished traces' :class:`~repro.core.columnar.TraceColumns` without a
-  record object ever being built.
+  :class:`~repro.sim.superstep.QuantumLog` of compact rows (one per slot
+  per repeat group), and the log is the run's result.  The set-level
+  metrics, :func:`split_machines` and the giant artifact read
+  :attr:`MultiJobResult.summaries`, sums over the compact rows weighted by
+  their repeat counts.  The rows are expanded into the traces'
+  :class:`~repro.core.columnar.TraceColumns` only when
+  :attr:`MultiJobResult.traces` is first read, and no record object is
+  built even then.  The serial loop builds its traces directly and sums
+  the same summaries from them.
 
 ``shards=N`` (an int ``N >= 2``, hierarchical allocators only) splits a
 :class:`~repro.allocators.hierarchical.HierarchicalAllocator` into
@@ -72,7 +78,7 @@ produced those ``K`` quanta anyway; the tests check this by patching
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Any, Literal, Sequence
 
 import numpy as np
 
@@ -84,8 +90,9 @@ from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..engine.base import JobExecutor
 from .jobs import JobSpec, closed_form_phases, make_executor
-from .metrics import makespan, mean_response_time
+from .metrics import JobSummaries
 from .sharded import Profile, simulate_windowed
+from .superstep import QuantumLog
 from .single import run_quantum_with_overhead
 
 __all__ = ["MultiJobResult", "simulate_job_set", "split_machines"]
@@ -93,31 +100,110 @@ __all__ = ["MultiJobResult", "simulate_job_set", "split_machines"]
 BatchChoice = Literal["auto", "off"]
 
 
-@dataclass(slots=True)
-class MultiJobResult:
-    """Traces and set-level metrics of one multiprogrammed run."""
+class _Compact:
+    """A windowed run's traces while their rows are still its log's: the
+    finished jobs' empty traces, in finish order, until the first read
+    through any result that shares this object expands the log into them."""
 
-    traces: dict[int, JobTrace]
+    __slots__ = ("log", "traces")
+
+    def __init__(self, log: QuantumLog, traces: dict[int, JobTrace]) -> None:
+        self.log: QuantumLog | None = log
+        self.traces = traces
+
+    def expand(self) -> dict[int, JobTrace]:
+        if self.log is not None:
+            self.log.build_traces(self.traces)
+            self.log = None
+        return self.traces
+
+
+class _Traces:
+    """The ``traces`` field of :class:`MultiJobResult`: set like a plain
+    attribute, and read like one once a windowed run's log is expanded."""
+
+    def __get__(self, result: "MultiJobResult | None", owner: type) -> dict[int, JobTrace]:
+        if result is None:
+            raise AttributeError("traces")  # the field has no default
+        compact = result._compact
+        if compact is not None:
+            built = compact.expand()
+            result._traces = {jid: built[jid] for jid in result._traces}
+            result._compact = None
+        return result._traces
+
+    def __set__(self, result: "MultiJobResult", traces: dict[int, JobTrace]) -> None:
+        result._traces = traces
+        result._compact = None
+        result._summaries = None
+
+
+@dataclass
+class MultiJobResult:
+    """Traces and set-level metrics of one multiprogrammed run.
+
+    A windowed run's result holds its quantum log instead of built traces:
+    :attr:`summaries` and the metrics read the log's compact rows, and
+    ``traces`` expands them on its first read.  Either way ``traces``,
+    equality and every metric are those of the run's finished traces.
+    """
+
+    traces: dict[int, JobTrace] = _Traces()  # type: ignore[assignment]
     processors: int
     quantum_length: int
     quanta_elapsed: int = 0
     released: dict[int, int] = field(default_factory=dict)
+    _traces: dict[int, JobTrace] = field(init=False, repr=False, compare=False)
+    _compact: _Compact | None = field(init=False, repr=False, compare=False)
+    _summaries: JobSummaries | None = field(init=False, repr=False, compare=False)
+
+    @property
+    def summaries(self) -> JobSummaries:
+        """Per-job totals, in the traces' finish order.  A windowed run sums
+        them from its log's compact rows while the traces are unexpanded;
+        built traces are summed afresh on every read."""
+        if self._summaries is not None:
+            return self._summaries
+        compact = self._compact
+        if compact is None:
+            return JobSummaries.of_traces(self._traces)
+        log = compact.log
+        self._summaries = (
+            log.job_summaries(self._traces)
+            if log is not None
+            else JobSummaries.of_traces(self.traces)
+        )
+        return self._summaries
 
     @property
     def makespan(self) -> int:
-        return makespan(self.traces.values())
+        return self.summaries.makespan
 
     @property
     def mean_response_time(self) -> float:
-        return mean_response_time(self.traces.values())
+        return self.summaries.mean_response_time
 
     @property
     def total_waste(self) -> int:
-        return sum(t.total_waste for t in self.traces.values())
+        return int(self.summaries.total_waste.sum())
 
     @property
     def total_work(self) -> int:
-        return sum(t.total_work for t in self.traces.values())
+        return int(self.summaries.total_work.sum())
+
+
+def _windowed_result(
+    compact: _Compact,
+    traces: dict[int, JobTrace],
+    summaries: JobSummaries | None,
+    **fields: Any,
+) -> MultiJobResult:
+    """A result of ``compact``'s run whose ``traces`` holds the empty traces
+    of its jobs; ``summaries``, when given, are theirs."""
+    result = MultiJobResult(traces=traces, **fields)
+    result._compact = compact
+    result._summaries = summaries
+    return result
 
 
 def split_machines(
@@ -127,32 +213,45 @@ def split_machines(
     if each machine's jobs had run alone on ``budgets[m]`` processors.
 
     Job ids stay as they were (machine ``m``'s run from
-    ``machine_offset(m)``).  Traces keep the run's finish order, which the
-    mean response time's float summation depends on.  ``quanta_elapsed``
-    counts the distinct quantum boundaries the machine's jobs ran at: the
-    quanta a lone run of the machine executes, which skips the boundaries
-    where the machine had no job.
+    ``machine_offset(m)``).  Traces and summaries keep the run's finish
+    order, which the mean response time's float summation depends on.
+    ``quanta_elapsed`` counts the distinct quanta the machine's jobs ran
+    at: the quanta a lone run of the machine executes, which skips the
+    boundaries where the machine had no job.  A windowed run's parts share
+    its log: they read their summaries and quanta from its compact rows,
+    and the first part whose ``traces`` is read expands it for them all.
     """
-    ids = list(result.traces)
-    owner = dict(zip(ids, machines.machine_of(np.array(ids, dtype=np.int64)).tolist()))
-    traces: list[dict[int, JobTrace]] = [{} for _ in machines.budgets]
+    compact = result._compact
+    log = compact.log if compact is not None else None
+    traces = result._traces if log is not None else result.traces
+    ids = np.fromiter(traces, dtype=np.int64, count=len(traces))
+    owner = machines.machine_of(ids)
+    owner_of = dict(zip(ids.tolist(), owner.tolist()))
     released: list[dict[int, int]] = [{} for _ in machines.budgets]
-    for jid, trace in result.traces.items():
-        traces[owner[jid]][jid] = trace
     for jid, rel in result.released.items():
-        released[owner[jid]][jid] = rel
+        released[owner_of[jid]][jid] = rel
+    if log is not None:
+        summaries = result.summaries
+        quanta = log.quanta_per_owner(machines.machine_of, len(machines.budgets))
     parts = []
     for m, budget in enumerate(machines.budgets):
-        starts = [t.columns.start_step for t in traces[m].values()]
-        parts.append(
-            MultiJobResult(
-                traces=traces[m],
-                processors=budget,
-                quantum_length=result.quantum_length,
-                quanta_elapsed=np.unique(np.concatenate(starts)).size if starts else 0,
-                released=released[m],
-            )
+        rows = np.flatnonzero(owner == m)
+        own = {jid: traces[jid] for jid in ids[rows].tolist()}
+        fields: dict[str, Any] = dict(
+            processors=budget,
+            quantum_length=result.quantum_length,
+            released=released[m],
         )
+        if log is not None:
+            parts.append(
+                _windowed_result(
+                    compact, own, summaries.take(rows), quanta_elapsed=int(quanta[m]), **fields
+                )
+            )
+        else:
+            starts = [t.columns.start_step for t in own.values()]
+            quanta_m = np.unique(np.concatenate(starts)).size if starts else 0
+            parts.append(MultiJobResult(traces=own, quanta_elapsed=quanta_m, **fields))
     return parts
 
 
@@ -258,6 +357,11 @@ def simulate_job_set(
         # Raises for the first job outside every machine's id range.
         allocator.machine_of(np.array(sorted(seen_ids), dtype=np.int64))
 
+    fields: dict[str, Any] = dict(
+        processors=processors,
+        quantum_length=quantum_length,
+        released={jid: rel for rel, jid, _ in pending},
+    )
     if profiles is None:
         done, quanta = _simulate_serial(
             pending,
@@ -268,25 +372,19 @@ def simulate_job_set(
             overhead=overhead,
             strict=strict,
         )
-    else:
-        done, quanta = simulate_windowed(
-            pending,
-            profiles,
-            allocator,
-            processors,
-            quantum_length=quantum_length,
-            max_quanta=max_quanta,
-            overhead=overhead,
-            strict=strict,
-            per_group=shards is not None,
-        )
-    return MultiJobResult(
-        traces=done,
-        processors=processors,
+        return MultiJobResult(traces=done, quanta_elapsed=quanta, **fields)
+    done, quanta, log = simulate_windowed(
+        pending,
+        profiles,
+        allocator,
+        processors,
         quantum_length=quantum_length,
-        quanta_elapsed=quanta,
-        released={jid: rel for rel, jid, _ in pending},
+        max_quanta=max_quanta,
+        overhead=overhead,
+        strict=strict,
+        per_group=shards is not None,
     )
+    return _windowed_result(_Compact(log, done), done, None, quanta_elapsed=quanta, **fields)
 
 
 def _simulate_serial(

@@ -422,10 +422,12 @@ def simulate_windowed(
     overhead: ReallocationOverhead,
     strict: bool,
     per_group: bool,
-) -> tuple[dict[int, JobTrace], int]:
+) -> tuple[dict[int, JobTrace], int, QuantumLog]:
     """Run a validated, fully batchable job set window by window; returns
-    the finished traces (in the serial loop's insertion order) and the
-    quanta elapsed.
+    the finished jobs' traces (in the serial loop's insertion order), the
+    quanta elapsed and the run's quantum log.  The traces are still empty:
+    their rows are the log's, which :meth:`QuantumLog.build_traces` expands
+    into them.
 
     ``pending`` is the ``(release, job id, spec)`` list sorted by release
     then id, ``profiles`` every job's segment profile, and ``allocator``
@@ -538,5 +540,4 @@ def simulate_windowed(
             hier.advance_window(executed)
         t += executed * L
         quanta += executed
-    log.build_traces(done)
-    return done, quanta
+    return done, quanta, log

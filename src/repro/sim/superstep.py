@@ -19,11 +19,13 @@ lift the kernel to whole-*run* granularity:
     no per-slot work), and a superstep of ``K`` quanta appends one group
     with ``repeat=K``.  The ``K`` quanta repeat every column but the real
     request, which may still converge towards the integer request it holds
-    (the group stores it per row).  At the end of the run
-    :meth:`QuantumLog.build_traces` sorts the groups' compact rows by job
-    and expands them once, vectorized, and gives every kernel job a trace
-    backed by its :class:`~repro.core.columnar.TraceColumns` view — records
-    themselves are never built unless someone asks for them.
+    (the group stores it per row).  The log outlives the run as its
+    result: per-job totals and per-machine quantum counts are sums over
+    its compact rows weighted by ``repeat``, and
+    :meth:`QuantumLog.build_traces` expands the rows into per-job
+    :class:`~repro.core.columnar.TraceColumns` only when someone reads the
+    traces — records themselves are never built unless someone asks for
+    them.
 
 :func:`pure_quantum_counts`
     The closed form behind multi-quantum fast-forwarding.  A quantum is
@@ -56,12 +58,13 @@ lift the kernel to whole-*run* granularity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import MutableMapping, Sequence
+from typing import Callable, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
 from ..core.columnar import TraceColumns
 from ..core.types import JobTrace, columns_valid, quantum_records_from_columns
+from .metrics import JobSummaries
 
 __all__ = [
     "SuperstepArena",
@@ -257,8 +260,12 @@ class QuantumLog:
 
     Rows are machine-quantum-major: each appended group carries one value per
     live slot, aligned to the slot layout (job ids) registered by the most
-    recent :meth:`set_layout` call.  The log never touches individual jobs
-    until :meth:`build_traces`, which runs once at the end of the run.
+    recent :meth:`set_layout` call.  A finished log is the windowed run's
+    result, kept compact: :meth:`job_summaries` and :meth:`quanta_per_owner`
+    read the set-level metrics and artifact rows off its compact rows, and
+    :meth:`build_traces` expands them into per-job traces only for a caller
+    that reads the traces (:class:`~repro.sim.multi.MultiJobResult` runs it
+    on the first read of ``traces``).
     """
 
     __slots__ = ("quantum_length", "_layouts", "_epoch", "_groups")
@@ -353,14 +360,101 @@ class QuantumLog:
 
     # ------------------------------------------------------------------
 
+    def _rows_by_job(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, heads, jobs)``: the stable order that sorts the compact
+        rows (one per slot per group, group-major) by job id, the sorted
+        position of each job's first row, and each job's id, ascending.
+
+        Group order is chronological and a job holds one slot per group,
+        so each job's sorted rows stay in quantum order.
+        """
+        jid_all = np.concatenate([self._layouts[grp.epoch] for grp in self._groups])
+        order = np.argsort(jid_all, kind="stable")
+        jid_sorted = jid_all[order]
+        heads = np.flatnonzero(np.concatenate(([True], jid_sorted[1:] != jid_sorted[:-1])))
+        return order, heads, jid_sorted[heads]
+
+    def job_summaries(self, traces: Mapping[int, JobTrace]) -> JobSummaries:
+        """The logged jobs' :class:`~repro.sim.metrics.JobSummaries`, listed
+        in the order of ``traces``, which holds every logged job's trace
+        (empty or built) and gives each job's release time.
+
+        Each compact row stands for ``repeat`` quanta with equal ``steps``,
+        ``work`` and ``allotment``, so a job's totals are its rows' values
+        weighted by ``repeat``: exact int64 sums equal to the expanded
+        rows'.  Sorted by job (:meth:`_rows_by_job`), a job's first row
+        holds its first ``start_step``.
+        """
+        groups = self._groups
+        ids = np.fromiter(traces, dtype=np.int64, count=len(traces))
+        if not groups:
+            if ids.size:
+                raise ValueError("the log holds no quanta of the traces' jobs")
+            return JobSummaries(*([ids] * 7))
+        sizes = [grp.index0.size for grp in groups]
+        repeat = np.repeat([grp.repeat for grp in groups], sizes)
+        start = np.repeat([grp.start_step for grp in groups], sizes)
+        steps = np.concatenate([grp.steps for grp in groups])
+        work = np.concatenate([grp.work for grp in groups])
+        allotment = np.concatenate([grp.allotment for grp in groups])
+        order, heads, jobs = self._rows_by_job()
+        if not np.array_equal(jobs, np.sort(ids)):
+            raise ValueError("the traces' jobs are not the log's jobs")
+        # Job ``ids[i]`` is the log's ``at[i]``-th job.
+        at = np.searchsorted(jobs, ids)
+
+        def by_job(per_row: np.ndarray) -> np.ndarray:
+            return np.add.reduceat(per_row[order], heads)[at]
+
+        running = by_job(steps * repeat)
+        return JobSummaries(
+            job_id=ids,
+            release_time=np.array([t.release_time for t in traces.values()], dtype=np.int64),
+            records=by_job(repeat),
+            running_time=running,
+            total_work=by_job(work * repeat),
+            total_waste=by_job((allotment * steps - work) * repeat),
+            completion_time=start[order][heads[at]] + running,
+        )
+
+    def quanta_per_owner(
+        self, owner: Callable[[np.ndarray], np.ndarray], owners: int
+    ) -> np.ndarray:
+        """How many distinct quanta each of ``owners`` owners ran, where
+        ``owner`` maps an array of job ids to owner indices.
+
+        An owner ran a group's ``repeat`` quanta when the group holds one
+        of its jobs.  Groups of different per-group windows cover the same
+        quanta, so the count is the size of the union of those ranges, not
+        a sum of repeats.
+        """
+        groups = self._groups
+        if not groups:
+            return np.zeros(owners, dtype=np.int64)
+        L = self.quantum_length
+        held = [np.unique(owner(layout)) for layout in self._layouts]
+        sizes = [held[grp.epoch].size for grp in groups]
+        who = np.concatenate([held[grp.epoch] for grp in groups])
+        first = np.repeat([grp.start_step // L for grp in groups], sizes)
+        stop = first + np.repeat([grp.repeat for grp in groups], sizes)
+        # Sort each owner's ranges by start, and shift each owner's past the
+        # one before it, so one running maximum covers every owner.
+        order = np.lexsort((first, who))
+        who = who[order]
+        shift = who * (int(stop.max()) + 1)
+        first, stop = first[order] + shift, stop[order] + shift
+        covered = np.maximum.accumulate(stop)
+        new_from = np.maximum(first, np.concatenate((first[:1], covered[:-1])))
+        fresh = np.maximum(stop - new_from, 0)
+        return np.bincount(who, weights=fresh, minlength=owners).astype(np.int64)
+
     def build_traces(self, traces: MutableMapping[int, JobTrace]) -> None:
         """Sort the logged rows by job once, and replace every logged job's
         (empty) trace with one backed by its :class:`TraceColumns` view.
 
-        The sort runs on the compact rows, one per slot per group: group
-        order is chronological and a job holds one slot per group, so a
-        stable sort by job id leaves each job's compact rows in quantum
-        order.  Only then are repeat groups expanded, each compact row into
+        The sort runs on the compact rows (:meth:`_rows_by_job`), which
+        leaves each job's rows in quantum order.  Only then are repeat
+        groups expanded, each compact row into
         its ``repeat`` consecutive quanta, with the per-row requests
         gathered through the expanded order.
         """
@@ -370,9 +464,7 @@ class QuantumLog:
         L = self.quantum_length
         sizes = np.array([grp.index0.size for grp in groups], dtype=np.int64)
         repeats = np.array([grp.repeat for grp in groups], dtype=np.int64)
-        jid_all = np.concatenate([self._layouts[grp.epoch] for grp in groups])
-        order = np.argsort(jid_all, kind="stable")
-        jid_sorted = jid_all[order]
+        order, heads, jobs = self._rows_by_job()
         cols = {
             name: np.concatenate([getattr(grp, name) for grp in groups])[order]
             for name in (
@@ -389,9 +481,7 @@ class QuantumLog:
         cols["start_step"] = np.repeat(group_start, sizes)[order]
         request = np.concatenate([grp.request for grp in groups])
         # Each job's compact rows are ``edges[i]:edges[i + 1]``.
-        cut = np.flatnonzero(np.diff(jid_sorted)) + 1
-        jobs = jid_sorted[np.concatenate(([0], cut))].tolist()
-        edges = np.concatenate(([0], cut, [jid_sorted.size]))
+        edges = np.concatenate((heads, [order.size]))
         if int(repeats.max()) == 1:
             cols["request"] = request[order]
         else:
@@ -412,7 +502,7 @@ class QuantumLog:
             edges = row0[edges]
         # One zero-stride column of L shared by every job's slice.
         cols["quantum_length"] = np.broadcast_to(np.int64(L), (int(edges[-1]),))
-        for jid, a, b in zip(jobs, edges[:-1].tolist(), edges[1:].tolist()):
+        for jid, a, b in zip(jobs.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
             empty = traces[jid]
             traces[jid] = JobTrace(
                 empty.quantum_length,

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..allocators.hierarchical import HierarchicalAllocator
 from ..core.abg import AControl
 from ..engine.phased import PhasedJob
@@ -152,20 +154,29 @@ def artifact_rows(result: "MultiJobResult") -> list[GiantRow]:
 
     This is the byte-comparison surface for the route identity check in
     CI: the same scenario on per-group windows, on the machine-wide window
-    and on the serial reference loop must produce the identical CSV.
+    and on the serial reference loop must produce the identical CSV.  The
+    rows read the result's per-job summaries, so a windowed run's traces
+    are never expanded for them.
     """
-    rows: list[GiantRow] = []
-    for jid in sorted(result.traces):
-        trace = result.traces[jid]
-        rows.append(
-            GiantRow(
-                job_id=jid,
-                release_time=trace.release_time,
-                completion_time=float(trace.completion_time),
-                running_time=float(trace.running_time),
-                total_work=float(trace.total_work),
-                total_waste=float(trace.total_waste),
-                records=len(trace),
-            )
+    s = result.summaries
+    s = s.take(np.argsort(s.job_id))
+    return [
+        GiantRow(
+            job_id=jid,
+            release_time=release,
+            completion_time=float(completion),
+            running_time=float(running),
+            total_work=float(work),
+            total_waste=float(waste),
+            records=records,
         )
-    return rows
+        for jid, release, completion, running, work, waste, records in zip(
+            s.job_id.tolist(),
+            s.release_time.tolist(),
+            s.completion_time.tolist(),
+            s.running_time.tolist(),
+            s.total_work.tolist(),
+            s.total_waste.tolist(),
+            s.records.tolist(),
+        )
+    ]

@@ -76,3 +76,37 @@ def test_table_reports_quartiles_of_both_sides():
     lines, _ = perf_gate.judge(runs, END_TO_END)
     [row] = [line for line in lines if "wall_norm_s" in line]
     assert "3 [1.5, 4.5]" in row and "1 [1, 1]" in row
+
+
+def test_table_reports_pair_ratios_and_pairs_won():
+    runs = {"giant": {"parent": [_run() for _ in range(4)],
+                      "change": [_run(wall_norm_s=f) for f in (0.5, 0.8, 1.25, 0.9)]}}
+    lines, _ = perf_gate.judge(runs, END_TO_END)
+    [row] = [line for line in lines if "wall_norm_s" in line]
+    assert "3 of 4" in row and row.endswith("0.500 0.800 1.250 0.900")
+    [row] = [line for line in lines if "job_quanta_per_norm_s" in line]
+    assert "0 of 4" in row
+
+
+def test_out_file_holds_every_run_in_order(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((workload, seed, checkout))
+        return _run(wall_norm_s=0.9 if checkout == perf_gate.ROOT else 1.0)
+
+    monkeypatch.setattr(perf_gate, "run_once", fake_run)
+    parent = tmp_path / "parent"
+    (parent / "src" / "repro").mkdir(parents=True)
+    out = tmp_path / "gate.json"
+    assert perf_gate.main([str(parent), "--out", str(out)]) == 0
+    capsys.readouterr()
+    runs = json.loads(out.read_text())["runs"]
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert len(runs) == len(calls) == 2 * perf_gate.PAIRS * len(workloads)
+    assert [r["order"] for r in runs] == list(range(len(runs)))
+    assert [(r["workload"], r["seed"]) for r in runs] == [(w, s) for w, s, _ in calls]
+    first = [r["side"] for r in runs if r["workload"] == workloads[0]][::2]
+    assert first == ["parent", "change"] * (perf_gate.PAIRS // 2) + ["parent"] * (perf_gate.PAIRS % 2)
+    assert all(r["result"]["metrics"]["wall_norm_s"]["value"] == (0.9 if r["side"] == "change" else 1.0)
+               for r in runs)

@@ -185,7 +185,6 @@ def test_fast_and_fallback_loads_agree(tmp_path):
         with pytest.MonkeyPatch.context() as patch:
             _no_layout(patch)
             parsed = _loaded_traces(load(path))
-            patch.setattr(traces_io, "_count_keys", lambda value: -1)
             patch.setattr(traces_io, "_checked_columns", lambda records: None)
             hooked = _loaded_traces(load(path))
         assert by_layout == parsed == hooked

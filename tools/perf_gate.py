@@ -2,7 +2,7 @@
 """Perf gate: this checkout against a parent checkout, on the repository
 benchmark (``BENCHMARK.json``, ``perfbench/``)::
 
-    python tools/perf_gate.py PARENT_CHECKOUT
+    python tools/perf_gate.py PARENT_CHECKOUT [--out FILE]
 
 For each workload, ``PAIRS`` pairs of runs alternate between the parent and
 this checkout: pair *i* runs seed *i* on both sides, and the side that runs
@@ -11,14 +11,19 @@ first alternates from pair to pair.  Every run is this checkout's
 the working directory, so both sides run identical benchmark code over
 their own ``src/``.
 
-Prints each side's median and quartiles of every end-to-end metric.  Exits
-1 if any run is not correct, or if for any (metric, workload) the change's
-median is worse than the parent's by more than the metric's ``bound`` (a
-fraction of the parent's median, in the direction of its ``better``).
+Prints each side's median and quartiles of every end-to-end metric, and
+next to them each pair's change/parent ratio and how many pairs the change
+won (a ratio on the metric's ``better`` side of 1).  ``--out FILE`` also
+writes every run as JSON: its workload, seed, side, place in the run order
+and the full result ``run.py`` printed.  Exits 1 if any run is not
+correct, or if for any (metric, workload) the change's median is worse
+than the parent's by more than the metric's ``bound`` (a fraction of the
+parent's median, in the direction of its ``better``).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import statistics
 import subprocess
@@ -70,7 +75,8 @@ def judge(
     """The gate's table and verdict over ``runs[workload][side]`` (sides
     ``"parent"`` and ``"change"``) and ``BENCHMARK.json``'s ``end_to_end``."""
     lines = [f"{'workload':16s} {'metric':22s} {'parent median [q1, q3]':>33s} "
-             f"{'change median [q1, q3]':>33s} {'change':>8s}  verdict"]
+             f"{'change median [q1, q3]':>33s} {'change':>8s}  {'verdict':24s} "
+             "pairs won  change/parent per pair"]
     ok = True
     for workload, sides in runs.items():
         incorrect = {side: sum(not r["correct"] for r in rs) for side, rs in sides.items()}
@@ -90,11 +96,24 @@ def judge(
             worse = rel if metric["better"] == "lower" else -rel
             verdict = "ok" if worse <= metric["bound"] else f"WORSE (bound {metric['bound']})"
             ok = ok and worse <= metric["bound"]
+            ratios = pair_ratios(sides["parent"], sides["change"], name)
+            won = sum(r < 1 if metric["better"] == "lower" else r > 1 for r in ratios)
             lines.append(
                 f"{workload:16s} {name:22s} {_cell(parent):>33s} {_cell(change):>33s} "
-                f"{rel:+8.1%}  {verdict}"
+                f"{rel:+8.1%}  {verdict:24s} {won:>4d} of {len(ratios):<3d} "
+                + " ".join(f"{r:.3f}" for r in ratios)
             )
     return lines, ok
+
+
+def pair_ratios(parent: Sequence[Run], change: Sequence[Run], name: str) -> list[float]:
+    """Change/parent ratio of metric ``name`` in each pair (the runs at the
+    same position of both lists) where both runs report it."""
+    return [
+        c["metrics"][name]["value"] / p["metrics"][name]["value"]
+        for p, c in zip(parent, change)
+        if name in p["metrics"] and name in c["metrics"] and p["metrics"][name]["value"]
+    ]
 
 
 def _cell(q: tuple[float, float, float]) -> str:
@@ -102,12 +121,18 @@ def _cell(q: tuple[float, float, float]) -> str:
 
 
 def main(argv: Sequence[str]) -> int:
-    if len(argv) != 1 or not (Path(argv[0]) / "src" / "repro").is_dir():
-        print("usage: python tools/perf_gate.py PARENT_CHECKOUT", file=sys.stderr)
-        return 2
-    checkouts = {"parent": Path(argv[0]).resolve(), "change": ROOT}
+    parser = argparse.ArgumentParser(
+        prog="python tools/perf_gate.py", description=__doc__.splitlines()[0]
+    )
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--out", type=Path, help="write every run to this JSON file")
+    args = parser.parse_args(argv)
+    if not (args.parent / "src" / "repro").is_dir():
+        parser.error(f"{args.parent} is not a checkout: no src/repro")
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     spec = json.loads(SPEC.read_text())
     runs: dict[str, dict[str, list[Run]]] = {}
+    record: list[dict[str, Any]] = []
     for workload in (w["name"] for w in spec["workloads"]):
         runs[workload] = {"parent": [], "change": []}
         for i, seed in enumerate(SEEDS):
@@ -115,8 +140,13 @@ def main(argv: Sequence[str]) -> int:
             for side in order:
                 result = run_once(checkouts[side], workload, seed)
                 runs[workload][side].append(result)
+                record.append({"workload": workload, "seed": seed, "side": side,
+                               "order": len(record), "result": result})
                 print(f"{workload} seed {seed} {side}: "
                       f"{'correct' if result['correct'] else 'INCORRECT'}", flush=True)
+    if args.out is not None:
+        args.out.write_text(json.dumps({"pairs": PAIRS, "seconds": SECONDS, "runs": record},
+                                       indent=1))
     lines, ok = judge(runs, spec["end_to_end"])
     print("\n".join(lines))
     print("perf gate: " + ("pass" if ok else "FAIL"))
