@@ -43,7 +43,16 @@ class AvailabilityPolicy(ABC):
 
 
 class Allocator(ABC):
-    """Divides ``total`` processors among jobs' integer requests each quantum."""
+    """Divides ``total`` processors among jobs' integer requests each quantum.
+
+    An allocator may keep state from one quantum to the next: DEQ's
+    rotation of who gets the leftover processors, the per-machine counters
+    of :class:`~repro.allocators.machines.DisjointMachines`, the rebalance
+    clock of :class:`~repro.allocators.hierarchical.HierarchicalAllocator`.
+    A run leaves that state where its last quantum left it, so a second run
+    with the same instance schedules differently: give each run a fresh
+    allocator.
+    """
 
     #: Whether the policy gives all jobs equal shares unless a job requests
     #: fewer (paper Section 5.1 footnote).

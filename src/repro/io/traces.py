@@ -18,10 +18,13 @@ the layout reader builds a Python object per quantum:
 - **Writing.** ``json.dumps`` with an ``indent`` never uses CPython's C
   encoder, so the private :func:`_dumps` encodes only the envelope (trace
   headers, scenario, provenance) that way, with a placeholder for each
-  trace's ``"records"``.  It then splices in each record list, formatted
-  from the trace's columns with one ``%``-template per row.  The output is
-  byte for byte what ``json.dumps(..., indent=...)`` of
-  :func:`trace_to_dict` writes, ``NaN``/``Infinity`` spellings included.
+  trace's ``"records"``.  It then writes every record list of the file in
+  one pass: each field's column is joined across all traces and spelled
+  once per distinct value, as a whole line (indent, key, value and what
+  follows it), and a record is one index per field into those lines.  The
+  envelope pieces and every line are joined once.  The output is byte for
+  byte what ``json.dumps(..., indent=...)`` of :func:`trace_to_dict`
+  writes, ``-0.0``/``NaN``/``Infinity`` spellings included.
 - **Reading.** Each loader first tries :func:`_read_by_layout`, which
   accepts only the bytes :func:`_dumps` writes for that loader's indent
   and depth.  It reads every record list straight from the file bytes
@@ -151,42 +154,86 @@ _PLACEHOLDER = "\x00abg-records"
 _QUOTED_PLACEHOLDER = json.dumps(_PLACEHOLDER)
 
 
-def _json_floats(column: np.ndarray) -> list[str]:
-    """A float column's values as ``json`` spells them, ``NaN`` and
-    ``Infinity`` included.
+def _field_table(column: np.ndarray, lead: str, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """The lines ``lead + value + end`` of ``column``'s distinct values, and
+    each row's index into them.
 
-    The C encoder spells each distinct bit pattern once (``-0.0`` stays
-    apart from ``0.0``): a float's shortest ``repr`` costs several times an
-    int's, and a saturated set's ``span`` and ``request`` columns hold few
-    distinct values (docs/PERFORMANCE.md, "Trace JSON save and load").
+    Floats are told apart by bit pattern, so ``-0.0`` stays apart from
+    ``0.0``, and spelled by one C-encoder ``json.dumps``, ``NaN`` and
+    ``Infinity`` included: a float's shortest ``repr`` costs several times
+    an int's.  Ints are spelled by ``str``.  An int column whose values lie
+    in a range narrower than its length needs no sort: its table covers the
+    whole range, ``None`` where no row holds the value, and a row's index
+    is its value minus the least (docs/PERFORMANCE.md, "File-wide writer").
     """
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    result: list[str] = np.array(spelled, dtype=object)[inverse].tolist()
-    return result
+    if column.dtype.kind == "f":
+        bits, rows = np.unique(column.view(np.int64), return_inverse=True)
+        spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        return np.array([lead + s + end for s in spelled], dtype=object), rows
+    low, high = int(column.min()), int(column.max())
+    if high - low >= len(column):
+        values, rows = np.unique(column, return_inverse=True)
+        table = [lead + str(v) + end for v in values.tolist()]
+        return np.array(table, dtype=object), rows
+    rows = column - low
+    present = np.zeros(high - low + 1, dtype=bool)
+    present[rows] = True
+    (found,) = np.nonzero(present)
+    lookup = np.empty(len(present), dtype=object)
+    lookup[found] = [lead + str(v) + end for v in (found + low).tolist()]
+    return lookup, rows
 
 
-def _records_json(columns: TraceColumns, indent: int, depth: int) -> str:
-    """The record list ``json.dumps(..., indent=indent)`` writes for
-    ``columns`` when its key sits at nesting ``depth``.  ``%r`` of a python
-    int (what ``tolist`` returns) is the spelling ``json`` writes."""
-    if not len(columns):
-        return "[]"
+def _file_parts(held: list[TraceColumns], texts: list[str], indent: int, depth: int) -> list[str]:
+    """The file's text in pieces: ``texts`` is the envelope cut at each
+    record list, and ``held[i]`` the columns of the list between
+    ``texts[i]`` and ``texts[i + 1]``, at nesting ``depth``.
+
+    A record is its field lines.  The first field's line starts with the
+    ``,\\n`` that ends the record before it, except in a list's first
+    record, whose line instead starts with the envelope text before the
+    list and the list's ``[``; the last field's line ends with the
+    record's ``}``.  Each field's lines are spelled once per distinct value
+    across the whole file (:func:`_field_table`), so a record is only one
+    index per field into the tables of lines, all gathered at once.
+    """
     item = " " * (indent * (depth + 1))
-    inner = " " * (indent * (depth + 2))
-    fields: list[str] = []
-    values: list[list[Any]] = []
-    for name in RECORD_FIELDS:
-        column = getattr(columns, name)
-        if column.dtype.kind == "f":
-            fields.append(f'{inner}"{name}": %s')
-            values.append(_json_floats(column))
+    inner = item + " " * indent
+    close = "\n" + " " * (indent * depth) + "]"
+    # The envelope text before each non-empty list, empty lists' [] included.
+    before: list[str] = []
+    glue = [texts[0]]
+    for columns, tail in zip(held, texts[1:]):
+        if len(columns):
+            before.append("".join(glue))
+            glue = [close, tail]
         else:
-            fields.append(f'{inner}"{name}": %r')
-            values.append(column.tolist())
-    row = item + "{\n" + ",\n".join(fields) + "\n" + item + "}"
-    rows = ",\n".join(map(row.__mod__, zip(*values)))
-    return "[\n" + rows + "\n" + " " * (indent * depth) + "]"
+            glue += ("[]", tail)
+    if not before:
+        return ["".join(glue)]
+    lengths = np.array([len(columns) for columns in held])
+    index = np.empty((int(lengths.sum()), len(RECORD_FIELDS)), dtype=np.intp)
+    tables: list[np.ndarray] = []
+    offset = 0
+    for k, name in enumerate(RECORD_FIELDS):
+        lead = f'{inner}"{name}": '
+        if k == 0:
+            lead = ",\n" + item + "{\n" + lead
+        end = "\n" + item + "}" if k == len(RECORD_FIELDS) - 1 else ",\n"
+        column = np.concatenate([getattr(columns, name) for columns in held])
+        table, index[:, k] = _field_table(column, lead, end)
+        index[:, k] += offset
+        tables.append(table)
+        offset += len(table)
+    # A list's first record: its first line without the separator, after
+    # the envelope text and the list's "[".
+    firsts = (np.cumsum(lengths) - lengths)[lengths > 0]
+    opened = [text + "[\n" + line[2:] for text, line in zip(before, tables[0][index[firsts, 0]])]
+    tables.append(np.array(opened, dtype=object))
+    index[firsts, 0] = offset + np.arange(len(firsts))
+    parts: list[str] = np.concatenate(tables)[index.ravel()].tolist()
+    parts.append("".join(glue))
+    return parts
 
 
 def _dumps(payload: dict[str, Any], *, indent: int, depth: int) -> str:
@@ -210,10 +257,7 @@ def _dumps(payload: dict[str, Any], *, indent: int, depth: int) -> str:
     if len(tails) != len(held):
         # Some string of the envelope spells the placeholder too.
         return json.dumps(payload, indent=indent, default=_record_dicts)
-    parts = [head]
-    for columns, tail in zip(held, tails):
-        parts += (_records_json(columns, indent, depth), tail)
-    return "".join(parts)
+    return "".join(_file_parts(held, [head, *tails], indent, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -845,10 +889,10 @@ def load_golden_bundle(path: str | Path) -> GoldenBundle:
         raise ValueError(f"field provenance must be an object in {path}")
     traces = traces_from_payload(data.get("traces"))
     bundle = GoldenBundle(scenario=scenario, traces=traces, provenance=provenance)
-    declared = data.get("digest")
-    if declared != bundle.digest:
+    declared, digest = data.get("digest"), bundle.digest
+    if declared != digest:
         raise ValueError(
             f"golden bundle {path} digest mismatch: file declares {declared!r} "
-            f"but contents hash to {bundle.digest!r} (edited without re-recording?)"
+            f"but contents hash to {digest!r} (edited without re-recording?)"
         )
     return bundle

@@ -293,6 +293,10 @@ def simulate_job_set(
     :class:`DisjointMachines` set needs ``processors == sum(budgets)`` and
     every job id inside some machine's range;
     :func:`split_machines` cuts its result into one per machine.
+    ``allocator`` must be fresh: a stateful allocator carries its state
+    (DEQ's rotation, :class:`DisjointMachines`' per-machine counters,
+    :class:`HierarchicalAllocator`'s rebalance clock) out of the run, and a
+    second run with the same instance gives a different schedule.
     """
     if processors < 1:
         raise ValueError("need at least one processor")

@@ -25,6 +25,7 @@ from repro.goldens import (
     scenario_from_fig6,
     verify_traces,
 )
+from repro.io import traces as traces_io
 from repro.io.traces import (
     golden_bundle_payload,
     load_golden_bundle,
@@ -260,6 +261,27 @@ class TestGoldenBundles:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="digest mismatch"):
             load_golden_bundle(path)
+
+    def test_digest_mismatch_hashes_the_contents_once(self, tmp_path, monkeypatch):
+        path = save_golden_bundle(tmp_path / "t.json", record_bundle(tiny_spec()))
+        data = json.loads(path.read_text())
+        data["traces"][sorted(data["traces"])[0]]["records"][0]["available"] += 1
+        path.write_text(json.dumps(data))
+        digests = []
+        real = traces_io.golden_digest
+
+        def counted(scenario, traces):
+            digests.append(real(scenario, traces))
+            return digests[-1]
+
+        monkeypatch.setattr(traces_io, "golden_digest", counted)
+        with pytest.raises(ValueError) as raised:
+            load_golden_bundle(path)
+        assert len(digests) == 1
+        assert str(raised.value) == (
+            f"golden bundle {path} digest mismatch: file declares {data['digest']!r} "
+            f"but contents hash to {digests[0]!r} (edited without re-recording?)"
+        )
 
     def test_unknown_schema_rejected(self, tmp_path):
         payload = golden_bundle_payload(record_bundle(tiny_spec()))

@@ -88,6 +88,23 @@ def test_table_reports_pair_ratios_and_pairs_won():
     assert "0 of 4" in row
 
 
+def test_sign_test_p_values():
+    assert perf_gate.sign_test_p(5, 0) == perf_gate.sign_test_p(0, 5) == 0.0625
+    assert perf_gate.sign_test_p(0, 0) == 1.0
+    assert perf_gate.sign_test_p(9, 1) == pytest.approx(22 / 1024)
+    assert perf_gate.sign_test_p(3, 2) == 1.0
+
+
+def test_table_reports_the_sign_test_without_ties():
+    runs = {"giant": {"parent": [_run() for _ in range(5)], "change": [_run(wall_norm_s=0.9) for _ in range(5)]}}
+    lines, _ = perf_gate.judge(runs, END_TO_END)
+    [row] = [line for line in lines if "wall_norm_s" in line]
+    assert "5 of 5    0.0625" in row
+    # Every pair of an unchanged metric is a tie, dropped from the test.
+    [row] = [line for line in lines if "setup_s" in line]
+    assert "0 of 5    1.0000" in row
+
+
 def test_out_file_holds_every_run_in_order(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -134,6 +134,65 @@ def test_save_golden_bundle_bytes_are_json_dumps(tmp_path_factory, traces, note)
     assert path.read_text() == json.dumps(golden_bundle_payload(bundle), indent=1)
 
 
+#: Value pools shared by all traces of a drawn set, so that spellings repeat
+#: across traces.  Both zeros and every non-finite float are in the float
+#: pool; the int pools cover a range narrower than a set's rows (ints found
+#: by a table over the range) next to both int64 ends, and one wider.
+POOL_FLOATS = (0.0, -0.0, 1.5, 0.1 + 0.2, 5e-324, math.inf, -math.inf, math.nan)
+INT_POOLS = (
+    (-1, 0, 1, 2),
+    (INT64_MIN, INT64_MIN + 1),
+    (INT64_MAX - 2, INT64_MAX),
+    (INT64_MIN, -1, 0, 7, INT64_MAX),
+)
+
+
+@st.composite
+def pooled_trace(draw: st.DrawFn, ints: tuple[int, ...]) -> JobTrace:
+    n = draw(st.integers(1, 6))
+    columns = {}
+    for name in RECORD_FIELDS:
+        is_float = name in ("request", "span")
+        pool = st.sampled_from(POOL_FLOATS if is_float else ints)
+        values = draw(st.lists(pool, min_size=n, max_size=n))
+        columns[name] = np.array(values, dtype=np.float64 if is_float else np.int64)
+    return JobTrace(
+        draw(st.sampled_from(ints)),
+        TraceColumns(**columns),
+        release_time=draw(st.sampled_from((0, 9, INT64_MAX))),
+        job_id=draw(st.none() | st.sampled_from(ints)),
+    )
+
+
+@st.composite
+def pooled_sets(draw: st.DrawFn) -> dict[int, JobTrace]:
+    """Traces over one value pool, with empty traces drawn before, between
+    and after the non-empty ones (job ids keep the drawn order)."""
+    ints = draw(st.sampled_from(INT_POOLS))
+    empties = st.integers(0, 2).map(lambda k: [JobTrace(5, release_time=3)] * k)
+    order = draw(empties)
+    for trace in draw(st.lists(pooled_trace(ints), min_size=1, max_size=4)):
+        order += [trace, *draw(empties)]
+    return dict(enumerate(order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(traces=pooled_sets())
+def test_file_wide_tables_in_every_layout(tmp_path_factory, traces):
+    # Each field is spelled once per distinct value for the whole file, so
+    # the same spellings serve many traces and many lists' first records.
+    root = tmp_path_factory.mktemp("p")
+    for trace in traces.values():
+        path = save_trace(trace, root / "trace.json")
+        assert path.read_text() == json.dumps(trace_to_dict(trace), indent=2)
+    path = save_traces(traces, root / "traces.json")
+    reference = {"schema": 1, "traces": traces_payload(traces)}
+    assert path.read_text() == json.dumps(reference, indent=2)
+    bundle = GoldenBundle(scenario={"scenario_id": "s"}, traces=traces, provenance={})
+    path = save_golden_bundle(root / "g.json", bundle)
+    assert path.read_text() == json.dumps(golden_bundle_payload(bundle), indent=1)
+
+
 def test_non_trace_object_still_fails_like_json():
     with pytest.raises(TypeError, match="not JSON serializable"):
         traces_io._dumps({"x": object()}, indent=2, depth=1)

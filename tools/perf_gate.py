@@ -13,7 +13,8 @@ their own ``src/``.
 
 Prints each side's median and quartiles of every end-to-end metric, and
 next to them each pair's change/parent ratio and how many pairs the change
-won (a ratio on the metric's ``better`` side of 1).  ``--out FILE`` also
+won (a ratio on the metric's ``better`` side of 1), with the exact two-sided
+sign-test p-value of those pairs (ties dropped).  ``--out FILE`` also
 writes every run as JSON: its workload, seed, side, place in the run order
 and the full result ``run.py`` printed.  Exits 1 if any run is not
 correct, or if for any (metric, workload) the change's median is worse
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -76,7 +78,7 @@ def judge(
     ``"parent"`` and ``"change"``) and ``BENCHMARK.json``'s ``end_to_end``."""
     lines = [f"{'workload':16s} {'metric':22s} {'parent median [q1, q3]':>33s} "
              f"{'change median [q1, q3]':>33s} {'change':>8s}  {'verdict':24s} "
-             "pairs won  change/parent per pair"]
+             "pairs won  sign p  change/parent per pair"]
     ok = True
     for workload, sides in runs.items():
         incorrect = {side: sum(not r["correct"] for r in rs) for side, rs in sides.items()}
@@ -98,12 +100,23 @@ def judge(
             ok = ok and worse <= metric["bound"]
             ratios = pair_ratios(sides["parent"], sides["change"], name)
             won = sum(r < 1 if metric["better"] == "lower" else r > 1 for r in ratios)
+            lost = sum(r > 1 if metric["better"] == "lower" else r < 1 for r in ratios)
             lines.append(
                 f"{workload:16s} {name:22s} {_cell(parent):>33s} {_cell(change):>33s} "
                 f"{rel:+8.1%}  {verdict:24s} {won:>4d} of {len(ratios):<3d} "
+                f"{sign_test_p(won, lost):7.4f}  "
                 + " ".join(f"{r:.3f}" for r in ratios)
             )
     return lines, ok
+
+
+def sign_test_p(won: int, lost: int) -> float:
+    """Exact two-sided sign-test p-value of ``won`` against ``lost`` pairs
+    (ties already dropped): the chance, under a fair coin, of a split at
+    least as uneven.  No pairs give 1."""
+    n = won + lost
+    tail = sum(math.comb(n, i) for i in range(min(won, lost) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 def pair_ratios(parent: Sequence[Run], change: Sequence[Run], name: str) -> list[float]:
