@@ -94,6 +94,12 @@ class TraceColumns:
     def __len__(self) -> int:
         return int(self.index.size) + len(self._tail)
 
+    def __repr__(self) -> str:
+        """The column values; builds no record, so invalid rows print too."""
+        frozen = self.freeze()
+        values = ", ".join(f"{n}={getattr(frozen, n).tolist()!r}" for n in RECORD_FIELDS)
+        return f"TraceColumns({values})"
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceColumns):
             return NotImplemented

@@ -49,20 +49,20 @@ class FeedbackPolicy(ABC):
     ) -> np.ndarray | None:
         """Vectorized ``d(q+1)`` for many jobs' quantum-``q`` measurements.
 
-        The multi-job batched simulation kernel
-        (:mod:`repro.sim.multi_batched`) calls this with one aligned float64 /
-        int64 array per :class:`QuantumRecord` field it consumes.  An
-        implementation must return ``result[i]`` *bit-identical* to
-        ``next_request(record_i)`` for every ``i`` — the kernel's byte-for-byte
-        artifact guarantee depends on it.  The base implementation returns
-        ``None``, which tells the kernel to fall back to per-record scalar
-        calls — always correct, just slower.
+        The windowed simulation loop (:mod:`repro.sim.sharded`) calls this
+        with one aligned float64 / int64 array per :class:`QuantumRecord`
+        field it consumes.  An implementation must return ``result[i]``
+        *bit-identical* to ``next_request(record_i)`` for every ``i`` — the
+        loop's byte-for-byte artifact guarantee depends on it.  The base
+        implementation returns ``None``: no array form, so the simulator runs
+        any set holding such a policy on the serial reference loop (the
+        contract of :meth:`~repro.allocators.base.Allocator.allocate_batch`).
+        An override must return an array.
 
         Contract for subclasses: a class that overrides :meth:`next_request`
-        while inheriting a non-``None`` ``next_request_batch`` from an
-        ancestor would silently diverge between the serial and batched
-        simulation paths — such a class must override this method too (or
-        ``return None`` to opt out of vectorization).
+        while inheriting an override of ``next_request_batch`` from an
+        ancestor would silently diverge between the serial and windowed
+        loops — such a class must override this method too.
         """
         return None
 
@@ -102,8 +102,9 @@ class FeedbackPolicy(ABC):
         bitwise fixed point of one application repeats to row ``quanta``.
 
         ``None`` means refusal: ``request`` itself is not a valid request
-        at integer request ``request_int``, or the policy has no batch form
-        (``next_request_batch`` is ``None`` — per-job scalar fallback).
+        at integer request ``request_int``, or the policy has no array form
+        (it does not override :meth:`next_request_batch`, so the simulator
+        never runs it on the windowed loop).
         """
         if quanta < 1:
             raise ValueError("a superstep advance covers at least one quantum")

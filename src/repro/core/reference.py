@@ -58,10 +58,9 @@ class OracleFeedback(FeedbackPolicy):
     bounds what any parallelism-feedback policy can achieve.
     """
 
-    #: Scalar-only by design: each request calls back into the live
-    #: executor, so there is no array form to vectorize.  The feedback
-    #: parity test accepts a ``None`` batch result only with this marker.
-    batch_fallback = True
+    # No ``next_request_batch``: each request calls back into the live
+    # executor, so there is no array form, and a set holding this policy
+    # runs on the serial reference loop.
 
     def __init__(self, parallelism_source: Callable[[], float]):
         self._source = parallelism_source

@@ -348,7 +348,7 @@ class JobTrace:
     def __repr__(self) -> str:
         return (
             f"JobTrace(quantum_length={self.quantum_length!r}, "
-            f"records={self.records!r}, release_time={self.release_time!r}, "
+            f"columns={self.columns!r}, release_time={self.release_time!r}, "
             f"job_id={self.job_id!r})"
         )
 

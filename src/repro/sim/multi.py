@@ -20,8 +20,14 @@ A set runs on one of two loops, with bit-identical traces either way:
   ``batch="off"``, and every set holding a job that is not
   counts-determined (:func:`~repro.sim.jobs.closed_form_phases` is
   ``None``: reference-engine dags, executor factories, strict-mode
-  ``engine="auto"`` dags) or driven by an allocator with no array-native
-  ``allocate_batch``;
+  ``engine="auto"`` dags), every set holding a job whose feedback policy
+  has no array form, and every set driven by an allocator with no array
+  form.  One rule covers both interfaces: a class has an array form when
+  it overrides :meth:`~repro.core.feedback.FeedbackPolicy.next_request_batch`
+  or :meth:`~repro.allocators.base.Allocator.allocate_batch` (the base
+  methods return ``None``; an override returns an array).  The clairvoyant
+  :class:`~repro.core.reference.OracleFeedback` control has none: it
+  calls back into a live executor;
 - the *windowed loop* (:func:`repro.sim.sharded.simulate_windowed`) runs
   every other set on the multi-job batched kernel
   (:mod:`repro.sim.multi_batched`): one numpy step loop advances all jobs
@@ -40,9 +46,9 @@ A set runs on one of two loops, with bit-identical traces either way:
 ``shards=N`` (an int ``N >= 2``, hierarchical allocators only) splits a
 :class:`~repro.allocators.hierarchical.HierarchicalAllocator` into
 per-group windows, run one after another in this process as plain calls,
-and rejects a set the windowed loop cannot run; without it the windowed
-loop runs one machine-wide window.  ``N`` counts nothing: every ``N >= 2``
-picks the same per-group route.
+and raises ``ValueError`` for a set the windowed loop cannot run; without
+it the windowed loop runs one machine-wide window.  ``N`` counts nothing:
+every ``N >= 2`` picks the same per-group route.
 Independent sets can share one run as the disjoint machines of a
 :class:`~repro.allocators.machines.DisjointMachines` allocator; the
 records' ``available`` field is then the job's own machine size
@@ -86,12 +92,14 @@ from ..allocators.base import Allocator, validate_allocation
 from ..allocators.hierarchical import HierarchicalAllocator
 from ..allocators.machines import DisjointMachines
 from ..core.columnar import TraceColumns
+from ..core.feedback import FeedbackPolicy
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..engine.base import JobExecutor
+from . import sharded
 from .jobs import JobSpec, closed_form_phases, make_executor
 from .metrics import JobSummaries
-from .sharded import Profile, simulate_windowed
+from .sharded import Profile
 from .superstep import QuantumLog
 from .single import run_quantum_with_overhead
 
@@ -287,8 +295,14 @@ def simulate_job_set(
     engines' per-step invariant checking for every job.  ``batch`` and
     ``shards`` are execution choices, not policy choices (see the module
     docstring for which loop runs a set); results do not depend on them.
+    A set runs on the serial reference loop when some job is not
+    counts-determined, some job's feedback policy class does not override
+    :meth:`~repro.core.feedback.FeedbackPolicy.next_request_batch`, or the
+    allocator's class does not override
+    :meth:`~repro.allocators.base.Allocator.allocate_batch`.
     ``shards`` needs a :class:`HierarchicalAllocator` and an int ``N >= 2``,
-    and picks per-group windows whatever ``N`` is; it stays because the
+    picks per-group windows whatever ``N`` is, and raises ``ValueError``
+    for a set that would run on the serial loop; it stays because the
     benchmark's ``giant`` workload passes ``shards=2``.  A
     :class:`DisjointMachines` set needs ``processors == sum(budgets)`` and
     every job id inside some machine's range;
@@ -338,15 +352,23 @@ def simulate_job_set(
         pending.append((spec.release_time, jid, spec))
         if profiles is None:
             continue
-        profile = closed_form_phases(
-            spec.job, spec.discipline, strict=strict, engine=spec.engine
+        policy = type(spec.feedback)
+        array_feedback = policy.next_request_batch is not FeedbackPolicy.next_request_batch
+        profile = (
+            closed_form_phases(spec.job, spec.discipline, strict=strict, engine=spec.engine)
+            if array_feedback
+            else None
         )
         if profile is None:
             if shards is not None:
+                need = (
+                    "counts-determined jobs"
+                    if array_feedback
+                    else f"feedback policies with an array form ({policy.__name__} has none)"
+                )
                 raise ValueError(
-                    f"job {jid} is not batchable; per-group windows require "
-                    "counts-determined jobs (run with shards=None to use the "
-                    "serial reference loop)"
+                    f"job {jid} is not batchable; per-group windows require {need} "
+                    "(run with shards=None to use the serial reference loop)"
                 )
             profiles = None
         else:
@@ -377,7 +399,7 @@ def simulate_job_set(
             strict=strict,
         )
         return MultiJobResult(traces=done, quanta_elapsed=quanta, **fields)
-    done, quanta, log = simulate_windowed(
+    done, quanta, log = sharded.simulate_windowed(
         pending,
         profiles,
         allocator,

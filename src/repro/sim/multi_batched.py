@@ -143,7 +143,6 @@ class MultiBatchKernel:
         "_id_order",
         "_dirty",
         "_strict",
-        "_policy_counts",
         "_policy_groups",
     )
 
@@ -157,8 +156,7 @@ class MultiBatchKernel:
         self._id_order = _EMPTY_I64.copy()
         self._dirty = False
         self._strict = bool(strict)
-        self._policy_counts: dict[int, int] = {}
-        self._policy_groups: list[tuple[FeedbackPolicy, np.ndarray]] | None = None
+        self._policy_groups: list[tuple[FeedbackPolicy, np.ndarray | slice]] | None = None
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -229,29 +227,24 @@ class MultiBatchKernel:
     def _seg_off(self) -> np.ndarray:
         return self._arena.seg_off[: self._arena.n]
 
-    @property
-    def uniform_policy(self) -> FeedbackPolicy | None:
-        """The single feedback-policy instance shared by every slot, or
-        ``None`` when slots disagree.  Experiment job sets share one policy
-        object across jobs, so the simulation loop's feedback step can
-        usually issue one whole-array batch call instead of grouping."""
-        if len(self._policy_counts) == 1:
-            return self.slots[0].policy
-        return None
-
-    def policy_groups(self) -> list[tuple[FeedbackPolicy, np.ndarray]]:
-        """``(policy, positions)`` per distinct feedback-policy instance:
-        the feedback step's batch calls when slots disagree (e.g. one ABG
-        and one A-Greedy instance over many machines).  Cached until a slot
-        is admitted; removal remaps the cache."""
+    def policy_groups(self) -> list[tuple[FeedbackPolicy, np.ndarray | slice]]:
+        """``(policy, positions)`` per distinct feedback-policy instance: the
+        feedback step's batch calls (e.g. one ABG and one A-Greedy instance
+        over many machines).  When one instance holds every slot (experiment
+        job sets share one policy object across jobs), ``positions`` is
+        ``slice(None)``, so the common case reads views and gathers nothing.
+        Cached until a slot is admitted; removal remaps the cache."""
         if self._policy_groups is None:
             groups: dict[int, list[int]] = {}
             for pos, slot in enumerate(self.slots):
                 groups.setdefault(id(slot.policy), []).append(pos)
-            self._policy_groups = [
-                (self.slots[positions[0]].policy, np.asarray(positions, dtype=np.int64))
-                for positions in groups.values()
-            ]
+            if len(groups) == 1:
+                self._policy_groups = [(self.slots[0].policy, slice(None))]
+            else:
+                self._policy_groups = [
+                    (self.slots[positions[0]].policy, np.asarray(positions, dtype=np.int64))
+                    for positions in groups.values()
+                ]
         return self._policy_groups
 
     # ------------------------------------------------------------------
@@ -274,35 +267,29 @@ class MultiBatchKernel:
             _Slot(jid=jid, seq=seq, spec=spec, policy=spec.feedback, trace=trace)
         )
         self.jids.append(jid)
-        pid = id(spec.feedback)
-        self._policy_counts[pid] = self._policy_counts.get(pid, 0) + 1
         self._arena.admit(request=float(request), seg_w=seg_w, seg_total=seg_total)
         self._dirty = True
         self._policy_groups = None
 
     def remove(self, positions: list[int]) -> None:
         """Drop finished slots (their traces were already handed out)."""
-        for pos in positions:
-            pid = id(self.slots[pos].policy)
-            count = self._policy_counts[pid] - 1
-            if count:
-                self._policy_counts[pid] = count
-            else:
-                del self._policy_counts[pid]
         keep = np.ones(len(self.slots), dtype=bool)
         keep[positions] = False
         self.slots = [s for s, k in zip(self.slots, keep) if k]
         self.jids = [j for j, k in zip(self.jids, keep) if k]
         self._arena.remove(keep)
         self._dirty = True
-        if self._policy_groups is not None:
+        groups = self._policy_groups
+        if groups is not None and len(groups) > 1:
             # Compaction keeps the slots' relative order: remap in place.
+            # Down to one instance, the next call rebuilds its whole slice.
             new_pos = np.cumsum(keep) - 1
-            self._policy_groups = [
-                (policy, new_pos[sub[keep[sub]]])
-                for policy, sub in self._policy_groups
+            groups = [
+                (policy, new_pos[sub][keep[sub]])
+                for policy, sub in groups
                 if keep[sub].any()
             ]
+            self._policy_groups = groups if len(groups) > 1 else None
 
     def export_slots(self, positions: list[int]) -> list[SlotState]:
         """Detach the given slots (for migration to another group kernel),
@@ -346,8 +333,6 @@ class MultiBatchKernel:
             )
         )
         self.jids.append(state.jid)
-        pid = id(state.spec.feedback)
-        self._policy_counts[pid] = self._policy_counts.get(pid, 0) + 1
         arena = self._arena
         arena.admit(
             request=state.request, seg_w=state.seg_w, seg_total=state.seg_total

@@ -7,9 +7,12 @@ pins one of them by name — ``serial`` (``batch="off"``) or ``superstep``
 (``batch="auto"``) — so one golden fixture replayed on both proves the
 windowed loop identical to the recorded reference run.  On ``superstep`` a
 :class:`~repro.allocators.hierarchical.HierarchicalAllocator` set runs on
-per-group windows, which require every job to be batchable.  Any other set
-the windowed loop cannot run (a non-batchable job) falls back to the serial
-loop on the ``superstep`` path too, and still must match.
+per-group windows, which require every job to be batchable and every
+feedback policy to have an array form (to override
+:meth:`~repro.core.feedback.FeedbackPolicy.next_request_batch`).  Any
+other set the windowed loop cannot run (a non-batchable job, or a policy
+with no array form) runs on the serial loop on the ``superstep`` path too,
+and still must match.
 """
 
 from __future__ import annotations

@@ -54,14 +54,13 @@ import numpy as np
 from ..allocators.base import Allocator, validate_allocation_arrays
 from ..allocators.hierarchical import HierarchicalAllocator
 from ..core.overhead import ReallocationOverhead
-from ..core.types import JobTrace, QuantumRecord, integer_request
+from ..core.types import JobTrace, integer_request
 from ..runtime.supervisor import run_supervised  # noqa: F401
 from .jobs import JobSpec
 from .multi_batched import MultiBatchKernel, QuantumBatch
-from .superstep import QuantumGroup, QuantumLog
+from .superstep import QuantumLog
 
 __all__ = [
-    "GroupWindowTask",
     "GroupWindowResult",
     "simulate_windowed",
 ]
@@ -70,70 +69,19 @@ __all__ = [
 Profile = tuple[tuple[int, int], ...]
 
 
-def _scalar_feedback(
-    kernel: MultiBatchKernel,
-    positions: Sequence[int],
-    group: QuantumGroup,
-    length: int,
-    start_step: int,
-) -> None:
-    """Per-record feedback for kernel slots whose policy has no vectorized
-    form — rebuilds each slot's record from the quantum's emitted columns
-    (identical values, so an identical next request)."""
-    for pos in positions:
-        slot = kernel.slots[pos]
-        record = QuantumRecord(
-            index=int(group.index0[pos]),
-            request=float(group.request[pos]),
-            request_int=int(group.request_int[pos]),
-            available=int(group.available[pos]),
-            allotment=int(group.allotment[pos]),
-            work=int(group.work[pos]),
-            span=float(group.span[pos]),
-            steps=int(group.steps[pos]),
-            quantum_length=length,
-            start_step=start_step,
-        )
-        kernel.request[pos] = slot.policy.next_request(record)
-
-
 def _batch_feedback(
     kernel: MultiBatchKernel,
-    group: QuantumGroup,
     req_int: np.ndarray,
     alloc_arr: np.ndarray,
     batch_out: QuantumBatch,
-    finished_pos: list[int],
-    length: int,
-    start: int,
-) -> bool:
+) -> None:
     """Post-quantum feedback over the kernel's slots, vectorized per policy
     instance (experiment job sets share one policy object across jobs, so
     the common case is one whole-array batch call, and a Figure 6 chunk
-    makes one call per policy); returns whether any slot fell back to
-    scalar feedback.  Requests computed for slots that just finished are
-    discarded with the slot, exactly like the serial loop, which never
-    updates a finished job's request.
+    makes one call per policy).  Requests computed for slots that just
+    finished are discarded with the slot, exactly like the serial loop,
+    which never updates a finished job's request.
     """
-    uniform = kernel.uniform_policy
-    if uniform is not None:
-        nxt = uniform.next_request_batch(
-            request=kernel.request,
-            request_int=req_int,
-            allotment=alloc_arr,
-            work=batch_out.work,
-            span=batch_out.span,
-            steps=batch_out.steps,
-        )
-        if nxt is not None:
-            kernel.request = nxt
-            return False
-    fin_set = set(finished_pos)
-    if uniform is not None:
-        live = [pos for pos in range(len(kernel)) if pos not in fin_set]
-        _scalar_feedback(kernel, live, group, length, start)
-        return True
-    scalar_fb = False
     for policy, sub in kernel.policy_groups():
         nxt = policy.next_request_batch(
             request=kernel.request[sub],
@@ -143,13 +91,8 @@ def _batch_feedback(
             span=batch_out.span[sub],
             steps=batch_out.steps[sub],
         )
-        if nxt is None:
-            scalar_fb = True
-            live = [pos for pos in sub.tolist() if pos not in fin_set]
-            _scalar_feedback(kernel, live, group, length, start)
-        else:
-            kernel.request[sub] = nxt
-    return scalar_fb
+        assert nxt is not None, "simulate_job_set routes only array-form policies here"
+        kernel.request[sub] = nxt
 
 
 def _request_trajectory(
@@ -160,23 +103,14 @@ def _request_trajectory(
     span: np.ndarray,
     steps: np.ndarray,
     quanta: int,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Every slot's request trajectory through up to ``quanta`` repeats of
     the predicted record: a ``(k + 1, n)`` array whose first ``k`` rows are
     the repeated quanta's requests and whose last row is the request after
-    them, or ``None`` when a policy refuses (see
-    :meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`)."""
-    uniform = kernel.uniform_policy
-    if uniform is not None:
-        return uniform.advance_request_batch(
-            request=kernel.request,
-            request_int=req_int,
-            allotment=alloc_arr,
-            work=work,
-            span=span,
-            steps=steps,
-            quanta=quanta,
-        )
+    them (see
+    :meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`).
+    The caller has checked that every request rounds to ``req_int``, so no
+    policy refuses."""
     request = kernel.request
     traj = np.empty((quanta + 1, request.size), dtype=np.float64)
     for policy, sub in kernel.policy_groups():
@@ -189,8 +123,7 @@ def _request_trajectory(
             steps=steps[sub],
             quanta=quanta,
         )
-        if part is None:
-            return None
+        assert part is not None, "row 0 holds: the requests round to req_int"
         # A shorter trajectory caps the later groups' (rows are independent
         # of where a trajectory stops, so the earlier groups' prefixes hold).
         quanta = part.shape[0] - 1
@@ -236,8 +169,6 @@ def _attempt_superstep(
     if plan is None:
         return 0
     limit = min(int(plan.quanta.min()), max_skip)
-    if limit < 1:
-        return 0
     ids_sorted, order = kernel.allocation_order()
     fixed = (ids_sorted, req_int[order], alloc_arr[order], processors)
     limit = allocator.fixed_point_probe(*fixed, limit)
@@ -247,8 +178,6 @@ def _attempt_superstep(
     traj = _request_trajectory(
         kernel, alloc_arr, req_int, plan.delta, plan.span, steps_pred, limit
     )
-    if traj is None:
-        return 0
     k = allocator.allocation_fixed_point(*fixed, traj.shape[0] - 1)
     if k < 1:
         return 0
@@ -270,29 +199,6 @@ def _attempt_superstep(
 
 
 @dataclass(slots=True)
-class GroupWindowTask:
-    """One group's window of quanta: the unit of windowed execution."""
-
-    kernel: MultiBatchKernel
-    allocator: Allocator
-    budget: int
-    """The group's processor budget (what its waterfall divides)."""
-    processors: int
-    """Machine-wide ``P``, handed to the allocator's ``machine_sizes``
-    (which caps the records' ``available`` field, exactly as the serial
-    loop computes it)."""
-    quantum_length: int
-    start: int
-    """Machine time at the window's first quantum boundary."""
-    quanta: int
-    """Window length: how many quanta to advance before the barrier."""
-    start_quantum: int
-    """Machine quanta executed before this window (orders finished traces
-    across groups)."""
-    overhead: ReallocationOverhead
-
-
-@dataclass(slots=True)
 class GroupWindowResult:
     """What a window hands back besides the quanta it logged."""
 
@@ -304,50 +210,69 @@ class GroupWindowResult:
     """Quanta actually executed (< ``quanta`` only if the group emptied)."""
 
 
-def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult:
-    """The batched per-quantum loop: advance one group through its window,
-    appending its quanta to ``log`` and evolving the task's kernel and
-    allocator in place."""
-    kernel: MultiBatchKernel = task.kernel
-    allocator = task.allocator
-    L = task.quantum_length
+def _advance_window(
+    kernel: MultiBatchKernel,
+    allocator: Allocator,
+    log: QuantumLog,
+    *,
+    budget: int,
+    processors: int,
+    quantum_length: int,
+    start: int,
+    quanta: int,
+    start_quantum: int,
+    overhead: ReallocationOverhead,
+) -> GroupWindowResult:
+    """The batched per-quantum loop: advance one allocation group through
+    its window of ``quanta`` quanta, starting at machine time ``start``,
+    appending its quanta to ``log`` and evolving ``kernel`` and
+    ``allocator`` in place.
+
+    ``budget`` is the group's processor budget (what its waterfall
+    divides); ``processors`` the machine-wide ``P``, handed to the
+    allocator's ``machine_sizes`` (which caps the records' ``available``
+    field, exactly as the serial loop computes it); ``start_quantum`` the
+    machine quanta executed before this window (it orders finished traces
+    across groups).
+    """
+    L = quantum_length
     layout_dirty = True
     finished: list[tuple[int, int, int, JobTrace]] = []
     executed = 0
-    t = task.start
+    t = start
     # The next quantum's integer requests, when the last iteration computed
     # them to compare against its own.
     next_int: np.ndarray | None = None
-    while executed < task.quanta and len(kernel) > 0:
+    while executed < quanta and len(kernel) > 0:
         nk = len(kernel)
         if layout_dirty:
             log.set_layout(kernel.jids)
             # A satisfied job's ``available`` is its machine's size.
             machine = allocator.machine_sizes(
-                np.asarray(kernel.jids, dtype=np.int64), task.processors
+                np.asarray(kernel.jids, dtype=np.int64), processors
             )
             layout_dirty = False
         req_int = kernel.integer_requests() if next_int is None else next_int
         ids_sorted, order = kernel.allocation_order()
         req_sorted = req_int[order]
-        grants = allocator.allocate_batch(ids_sorted, req_sorted, task.budget)
+        grants = allocator.allocate_batch(ids_sorted, req_sorted, budget)
         if grants is None:  # routed at simulate entry; defensive here
             raise ValueError(
                 "windowed execution requires an array-native allocator "
                 "(allocate_batch returned None)"
             )
-        validate_allocation_arrays(ids_sorted, req_sorted, grants, task.budget)
+        validate_allocation_arrays(ids_sorted, req_sorted, grants, budget)
         alloc_arr = np.empty(nk, dtype=np.int64)
         alloc_arr[order] = grants
-        batch_out = kernel.execute_quantum(alloc_arr, L, task.overhead)
+        batch_out = kernel.execute_quantum(alloc_arr, L, overhead)
         # Under a partitioning allocator the processors "available" to a
         # job are exactly its (possibly trimmed) share when deprived; when
         # satisfied the size of its machine upper-bounds availability.
         avail = np.where(alloc_arr < req_int, alloc_arr, machine)
-        # The group snapshots ``index0``/``request`` before the bump and the
+        # The log snapshots ``index0``/``request`` before the bump and the
         # in-place feedback writes below; the other columns are fresh
         # arrays this iteration never touches again.
-        group = log.append_quantum(
+        log.append_quantum(
             start_step=t,
             repeat=1,
             index0=kernel.next_q,
@@ -361,28 +286,21 @@ def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult
         )
         kernel.bump_quantum()
         finished_pos = np.flatnonzero(batch_out.finished).tolist()
-        scalar_fb = _batch_feedback(
-            kernel, group, req_int, alloc_arr, batch_out, finished_pos, L, t
-        )
+        _batch_feedback(kernel, req_int, alloc_arr, batch_out)
         for pos in finished_pos:
             slot = kernel.slots[pos]
             finished.append(
-                (task.start_quantum + executed, slot.seq, slot.jid, slot.trace)
+                (start_quantum + executed, slot.seq, slot.jid, slot.trace)
             )
         if finished_pos:
             kernel.remove(finished_pos)
             layout_dirty = True
-        # Superstep: with no event this quantum — nothing finished, no
-        # scalar feedback — and room left in the window, try to fast-forward
-        # through the quanta the group provably repeats.
+        # Superstep: with no event this quantum (nothing finished) and room
+        # left in the window, try to fast-forward through the quanta the
+        # group provably repeats.
         next_int = None
         skipped = 0
-        if (
-            not scalar_fb
-            and not finished_pos
-            and len(kernel) > 0
-            and executed + 1 < task.quanta
-        ):
+        if not finished_pos and executed + 1 < quanta:
             next_int = kernel.integer_requests()
             skipped = _attempt_superstep(
                 kernel,
@@ -392,10 +310,10 @@ def _advance_window(task: GroupWindowTask, log: QuantumLog) -> GroupWindowResult
                 next_int,
                 avail,
                 alloc_arr,
-                task.budget,
+                budget,
                 L,
                 t,
-                max_skip=task.quanta - executed - 1,
+                max_skip=quanta - executed - 1,
             )
             if skipped:
                 next_int = None
@@ -513,20 +431,16 @@ def simulate_windowed(
 
         results = [
             _advance_window(
-                GroupWindowTask(
-                    kernel=kernel,
-                    allocator=(
-                        hier.group_allocator(g) if hier is not None else allocator
-                    ),
-                    budget=budgets[g],
-                    processors=processors,
-                    quantum_length=L,
-                    start=t,
-                    quanta=window,
-                    start_quantum=quanta,
-                    overhead=overhead,
-                ),
+                kernel,
+                hier.group_allocator(g) if hier is not None else allocator,
                 log,
+                budget=budgets[g],
+                processors=processors,
+                quantum_length=L,
+                start=t,
+                quanta=window,
+                start_quantum=quanta,
+                overhead=overhead,
             )
             for g, kernel in enumerate(kernels)
             if len(kernel) > 0

@@ -249,8 +249,6 @@ class TestDEQArrayPath:
         from repro.allocators.base import Allocator
 
         class MappingOnly(Allocator):
-            batch_fallback = True  # scalar-only by design
-
             def allocate(self, requests, total):
                 return {j: 1 for j in requests}
 

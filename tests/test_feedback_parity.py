@@ -10,8 +10,9 @@ missing from the table fails), and checks one of two things:
 
 - ``next_request_batch`` returns exactly the bits of ``next_request``
   applied row by row, on a few hundred random records; or
-- the class declares ``batch_fallback = True`` and ``next_request_batch``
-  returns ``None``, so every path runs the scalar method.
+- the class does not override ``next_request_batch`` and gets ``None``
+  from the base, so the simulator runs every set holding it on the serial
+  reference loop.
 """
 
 from __future__ import annotations
@@ -122,12 +123,12 @@ def test_batch_matches_scalar_bits(cls):
     policy = cls(**CONSTRUCTOR_ARGS[cls])
     records = random_records()
     got = policy.next_request_batch(**batch_inputs(records))
-    if getattr(cls, "batch_fallback", False):
+    if cls.next_request_batch is FeedbackPolicy.next_request_batch:
         assert got is None
         return
     assert got is not None, (
-        f"{cls.__qualname__} has no batched form; implement "
-        "next_request_batch or declare batch_fallback = True"
+        f"{cls.__qualname__} overrides next_request_batch but returns None; "
+        "an override must return an array"
     )
     expected = np.array([policy.next_request(r) for r in records], dtype=np.float64)
     assert got.dtype == np.float64 and got.shape == expected.shape

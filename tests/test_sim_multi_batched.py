@@ -15,18 +15,23 @@ compare everything, then check the figure-6 driver end to end.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.allocators.equipartition import DynamicEquiPartitioning
+from repro.allocators.hierarchical import HierarchicalAllocator
 from repro.allocators.roundrobin import RoundRobinAllocator
 from repro.core.abg import AControl
 from repro.core.agreedy import AGreedy
 from repro.core.overhead import ReallocationOverhead
-from repro.core.reference import FixedRequest
+from repro.core.feedback import FeedbackPolicy
+from repro.core.reference import FixedRequest, OracleFeedback
 from repro.dag import builders
 from repro.dag.graph import Dag
 from repro.engine.phased import PhasedExecutor, PhasedJob
+from repro.sim import sharded
 from repro.sim.jobs import JobSpec, closed_form_phases, make_executor
 from repro.sim.multi import simulate_job_set
 
@@ -90,6 +95,14 @@ def random_phased_job(rng: np.random.Generator) -> PhasedJob:
         phases.append((1, int(rng.integers(1, 6))))
         phases.append((int(rng.integers(2, 10)), int(rng.integers(1, 6))))
     return PhasedJob(phases)
+
+
+class ScalarOnly(FeedbackPolicy):
+    """A-Control's recurrence with no array form: ``next_request_batch`` is
+    the base's."""
+
+    def next_request(self, prev):
+        return AControl(0.2).next_request(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +316,9 @@ class TestBitIdentity:
         run_both(make_specs, 16, quantum_length=7)
 
     def test_mixed_policy_instances(self):
-        """Per-job policy objects (no shared instance) exercise the grouped
-        feedback path; FixedRequest has no batch form, exercising the
-        per-group scalar fallback."""
+        """Per-job policy objects (no shared instance, FixedRequest among
+        them) exercise the grouped feedback path: one batch call per
+        instance, each over its own gathered positions."""
         rng = np.random.default_rng(33)
         jobs = [random_phased_job(rng) for _ in range(6)]
 
@@ -322,17 +335,45 @@ class TestBitIdentity:
 
         run_both(make_specs, 32, quantum_length=20)
 
-    def test_uniform_policy_without_batch_form(self):
-        """All slots share one FixedRequest instance: the uniform fast path
-        gets None from next_request_batch and falls back to per-record
-        scalar feedback."""
-        jobs = [PhasedJob([(2, 10), (1, 5)]) for _ in range(4)]
+    @pytest.mark.parametrize("mixed", [False, True], ids=["alone", "mixed"])
+    @pytest.mark.parametrize(
+        "allocator",
+        [DynamicEquiPartitioning, lambda: HierarchicalAllocator(4)],
+        ids=["deq", "hierarchical"],
+    )
+    def test_policy_without_array_form_runs_serial(self, allocator, mixed, monkeypatch):
+        """A policy that does not override next_request_batch, alone or
+        among array-form policies, sends its set to the serial loop: the
+        windowed loop is never entered and the traces equal batch='off'."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a policy with no array form reached the windowed loop")
+
+        monkeypatch.setattr(sharded, "simulate_windowed", refuse)
+        rng = np.random.default_rng(29)
+        jobs = [random_phased_job(rng) for _ in range(8)]
 
         def make_specs():
-            policy = FixedRequest(2)
-            return [JobSpec(job=j, feedback=policy) for j in jobs]
+            scalar, batched = ScalarOnly(), AControl(0.2)
+            return [
+                JobSpec(job=j, feedback=batched if mixed and i % 2 else scalar)
+                for i, j in enumerate(jobs)
+            ]
 
-        run_both(make_specs, 16, quantum_length=8)
+        run_both(make_specs, 16, allocator=allocator, quantum_length=10)
+
+    def test_policy_without_array_form_rejected_on_per_group_windows(self):
+        """Per-group windows name the policy instead of running it: the
+        clairvoyant oracle over a counter source gave different traces from
+        batch='off' in every job when the windowed loop fed it."""
+        counter = itertools.count()
+        policy = OracleFeedback(lambda: float(next(counter) % 7 + 1))
+        specs = [
+            JobSpec(job=PhasedJob([(1, 20 + 3 * i), (6, 40)]), feedback=policy)
+            for i in range(12)
+        ]
+        with pytest.raises(ValueError, match=r"\(OracleFeedback has none\)"):
+            simulate_job_set(specs, HierarchicalAllocator(4), 16, quantum_length=10, shards=2)
 
     def test_roundrobin_allocator_dict_path(self):
         """RoundRobinAllocator has no allocate_batch: the kernel run takes

@@ -21,6 +21,7 @@ from repro.allocators.machines import DisjointMachines
 from repro.core.abg import AControl
 from repro.core.agreedy import AGreedy
 from repro.core.overhead import NO_OVERHEAD, ReallocationOverhead
+from repro.core.types import JobTrace
 from repro.engine.phased import PhasedJob
 from repro.io.traces import save_traces
 from repro.report import write_csv
@@ -232,3 +233,19 @@ def test_replaced_and_reassigned_traces_drop_the_log():
     assert replaced.total_work == sum(t.total_work for t in fewer.values())
     result.traces = fewer
     assert result.summaries.job_id.tolist() == list(fewer)
+
+
+def test_log_summaries_need_the_logs_jobs():
+    specs = _random_specs(3, 8, max_release=200)
+    result = simulate_job_set(specs, DynamicEquiPartitioning(), 16, quantum_length=50)
+    log, traces = result._compact.log, result._traces
+    assert QuantumLog(50).job_summaries({}).job_id.size == 0
+    with pytest.raises(ValueError, match="the log holds no quanta of the traces' jobs"):
+        QuantumLog(50).job_summaries(traces)
+    first = next(iter(traces))
+    fewer = {jid: t for jid, t in traces.items() if jid != first}
+    more = {**traces, 99: JobTrace(50, job_id=99)}
+    for wrong in (fewer, more):
+        with pytest.raises(ValueError, match="the traces' jobs are not the log's jobs"):
+            log.job_summaries(wrong)
+    assert log.job_summaries(traces).job_id.tolist() == list(traces)

@@ -28,6 +28,7 @@ from repro.allocators.roundrobin import RoundRobinAllocator
 from repro.core.abg import AControl
 from repro.core.agreedy import AGreedy
 from repro.core.columnar import TraceColumns
+from repro.core.feedback import FeedbackPolicy
 from repro.core.overhead import ReallocationOverhead
 from repro.core.reference import FixedRequest
 from repro.core.types import JobTrace, QuantumRecord
@@ -350,9 +351,11 @@ class TestAdvanceRequestBatch:
         assert traj[:, 0].tolist() == [4.0, 0.2 * 4.0 + (1.0 - 0.2) * 8.0]
 
     def test_scalar_only_policy_returns_none(self):
-        class ScalarOnly(AControl):
-            def next_request_batch(self, **kwargs):
-                return None
+        class ScalarOnly(FeedbackPolicy):
+            """No array form: ``next_request_batch`` is the base's."""
+
+            def next_request(self, prev):
+                return prev.request
 
         cols = self._cols([8.0], [8], [800], [100.0])
         assert ScalarOnly().advance_request_batch(**cols, quanta=2) is None

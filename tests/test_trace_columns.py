@@ -12,6 +12,7 @@ import pytest
 
 from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.core.abg import AControl
+from repro.core.columnar import TraceColumns
 from repro.core.types import JobTrace, QuantumRecord
 from repro.engine.phased import PhasedJob
 from repro.io.traces import load_traces, save_traces, trace_from_dict, trace_to_dict
@@ -124,3 +125,16 @@ class TestLoadErrors:
         del data["records"][1]["span"]
         with pytest.raises(ValueError, match=r"records\[0\]: quantum work outside"):
             trace_from_dict(data)
+
+
+def test_repr_reads_the_columns(no_records):
+    """``repr`` names every column value and builds no record, so a trace
+    whose rows are not valid records (quantum index 0 here) still prints."""
+    row = (0, 1.0, 1, 1, 1, 1, 1.0, 1, 10, 0)
+    text = repr(JobTrace(10, TraceColumns.from_rows([row]), job_id=3))
+    assert text == (
+        "JobTrace(quantum_length=10, columns=TraceColumns(index=[0], "
+        "request=[1.0], request_int=[1], available=[1], allotment=[1], work=[1], "
+        "span=[1.0], steps=[1], quantum_length=[10], start_step=[0]), "
+        "release_time=0, job_id=3)"
+    )
