@@ -33,11 +33,21 @@ identical to the serial loop's, so work, span, steps, and the feedback
 recurrences that consume them are *bit-identical*, not merely close.  The
 test suite cross-validates entire multiprogrammed runs (traces, artifacts)
 against the serial path (``tests/test_sim_multi_batched.py``).
+
+Kernel state
+------------
+Every per-slot field is a plain numpy array holding exactly the live slots,
+and the per-segment ``(width, total)`` tables are packed in slot order.
+Membership changes (arrivals, finished jobs, migrations between the group
+kernels of a hierarchical allocator) build fresh arrays; the per-quantum
+path writes only the request, record-index and segment-progress arrays in
+place (see :class:`MultiBatchKernel` for the rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -46,47 +56,30 @@ from ..core.overhead import ReallocationOverhead
 from ..core.types import JobTrace, integer_requests
 from ..engine.phased import PhasedExecutor
 from .jobs import JobSpec
-from .superstep import SuperstepArena, SuperstepPlan, pure_quantum_counts
+from .superstep import SuperstepPlan, pure_quantum_counts
 
-__all__ = ["MultiBatchKernel", "QuantumBatch", "SlotState"]
+__all__ = ["MultiBatchKernel", "QuantumBatch"]
 
 
 @dataclass(slots=True)
 class _Slot:
-    """Python-side metadata of one batched job (the arena holds the rest)."""
+    """Python-side metadata of one batched job (the kernel's arrays hold
+    the rest)."""
 
     jid: int
     seq: int
     """Admission sequence number — orders finished-trace insertion so the
     result dict matches the serial loop's byte for byte."""
     spec: JobSpec
-    policy: FeedbackPolicy
     trace: JobTrace
 
 
-@dataclass(slots=True)
-class SlotState:
-    """A slot's complete mid-run state, detached from its kernel.
+#: One arrival at a barrier: ``(job id, admission seq, spec, trace,
+#: (width, levels) segment profile, first request)``.
+_Arrival = tuple[int, int, JobSpec, JobTrace, tuple[tuple[int, int], ...], float]
 
-    The windowed loop migrates jobs between per-group kernels at
-    rebalancing barriers by exporting a :class:`SlotState` from one kernel
-    and importing it into another; every field a fresh admission would
-    initialize is carried verbatim, so the migrated job's subsequent quanta
-    are bit-identical to never having moved.
-    """
-
-    jid: int
-    seq: int
-    spec: JobSpec
-    trace: JobTrace
-    request: float
-    cur: int
-    done: int
-    rem: int
-    prev_allot: int
-    next_q: int
-    seg_w: np.ndarray
-    seg_total: np.ndarray
+#: The per-slot arrays, one value per live slot each, aligned to ``slots``.
+_SLOT_FIELDS = ("request", "next_q", "_cur", "_done", "_rem", "_prev_allot", "_seg_len")
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,23 +118,35 @@ under a microsecond per scalar chunk)."""
 class MultiBatchKernel:
     """Packed execution state of every batchable active job.
 
-    Per-slot state — ``request``, current segment, tasks done on it,
-    remaining work, previous allotment, next quantum index — and the packed
-    per-segment ``(width, total)`` tables all live in one preallocated
-    :class:`~repro.sim.superstep.SuperstepArena`.  Admission writes arena
-    rows in place and removal compacts in place, so the hot per-quantum path
-    is pure array arithmetic over views of the arena's live prefix; only the
-    sorted-id allocation-order cache is rebuilt (lazily) when membership
-    changes.
+    Each per-slot field is one array that holds exactly the live slots,
+    aligned to ``slots``: the real request ``request``, the next record
+    index ``next_q``, and the current segment ``_cur``, tasks done on it
+    ``_done``, remaining work ``_rem``, previous allotment ``_prev_allot``
+    (-1 before the first quantum), segment count ``_seg_len`` and offset
+    ``_seg_off``.  Slot ``i``'s segments are rows ``_seg_off[i] :
+    _seg_off[i] + _seg_len[i]`` of the flat ``(width, total)`` tables
+    ``_seg_w``/``_seg_total``, packed in slot order.
+
+    Slots enter through :meth:`admit` (arrivals) and :meth:`absorb`
+    (migrations), both through :meth:`_append`, and leave through
+    :meth:`remove`.  Both build fresh arrays and rebuild the sorted-id
+    allocation order.  Between membership changes, only ``request``,
+    ``next_q``, ``_cur``, ``_done`` and ``_rem`` are written in place; the
+    quantum log copies ``request`` and ``next_q`` when it records them.
+    ``_prev_allot`` is the allotment array the last quantum ran, the very
+    array the log keeps as that quantum's allotment column, so it is only
+    ever rebound.
     """
 
     __slots__ = (
         "slots",
         "jids",
-        "_arena",
+        *_SLOT_FIELDS,
+        "_seg_off",
+        "_seg_w",
+        "_seg_total",
         "_sorted_jids",
         "_id_order",
-        "_dirty",
         "_strict",
         "_policy_groups",
     )
@@ -151,81 +156,20 @@ class MultiBatchKernel:
         self.jids: list[int] = []
         """Job ids aligned to ``slots`` (kept as a plain list for cheap
         per-quantum allocation-dict construction and gathering)."""
-        self._arena = SuperstepArena()
-        self._sorted_jids = _EMPTY_I64.copy()
-        self._id_order = _EMPTY_I64.copy()
-        self._dirty = False
+        self.request = np.zeros(0, dtype=np.float64)
+        """Real-valued controller requests ``d(q)``, aligned to ``slots``.
+        The simulation loop reads it to build records and writes the
+        feedback recurrences' results back into it."""
+        self.next_q = _EMPTY_I64
+        """Per-slot index of the *next* quantum record (starts at 1)."""
+        self._cur = self._done = self._rem = self._prev_allot = _EMPTY_I64
+        self._seg_len = self._seg_off = self._seg_w = self._seg_total = _EMPTY_I64
+        self._sorted_jids = self._id_order = _EMPTY_I64
         self._strict = bool(strict)
         self._policy_groups: list[tuple[FeedbackPolicy, np.ndarray | slice]] | None = None
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    # -- arena views ----------------------------------------------------
-    # Each property exposes the live prefix of one arena column.  Getters
-    # return a view (writes through element/slice assignment mutate the
-    # arena); setters copy values in place, so rebinding statements in the
-    # quantum path (``self._done = np.where(...)``) keep working unchanged.
-
-    @property
-    def request(self) -> np.ndarray:
-        """Real-valued controller requests ``d(q)``, aligned to ``slots``.
-        The simulation loop reads it to build records and writes the
-        feedback recurrences' results back into it (in place)."""
-        return self._arena.request[: self._arena.n]
-
-    @request.setter
-    def request(self, values: np.ndarray) -> None:
-        self._arena.request[: self._arena.n] = values
-
-    @property
-    def next_q(self) -> np.ndarray:
-        """Per-slot index of the *next* quantum record (starts at 1)."""
-        return self._arena.next_q[: self._arena.n]
-
-    @property
-    def _cur(self) -> np.ndarray:
-        return self._arena.cur[: self._arena.n]
-
-    @_cur.setter
-    def _cur(self, values: np.ndarray) -> None:
-        self._arena.cur[: self._arena.n] = values
-
-    @property
-    def _done(self) -> np.ndarray:
-        return self._arena.done[: self._arena.n]
-
-    @_done.setter
-    def _done(self, values: np.ndarray) -> None:
-        self._arena.done[: self._arena.n] = values
-
-    @property
-    def _rem(self) -> np.ndarray:
-        return self._arena.rem[: self._arena.n]
-
-    @_rem.setter
-    def _rem(self, values: np.ndarray) -> None:
-        self._arena.rem[: self._arena.n] = values
-
-    @property
-    def _prev_allot(self) -> np.ndarray:
-        return self._arena.prev_allot[: self._arena.n]
-
-    @_prev_allot.setter
-    def _prev_allot(self, values: np.ndarray) -> None:
-        self._arena.prev_allot[: self._arena.n] = values
-
-    @property
-    def _seg_w(self) -> np.ndarray:
-        return self._arena.seg_w[: self._arena.seg_used]
-
-    @property
-    def _seg_total(self) -> np.ndarray:
-        return self._arena.seg_total[: self._arena.seg_used]
-
-    @property
-    def _seg_off(self) -> np.ndarray:
-        return self._arena.seg_off[: self._arena.n]
 
     def policy_groups(self) -> list[tuple[FeedbackPolicy, np.ndarray | slice]]:
         """``(policy, positions)`` per distinct feedback-policy instance: the
@@ -233,55 +177,97 @@ class MultiBatchKernel:
         over many machines).  When one instance holds every slot (experiment
         job sets share one policy object across jobs), ``positions`` is
         ``slice(None)``, so the common case reads views and gathers nothing.
-        Cached until a slot is admitted; removal remaps the cache."""
+        Cached until a slot is appended; removal remaps the cache."""
         if self._policy_groups is None:
             groups: dict[int, list[int]] = {}
             for pos, slot in enumerate(self.slots):
-                groups.setdefault(id(slot.policy), []).append(pos)
+                groups.setdefault(id(slot.spec.feedback), []).append(pos)
             if len(groups) == 1:
-                self._policy_groups = [(self.slots[0].policy, slice(None))]
+                self._policy_groups = [(self.slots[0].spec.feedback, slice(None))]
             else:
                 self._policy_groups = [
-                    (self.slots[positions[0]].policy, np.asarray(positions, dtype=np.int64))
+                    (self.slots[positions[0]].spec.feedback, np.asarray(positions, dtype=np.int64))
                     for positions in groups.values()
                 ]
         return self._policy_groups
 
     # ------------------------------------------------------------------
+    # Membership
+    # ------------------------------------------------------------------
 
-    def admit(
-        self,
-        *,
-        jid: int,
-        seq: int,
-        spec: JobSpec,
-        trace: JobTrace,
-        profile: tuple[tuple[int, int], ...],
-        request: float,
-    ) -> None:
-        """Add one batchable job at a quantum boundary."""
-        seg_w = np.asarray([w for w, _ in profile], dtype=np.int64)
-        seg_k = np.asarray([k for _, k in profile], dtype=np.int64)
+    def admit(self, arrivals: Sequence[_Arrival]) -> None:
+        """Add a barrier's batchable arrivals, in order, as fresh jobs."""
+        n = len(arrivals)
+        profiles = [profile for *_, profile, _ in arrivals]
+        seg_w = np.array([w for p in profiles for w, _ in p], dtype=np.int64)
+        seg_k = np.array([k for p in profiles for _, k in p], dtype=np.int64)
         seg_total = seg_w * seg_k
-        self.slots.append(
-            _Slot(jid=jid, seq=seq, spec=spec, policy=spec.feedback, trace=trace)
+        self._append(
+            [_Slot(jid, seq, spec, trace) for jid, seq, spec, trace, _, _ in arrivals],
+            {
+                "request": np.array([a[-1] for a in arrivals], dtype=np.float64),
+                "next_q": np.ones(n, dtype=np.int64),
+                "_cur": np.zeros(n, dtype=np.int64),
+                "_done": np.zeros(n, dtype=np.int64),
+                "_rem": np.array(
+                    [sum(w * k for w, k in p) for p in profiles], dtype=np.int64
+                ),
+                "_prev_allot": np.full(n, -1, dtype=np.int64),
+                "_seg_len": np.array([len(p) for p in profiles], dtype=np.int64),
+            },
+            seg_w,
+            seg_total,
         )
-        self.jids.append(jid)
-        self._arena.admit(request=float(request), seg_w=seg_w, seg_total=seg_total)
-        self._dirty = True
+
+    def absorb(self, src: MultiBatchKernel, positions: list[int]) -> None:
+        """Append copies of ``src``'s slots at ``positions`` with their
+        mid-run state intact (migration between group kernels; the caller
+        then removes them from ``src``), so the moved jobs' later quanta are
+        bit-identical to never having moved."""
+        pos = np.asarray(positions, dtype=np.int64)
+        seg_len = src._seg_len[pos]
+        # Row ``r`` of the gathered tables is ``src``'s row ``r`` shifted by
+        # its slot's offset in ``src`` less the offset it gets here.
+        shift = src._seg_off[pos] - (np.cumsum(seg_len) - seg_len)
+        rows = np.arange(int(seg_len.sum()), dtype=np.int64) + np.repeat(shift, seg_len)
+        self._append(
+            [src.slots[p] for p in positions],
+            {name: getattr(src, name)[pos] for name in _SLOT_FIELDS},
+            src._seg_w[rows],
+            src._seg_total[rows],
+        )
+
+    def _append(
+        self,
+        slots: list[_Slot],
+        state: dict[str, np.ndarray],
+        seg_w: np.ndarray,
+        seg_total: np.ndarray,
+    ) -> None:
+        """Append ``slots`` with their per-slot ``state`` (one array per
+        :data:`_SLOT_FIELDS` name) and their packed segment rows."""
+        for name in _SLOT_FIELDS:
+            setattr(self, name, np.concatenate((getattr(self, name), state[name])))
+        self._seg_w = np.concatenate((self._seg_w, seg_w))
+        self._seg_total = np.concatenate((self._seg_total, seg_total))
+        self.slots.extend(slots)
         self._policy_groups = None
+        self._relayout()
 
     def remove(self, positions: list[int]) -> None:
-        """Drop finished slots (their traces were already handed out)."""
+        """Drop the slots at ``positions`` (finished jobs, whose traces were
+        already handed out, or migrated ones)."""
         keep = np.ones(len(self.slots), dtype=bool)
         keep[positions] = False
+        seg_keep = np.repeat(keep, self._seg_len)
+        for name in _SLOT_FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+        self._seg_w = self._seg_w[seg_keep]
+        self._seg_total = self._seg_total[seg_keep]
         self.slots = [s for s, k in zip(self.slots, keep) if k]
-        self.jids = [j for j, k in zip(self.jids, keep) if k]
-        self._arena.remove(keep)
-        self._dirty = True
         groups = self._policy_groups
         if groups is not None and len(groups) > 1:
-            # Compaction keeps the slots' relative order: remap in place.
+            # Removal keeps the slots' relative order: remap the positions.
             # Down to one instance, the next call rebuilds its whole slice.
             new_pos = np.cumsum(keep) - 1
             groups = [
@@ -290,83 +276,22 @@ class MultiBatchKernel:
                 if keep[sub].any()
             ]
             self._policy_groups = groups if len(groups) > 1 else None
+        self._relayout()
 
-    def export_slots(self, positions: list[int]) -> list[SlotState]:
-        """Detach the given slots (for migration to another group kernel),
-        removing them from this kernel; arrays are copied, so the states
-        stay valid across the arena compaction."""
-        arena = self._arena
-        states: list[SlotState] = []
-        for pos in positions:
-            slot = self.slots[pos]
-            off = int(arena.seg_off[pos])
-            ln = int(arena.seg_len[pos])
-            states.append(
-                SlotState(
-                    jid=slot.jid,
-                    seq=slot.seq,
-                    spec=slot.spec,
-                    trace=slot.trace,
-                    request=float(arena.request[pos]),
-                    cur=int(arena.cur[pos]),
-                    done=int(arena.done[pos]),
-                    rem=int(arena.rem[pos]),
-                    prev_allot=int(arena.prev_allot[pos]),
-                    next_q=int(arena.next_q[pos]),
-                    seg_w=arena.seg_w[off : off + ln].copy(),
-                    seg_total=arena.seg_total[off : off + ln].copy(),
-                )
-            )
-        self.remove(positions)
-        return states
-
-    def import_slot(self, state: SlotState) -> None:
-        """Admit a migrated slot with its mid-run state intact (the inverse
-        of :meth:`export_slots`)."""
-        self.slots.append(
-            _Slot(
-                jid=state.jid,
-                seq=state.seq,
-                spec=state.spec,
-                policy=state.spec.feedback,
-                trace=state.trace,
-            )
-        )
-        self.jids.append(state.jid)
-        arena = self._arena
-        arena.admit(
-            request=state.request, seg_w=state.seg_w, seg_total=state.seg_total
-        )
-        row = arena.n - 1
-        arena.cur[row] = state.cur
-        arena.done[row] = state.done
-        arena.rem[row] = state.rem
-        arena.prev_allot[row] = state.prev_allot
-        arena.next_q[row] = state.next_q
-        self._dirty = True
-        self._policy_groups = None
-
-    def _repack(self) -> None:
-        """Rebuild the sorted-id allocation-order cache (segment tables no
-        longer repack — the arena maintains them incrementally)."""
-        if not self._dirty:
-            return
-        if self.slots:
-            jids = np.asarray(self.jids, dtype=np.int64)
-            self._id_order = np.argsort(jids, kind="stable")  # jids are unique
-            self._sorted_jids = jids[self._id_order]
-        else:
-            self._sorted_jids = _EMPTY_I64.copy()
-            self._id_order = _EMPTY_I64.copy()
-        self._dirty = False
+    def _relayout(self) -> None:
+        """Rebuild what the slot set determines: ``jids``, the segment
+        offsets and the sorted-id allocation order."""
+        self.jids = [slot.jid for slot in self.slots]
+        self._seg_off = np.cumsum(self._seg_len) - self._seg_len
+        jids = np.array(self.jids, dtype=np.int64)
+        self._id_order = np.argsort(jids, kind="stable")  # jids are unique
+        self._sorted_jids = jids[self._id_order]
 
     def allocation_order(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted_jids, order)`` for the array-native allocation path:
         ``sorted_jids`` are the slots' job ids in increasing order and
         ``order`` the slot positions producing it (``jids[order[i]] ==
-        sorted_jids[i]``).  Cached across quanta, rebuilt with the packed
-        tables when the slot set changes."""
-        self._repack()
+        sorted_jids[i]``)."""
         return self._sorted_jids, self._id_order
 
     # ------------------------------------------------------------------
@@ -400,7 +325,6 @@ class MultiBatchKernel:
         faster on a handful of slots and trivially bit-identical to the
         per-job engines.
         """
-        self._repack()
         n = len(self.slots)
         a = alloc
         if overhead.is_free:
@@ -576,8 +500,7 @@ class MultiBatchKernel:
 
     def bump_quantum(self) -> None:
         """Advance every slot's next-record index by one executed quantum."""
-        arena = self._arena
-        arena.next_q[: arena.n] += 1
+        self.next_q += 1
 
     def superstep_plan(self, alloc: np.ndarray, length: int) -> SuperstepPlan | None:
         """Closed-form count of the pure quanta every slot can
@@ -589,14 +512,12 @@ class MultiBatchKernel:
         regime arithmetic; the plan's ``delta``/``span`` are exactly the
         ``work``/``span`` each repeated record will carry.
         """
-        arena = self._arena
-        n = arena.n
-        if not n:
+        if not self.slots:
             return None
-        g = arena.seg_off[:n] + arena.cur[:n]
-        w = arena.seg_w[g]
-        total = arena.seg_total[g]
-        done = arena.done[:n]
+        g = self._seg_off + self._cur
+        w = self._seg_w[g]
+        total = self._seg_total[g]
+        done = self._done
         boundary = total - w
         quanta, delta = pure_quantum_counts(
             alloc=alloc,
@@ -617,16 +538,17 @@ class MultiBatchKernel:
 
         Pure quanta never cross a segment boundary, so only the done/remaining
         counters and the record indices move; the segment cursor and
-        ``prev_allot`` (already equal to ``alloc``) are untouched — exactly
+        ``_prev_allot`` (already ``alloc``) are untouched — exactly
         the state ``k`` calls of :meth:`execute_quantum` would leave.
         """
-        arena = self._arena
-        n = arena.n
         moved = k * plan.delta
-        arena.done[:n] += moved
-        arena.rem[:n] -= moved
-        arena.next_q[:n] += k
+        self._done += moved
+        self._rem -= moved
+        self.next_q += k
         if self._strict:
             _strict_check(
-                plan.delta, plan.span, np.full(n, length, dtype=np.int64), alloc
+                plan.delta,
+                plan.span,
+                np.full(len(self.slots), length, dtype=np.int64),
+                alloc,
             )

@@ -160,7 +160,7 @@ def _attempt_superstep(
     (their trajectory supplies each skipped quantum's real request and ends
     ``K``); and the allocator certifies (and state-advances through) ``K``
     repeats of its grants.  All are exact, so the emitted repeat-group and
-    the fast-forwarded arena state are byte-identical to executing the
+    the fast-forwarded kernel state are byte-identical to executing the
     ``K`` quanta one at a time.
     """
     if not np.array_equal(next_int, req_int):
@@ -236,7 +236,7 @@ def _advance_window(
     across groups).
     """
     L = quantum_length
-    layout_dirty = True
+    layout_changed = True
     finished: list[tuple[int, int, int, JobTrace]] = []
     executed = 0
     t = start
@@ -245,22 +245,18 @@ def _advance_window(
     next_int: np.ndarray | None = None
     while executed < quanta and len(kernel) > 0:
         nk = len(kernel)
-        if layout_dirty:
+        if layout_changed:
             log.set_layout(kernel.jids)
             # A satisfied job's ``available`` is its machine's size.
             machine = allocator.machine_sizes(
                 np.asarray(kernel.jids, dtype=np.int64), processors
             )
-            layout_dirty = False
+            layout_changed = False
         req_int = kernel.integer_requests() if next_int is None else next_int
         ids_sorted, order = kernel.allocation_order()
         req_sorted = req_int[order]
         grants = allocator.allocate_batch(ids_sorted, req_sorted, budget)
-        if grants is None:  # routed at simulate entry; defensive here
-            raise ValueError(
-                "windowed execution requires an array-native allocator "
-                "(allocate_batch returned None)"
-            )
+        assert grants is not None, "simulate_job_set routes only array-form allocators here"
         validate_allocation_arrays(ids_sorted, req_sorted, grants, budget)
         alloc_arr = np.empty(nk, dtype=np.int64)
         alloc_arr[order] = grants
@@ -294,7 +290,7 @@ def _advance_window(
             )
         if finished_pos:
             kernel.remove(finished_pos)
-            layout_dirty = True
+            layout_changed = True
         # Superstep: with no event this quantum (nothing finished) and room
         # left in the window, try to fast-forward through the quanta the
         # group provably repeats.
@@ -385,13 +381,24 @@ def simulate_windowed(
 
         # Barrier front half: membership (sync + rebalance) over the active
         # set including this boundary's arrivals, then slot migration and
-        # admission into the per-group kernels.
+        # admission into the per-group kernels.  Each arrival's policy gives
+        # its first request once, for both.
+        arrivals = [
+            (
+                jid,
+                seq,
+                spec,
+                JobTrace(quantum_length=L, release_time=rel, job_id=jid),
+                profiles[jid],
+                spec.feedback.first_request(),
+            )
+            for seq, (rel, jid, spec) in enumerate(pending[first:cursor], start=first)
+        ]
         if hier is not None:
             id_req: list[tuple[int, int]] = []
             for kernel in kernels:
                 id_req.extend(zip(kernel.jids, kernel.integer_requests().tolist()))
-            for _rel, jid, spec in pending[first:cursor]:
-                id_req.append((jid, integer_request(spec.feedback.first_request())))
+            id_req.extend((a[0], integer_request(a[-1])) for a in arrivals)
             id_req.sort()
             ids_arr = np.array([j for j, _ in id_req], dtype=np.int64)
             req_arr = np.array([r for _, r in id_req], dtype=np.int64)
@@ -402,22 +409,20 @@ def simulate_windowed(
                 )
                 budgets.extend(hier.group_budgets())
             for g, kernel in enumerate(kernels):
-                moving = [
-                    pos for pos, jid in enumerate(kernel.jids) if membership[jid] != g
-                ]
+                moving: dict[int, list[int]] = {}
+                for pos, jid in enumerate(kernel.jids):
+                    if membership[jid] != g:
+                        moving.setdefault(membership[jid], []).append(pos)
+                for dest, positions in moving.items():
+                    kernels[dest].absorb(kernel, positions)
                 if moving:
-                    for state in kernel.export_slots(moving):
-                        kernels[membership[state.jid]].import_slot(state)
-        for s in range(first, cursor):
-            rel, jid, spec = pending[s]
-            kernels[membership[jid] if hier is not None else 0].admit(
-                jid=jid,
-                seq=s,
-                spec=spec,
-                trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
-                profile=profiles[jid],
-                request=spec.feedback.first_request(),
-            )
+                    kernel.remove([p for positions in moving.values() for p in positions])
+        admitted: dict[int, list] = {}
+        for arrival in arrivals:
+            g = membership[arrival[0]] if hier is not None else 0
+            admitted.setdefault(g, []).append(arrival)
+        for g, mine in admitted.items():
+            kernels[g].admit(mine)
 
         # Window length: to the next admission boundary, the next
         # rebalancing boundary, and the quantum ceiling — whichever is

@@ -1,17 +1,10 @@
-"""Whole-run superstep layer: arena state, columnar quantum log, closed forms.
+"""Whole-run superstep layer: columnar quantum log, closed forms.
 
 PR 5's kernel vectorized *within* a machine quantum; the remaining per-quantum
-python — state repacking, record materialization, and the quantum loop itself —
-still bounded full-scale fig6.  This module supplies the three pieces that
-lift the kernel to whole-*run* granularity:
-
-:class:`SuperstepArena`
-    One preallocated, amortized-growth home for every per-slot scalar the
-    kernel tracks (request, segment cursor, tasks done, remaining work,
-    previous allotment, next quantum index) plus the packed per-segment
-    ``(width, total)`` tables.  Admission writes rows in place and removal
-    compacts in place — no per-quantum ``np.append`` churn, no segment-table
-    repacking.
+python — record materialization and the quantum loop itself — still bounded
+full-scale fig6.  This module supplies the two pieces that lift the kernel
+(:class:`~repro.sim.multi_batched.MultiBatchKernel`) to whole-*run*
+granularity:
 
 :class:`QuantumLog`
     Columnar record emission for the whole simulation: per quantum the
@@ -67,130 +60,11 @@ from ..core.types import JobTrace, columns_valid, quantum_records_from_columns
 from .metrics import JobSummaries
 
 __all__ = [
-    "SuperstepArena",
-    "SupersetArena",
     "SuperstepPlan",
     "QuantumGroup",
     "QuantumLog",
     "pure_quantum_counts",
 ]
-
-_MIN_SLOTS = 16
-_MIN_SEGS = 64
-
-
-class SuperstepArena:
-    """Preallocated per-slot kernel state with amortized-doubling growth.
-
-    The first ``n`` rows of every array are live; capacity beyond that is
-    uninitialized headroom.  Segment tables are packed flat: slot ``i``'s
-    segments occupy ``seg_w[seg_off[i] : seg_off[i] + seg_len[i]]`` (and the
-    aligned ``seg_total``), with ``seg_used`` marking the packed tail.
-    """
-
-    __slots__ = (
-        "n",
-        "request",
-        "cur",
-        "done",
-        "rem",
-        "prev_allot",
-        "next_q",
-        "seg_off",
-        "seg_len",
-        "seg_used",
-        "seg_w",
-        "seg_total",
-    )
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.request = np.zeros(_MIN_SLOTS, dtype=np.float64)
-        self.cur = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self.done = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self.rem = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self.prev_allot = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self.next_q = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self.seg_off = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self.seg_len = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self.seg_used = 0
-        self.seg_w = np.zeros(_MIN_SEGS, dtype=np.int64)
-        self.seg_total = np.zeros(_MIN_SEGS, dtype=np.int64)
-
-    def _grow_slots(self) -> None:
-        cap = self.request.size * 2
-        for name in ("request", "cur", "done", "rem", "prev_allot", "next_q",
-                     "seg_off", "seg_len"):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[: self.n] = old[: self.n]
-            setattr(self, name, new)
-
-    def _grow_segs(self, need: int) -> None:
-        cap = self.seg_w.size
-        while cap < need:
-            cap *= 2
-        for name in ("seg_w", "seg_total"):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=np.int64)
-            new[: self.seg_used] = old[: self.seg_used]
-            setattr(self, name, new)
-
-    def admit(
-        self, *, request: float, seg_w: np.ndarray, seg_total: np.ndarray
-    ) -> None:
-        """Append one slot (fresh job state) at the packed tail."""
-        if self.n == self.request.size:
-            self._grow_slots()
-        k = int(seg_w.size)
-        if self.seg_used + k > self.seg_w.size:
-            self._grow_segs(self.seg_used + k)
-        row = self.n
-        self.request[row] = request
-        self.cur[row] = 0
-        self.done[row] = 0
-        self.rem[row] = int(seg_total.sum())
-        self.prev_allot[row] = -1
-        self.next_q[row] = 1
-        self.seg_off[row] = self.seg_used
-        self.seg_len[row] = k
-        self.seg_w[self.seg_used : self.seg_used + k] = seg_w
-        self.seg_total[self.seg_used : self.seg_used + k] = seg_total
-        self.seg_used += k
-        self.n = row + 1
-
-    def remove(self, keep: np.ndarray) -> None:
-        """Compact the live rows down to ``keep`` (a boolean mask over the
-        first ``n`` rows), re-packing the segment tables in place."""
-        n = self.n
-        m = int(np.count_nonzero(keep))
-        for name in ("request", "cur", "done", "rem", "prev_allot", "next_q"):
-            arr = getattr(self, name)
-            arr[:m] = arr[:n][keep]
-        kept_len = self.seg_len[:n][keep]
-        kept_off = self.seg_off[:n][keep]
-        if m:
-            # Gather the surviving segment rows (fancy indexing copies, so
-            # the left-shifting writes never read already-overwritten cells):
-            # new row ``r`` of slot ``i`` reads old row ``r + off_i - new_off_i``.
-            new_off = np.zeros(m, dtype=np.int64)
-            np.cumsum(kept_len[:-1], out=new_off[1:])
-            used = int(kept_len.sum())
-            idx = np.arange(used, dtype=np.int64) + np.repeat(
-                kept_off - new_off, kept_len
-            )
-            self.seg_w[:used] = self.seg_w[idx]
-            self.seg_total[:used] = self.seg_total[idx]
-            self.seg_off[:m] = new_off
-            self.seg_len[:m] = kept_len
-            self.seg_used = used
-        else:
-            self.seg_used = 0
-        self.n = m
-
-
-#: The ISSUE's original spelling of the arena, kept as an alias.
-SupersetArena = SuperstepArena
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,9 +156,8 @@ class QuantumLog:
     def set_layout(self, jids: Sequence[int]) -> None:
         """Register the current slot->job-id layout (call after every
         admission/removal; cheap relative to how rarely membership changes)."""
-        # np.array, not np.asarray: the caller hands in its *live* slot
-        # layout (the kernel keeps appending/compacting it), so the stored
-        # epoch must own its memory
+        # np.array, not np.asarray: the stored epoch must own its memory,
+        # whatever the caller does with the sequence it hands in later
         self._layouts.append(np.array(jids, dtype=np.int64))
         self._epoch += 1
 

@@ -45,7 +45,7 @@ _STABLE_WIDTH = 4
 #: Churners alternate (narrow, levels) / (wide, levels) phases.  The phase
 #: length is just under one quantum's worth of levels, so nearly every
 #: quantum crosses a phase boundary (blocking supersteps) while keeping the
-#: segment count — and with it the kernel arena — small.
+#: segment count — and with it the kernel's segment tables — small.
 _CHURN_NARROW = 3
 _CHURN_WIDE = 7
 _CHURN_PHASE_LEVELS = 900

@@ -266,14 +266,8 @@ class TestStrictModeSingleWriter:
         kernel = MultiBatchKernel(strict=True)
         for jid in (0, 1):
             spec = JobSpec(job=PhasedJob([(10, 50)]), feedback=FixedRequest(2.0))
-            kernel.admit(
-                jid=jid,
-                seq=jid,
-                spec=spec,
-                trace=JobTrace(quantum_length=10, job_id=jid),
-                profile=closed_form_phases(spec.job),
-                request=2.0,
-            )
+            trace = JobTrace(quantum_length=10, job_id=jid)
+            kernel.admit([(jid, jid, spec, trace, closed_form_phases(spec.job), 2.0)])
         # Slot 0's quantum is clean (10 tasks on 1 processor for 10 steps);
         # slot 1's forged quantum breaks one invariant.
         plan = SuperstepPlan(

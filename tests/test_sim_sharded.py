@@ -35,6 +35,7 @@ from repro.runtime.faults import FAULTS_ENV_VAR
 from repro.sim import sharded as sharded_loop
 from repro.sim.jobs import JobSpec
 from repro.sim.multi import MultiJobResult, simulate_job_set
+from repro.sim.multi_batched import MultiBatchKernel
 
 
 def random_specs(
@@ -105,21 +106,29 @@ class TestHierarchicalShardIdentity:
         assert_identical(flat, sharded)
         assert_identical(flat, oracle(specs, hier, 48, quantum_length=100))
 
-    def test_migrations_cross_windows(self):
+    def test_migrations_cross_windows(self, monkeypatch):
         """A tight rebalancing interval forces job migrations between
-        windows (slots exported from one group kernel into another)."""
+        windows (slots absorbed by one group kernel from another)."""
+        moved: list[int] = []
+        absorb = MultiBatchKernel.absorb
+
+        def counted(self, src, positions):
+            moved.extend(src.jids[p] for p in positions)
+            return absorb(self, src, positions)
+
+        monkeypatch.setattr(MultiBatchKernel, "absorb", counted)
         specs = random_specs(20, seed=55, max_release=1)
 
         def tight() -> HierarchicalAllocator:
             return hier(rebalance_interval=2, imbalance_threshold=0.05)
 
-        allocator = tight()
-        flat = simulate_job_set(specs, allocator, 40, quantum_length=80)
+        flat = simulate_job_set(specs, tight(), 40, quantum_length=80)
+        assert moved == []  # one machine-wide kernel never migrates
         sharded = simulate_job_set(specs, tight(), 40, quantum_length=80, shards=4)
         assert_identical(flat, sharded)
         assert_identical(flat, oracle(specs, tight, 40, quantum_length=80))
-        # the scenario actually rebalanced: membership moved at least once
-        assert allocator.group_count > 1
+        # the per-group run actually moved slots between group kernels
+        assert len(moved) > 0
 
     def test_reallocation_overhead(self):
         specs = random_specs(10, seed=3, max_release=1000)
@@ -181,6 +190,33 @@ job_strategy = st.tuples(
     # has gone idle.
     st.one_of(st.just(0), st.integers(1, 3000), st.integers(20_000, 30_000)),
 )
+
+
+class CountingFirstRequest(AControl):
+    """A-Control that counts its ``first_request`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.first_calls = 0
+
+    def first_request(self) -> float:
+        self.first_calls += 1
+        return super().first_request()
+
+
+class TestFirstRequest:
+    @pytest.mark.parametrize(
+        "mode",
+        [{"shards": 2}, {}, {"batch": "off"}],
+        ids=["per-group", "machine-wide", "serial"],
+    )
+    def test_one_call_per_job(self, mode):
+        """Membership at a barrier and admission share each arrival's one
+        ``first_request`` call, on every route."""
+        policy = CountingFirstRequest()
+        specs = random_specs(16, seed=8, max_release=2000, policy=policy)
+        simulate_job_set(specs, hier(group_size=4), 16, quantum_length=50, **mode)
+        assert policy.first_calls == len(specs)
 
 
 class TestRouteProperty:

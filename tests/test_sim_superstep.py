@@ -1,4 +1,4 @@
-"""Superstep fast-forwarding, arena state, and columnar traces.
+"""Superstep fast-forwarding, kernel slot state, and columnar traces.
 
 The superstep layer's claim mirrors the batched kernel's: whole-run results
 — every trace, every :class:`QuantumRecord` field, artifact bytes — are
@@ -40,12 +40,7 @@ from repro.sim import sharded
 from repro.sim.jobs import JobSpec, closed_form_phases
 from repro.sim.multi import simulate_job_set
 from repro.sim.multi_batched import MultiBatchKernel
-from repro.sim.superstep import (
-    QuantumLog,
-    SuperstepArena,
-    SupersetArena,
-    pure_quantum_counts,
-)
+from repro.sim.superstep import QuantumLog, pure_quantum_counts
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -118,14 +113,7 @@ def single_slot_kernel(phases, request: float) -> MultiBatchKernel:
     spec = JobSpec(job=PhasedJob(phases), feedback=FixedRequest(request))
     profile = closed_form_phases(spec.job)
     assert profile is not None
-    kernel.admit(
-        jid=0,
-        seq=0,
-        spec=spec,
-        trace=JobTrace(quantum_length=100, job_id=0),
-        profile=profile,
-        request=request,
-    )
+    kernel.admit([(0, 0, spec, JobTrace(quantum_length=100, job_id=0), profile, request)])
     return kernel
 
 
@@ -226,10 +214,8 @@ class TestPureQuantumCounts:
             for _ in range(k):
                 k2.execute_quantum(alloc, L, overhead)
                 k2.bump_quantum()
-            for name in ("cur", "done", "rem", "prev_allot", "next_q"):
-                assert np.array_equal(
-                    getattr(k1._arena, name)[:1], getattr(k2._arena, name)[:1]
-                ), name
+            for name in ("_cur", "_done", "_rem", "_prev_allot", "next_q"):
+                assert np.array_equal(getattr(k1, name), getattr(k2, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -456,58 +442,100 @@ class TestRequestTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# Arena
+# Kernel slot arrays
 # ---------------------------------------------------------------------------
 
+_SLOT_VALUES = ("request", "next_q", "_cur", "_done", "_rem", "_prev_allot")
 
-class TestSuperstepArena:
-    def test_issue_spelling_alias(self):
-        assert SupersetArena is SuperstepArena
 
+def _assert_kernel_matches(kernel: MultiBatchKernel, ref: list[dict]) -> None:
+    """Every per-slot array, the packed segment tables and their offsets
+    equal the list-of-rows reference."""
+    assert kernel.jids == [row["jid"] for row in ref]
+    for name in _SLOT_VALUES:
+        assert getattr(kernel, name).tolist() == [row[name] for row in ref], name
+    lens = [len(row["seg_w"]) for row in ref]
+    assert kernel._seg_len.tolist() == lens
+    for row, off, ln in zip(ref, kernel._seg_off.tolist(), lens):
+        assert kernel._seg_w[off : off + ln].tolist() == row["seg_w"]
+        assert kernel._seg_total[off : off + ln].tolist() == row["seg_total"]
+    assert kernel._seg_w.tolist() == [w for row in ref for w in row["seg_w"]]
+    assert kernel._seg_total.tolist() == [t for row in ref for t in row["seg_total"]]
+    ids, order = kernel.allocation_order()
+    assert ids.tolist() == sorted(kernel.jids)
+    assert [kernel.jids[i] for i in order.tolist()] == sorted(kernel.jids)
+
+
+class TestKernelSlots:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_admit_remove_matches_reference(self, seed):
-        """The packed arena mirrors a plain python list-of-rows reference
-        through arbitrary admit/remove interleavings (growth included)."""
+        """Two kernels mirror a plain python list-of-rows reference through
+        random interleavings of batched admissions, executed quanta,
+        removals and migrations (``absorb`` then ``remove``)."""
         rng = np.random.default_rng(seed)
-        arena = SuperstepArena()
-        ref: list[dict] = []
+        kernels = [MultiBatchKernel(), MultiBatchKernel()]
+        refs: list[list[dict]] = [[], []]
         uid = 0
-        for _ in range(60):
-            if ref and rng.random() < 0.4:
-                keep = rng.random(len(ref)) < 0.6
-                arena.remove(keep)
-                ref = [r for r, k in zip(ref, keep) if k]
+
+        def pick(n: int) -> list[int]:
+            size = int(rng.integers(1, n + 1))
+            return sorted(rng.choice(n, size=size, replace=False).tolist())
+
+        for _ in range(80):
+            g = int(rng.integers(2))
+            kernel, ref = kernels[g], refs[g]
+            op = rng.random()
+            if ref and op < 0.2:
+                positions = pick(len(ref))
+                kernel.remove(positions)
+                refs[g] = [row for i, row in enumerate(ref) if i not in positions]
+            elif ref and op < 0.45:
+                positions = pick(len(ref))
+                kernels[1 - g].absorb(kernel, positions)
+                kernel.remove(positions)
+                refs[1 - g] += [ref[i] for i in positions]
+                refs[g] = [row for i, row in enumerate(ref) if i not in positions]
+            elif ref and op < 0.7:
+                # Advance every slot (their state leaves the admission
+                # values), then drop the finished ones, as the loop does.
+                alloc = rng.integers(1, 6, len(ref)).astype(np.int64)
+                out = kernel.execute_quantum(alloc, 10, ReallocationOverhead())
+                kernel.bump_quantum()
+                kernel.request += 0.5
+                finished = np.flatnonzero(out.finished).tolist()
+                kernel.remove(finished)
+                refs[g] = [row for i, row in enumerate(ref) if i not in finished]
+                for i, row in enumerate(refs[g]):
+                    for name in _SLOT_VALUES:
+                        row[name] = getattr(kernel, name)[i].item()
             else:
-                k = int(rng.integers(1, 5))
-                seg_w = rng.integers(1, 9, k).astype(np.int64)
-                seg_total = seg_w * rng.integers(1, 50, k).astype(np.int64)
-                arena.admit(
-                    request=float(uid), seg_w=seg_w, seg_total=seg_total
-                )
-                ref.append(
-                    {
-                        "request": float(uid),
-                        "rem": int(seg_total.sum()),
-                        "seg_w": seg_w.tolist(),
-                        "seg_total": seg_total.tolist(),
-                    }
-                )
-                uid += 1
-            # full-state comparison
-            assert arena.n == len(ref)
-            assert arena.request[: arena.n].tolist() == [
-                r["request"] for r in ref
-            ]
-            assert arena.rem[: arena.n].tolist() == [r["rem"] for r in ref]
-            offs = arena.seg_off[: arena.n].tolist()
-            lens = arena.seg_len[: arena.n].tolist()
-            for row, (off, ln) in zip(ref, zip(offs, lens)):
-                assert arena.seg_w[off : off + ln].tolist() == row["seg_w"]
-                assert (
-                    arena.seg_total[off : off + ln].tolist()
-                    == row["seg_total"]
-                )
-            assert arena.seg_used == sum(lens)
+                arrivals = []
+                for _ in range(int(rng.integers(1, 4))):
+                    k = int(rng.integers(1, 5))
+                    profile = tuple(
+                        (int(w), int(lv))
+                        for w, lv in zip(rng.integers(1, 9, k), rng.integers(1, 50, k))
+                    )
+                    spec = JobSpec(job=PhasedJob(list(profile)), feedback=FixedRequest(2))
+                    trace = JobTrace(quantum_length=10, job_id=uid)
+                    arrivals.append((uid, uid, spec, trace, profile, float(uid)))
+                    ref.append(
+                        {
+                            "jid": uid,
+                            "request": float(uid),
+                            "next_q": 1,
+                            "_cur": 0,
+                            "_done": 0,
+                            "_rem": sum(w * lv for w, lv in profile),
+                            "_prev_allot": -1,
+                            "seg_w": [w for w, _ in profile],
+                            "seg_total": [w * lv for w, lv in profile],
+                        }
+                    )
+                    uid += 1
+                kernel.admit(arrivals)
+            for kernel, ref in zip(kernels, refs):
+                _assert_kernel_matches(kernel, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,24 @@
 """Lifetime edges of the columnar quantum log.
 
-No recorded column may alias a live arena buffer.  These tests pin that
-contract at runtime: records materialized *after* the arena doubles or
-its rows are reused must still show emission-time values, an empty
-``QuantumLog`` must be a no-op, and groups spanning a layout-epoch boundary
-must expand against the layout registered for *their* epoch.
+No recorded column may alias a kernel array that is later written in
+place.  These tests pin that contract at runtime: a logged group must keep
+its emission-time values across every write the windowed loop makes to
+the kernel afterwards, an empty ``QuantumLog`` must be a no-op, and groups
+spanning a layout-epoch boundary must expand against the layout registered
+for *their* epoch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.overhead import ReallocationOverhead
+from repro.core.reference import FixedRequest
 from repro.core.types import JobTrace
-from repro.sim.superstep import QuantumLog, SuperstepArena
+from repro.engine.phased import PhasedJob
+from repro.sim.jobs import JobSpec
+from repro.sim.multi_batched import MultiBatchKernel
+from repro.sim.superstep import QuantumLog
 
 L = 10
 
@@ -34,11 +40,86 @@ def _emit(log: QuantumLog, *, start_step: int, repeat: int, index0, request) -> 
     )
 
 
+def _kernel(jids, requests) -> MultiBatchKernel:
+    """A kernel holding one 400-task job per id, none of which finishes
+    within a few quanta."""
+    kernel = MultiBatchKernel()
+    kernel.admit(_arrivals(jids, requests))
+    return kernel
+
+
+def _arrivals(jids, requests):
+    out = []
+    for jid, request in zip(jids, requests):
+        spec = JobSpec(job=PhasedJob([(4, 100)]), feedback=FixedRequest(2))
+        trace = JobTrace(L, job_id=jid)
+        out.append((jid, jid, spec, trace, ((4, 100),), request))
+    return out
+
+
+def _run_logged_quantum(kernel: MultiBatchKernel, log: QuantumLog, alloc):
+    """One quantum as the windowed loop runs and logs it: ``index0`` and
+    ``request`` are the kernel's live arrays, ``allotment`` the array the
+    kernel keeps as ``_prev_allot``."""
+    out = kernel.execute_quantum(alloc, L, ReallocationOverhead())
+    log.set_layout(kernel.jids)
+    return log.append_quantum(
+        start_step=0,
+        repeat=1,
+        index0=kernel.next_q,
+        request=kernel.request,
+        request_int=kernel.integer_requests(),
+        available=np.full(len(kernel), 8, dtype=np.int64),
+        allotment=alloc,
+        work=out.work,
+        span=out.span,
+        steps=out.steps,
+    )
+
+
+def _kernel_writes():
+    """``(name, write)`` per kind of write the windowed loop makes to a
+    kernel after logging a quantum: each ``write(kernel)`` runs on a
+    two-slot kernel holding jobs 1 and 2."""
+
+    def feedback(kernel):
+        kernel.request[:] = -1.0
+
+    def migrate_in(kernel):
+        src = _kernel([7, 8], [5.0, 6.0])
+        kernel.absorb(src, [1])
+        src.remove([1])
+
+    def migrate_out(kernel):
+        MultiBatchKernel().absorb(kernel, [0])
+        kernel.remove([0])
+
+    def next_quantum(kernel):
+        kernel.execute_quantum(np.array([1, 3], dtype=np.int64), L, ReallocationOverhead())
+
+    def superstep(kernel):
+        alloc = kernel._prev_allot
+        plan = kernel.superstep_plan(alloc, L)
+        assert plan is not None
+        kernel.apply_superstep(1, plan, alloc, L)
+
+    return [
+        ("bump_quantum", MultiBatchKernel.bump_quantum),
+        ("feedback", feedback),
+        ("admit", lambda kernel: kernel.admit(_arrivals([3], [9.0]))),
+        ("absorb", migrate_in),
+        ("remove", lambda kernel: kernel.remove([0])),
+        ("migrate out", migrate_out),
+        ("execute_quantum", next_quantum),
+        ("apply_superstep", superstep),
+    ]
+
+
 class TestSnapshotLifetimes:
     def test_layout_survives_caller_mutation(self):
-        # set_layout must own its memory: the kernel keeps appending to and
-        # compacting the very list it registers.  Goldens and the three-way
-        # path tests still pass when the copy is dropped; only this fails.
+        # set_layout must own its memory: the caller may keep mutating the
+        # list it registers.  Goldens and the three-way path tests still
+        # pass when the copy is dropped; only this fails.
         log = QuantumLog(L)
         jids = [7, 9]
         log.set_layout(jids)
@@ -51,60 +132,42 @@ class TestSnapshotLifetimes:
         assert len(traces[7].records) == 1
         assert len(traces[9].records) == 1
 
-    def test_index_and_request_survive_arena_reuse(self):
-        # index0/request are emitted as live arena views; the simulation
-        # mutates them in place right after emission
-        log = QuantumLog(L)
-        arena = SuperstepArena()
-        arena.admit(request=2.0, seg_w=np.array([4], dtype=np.int64),
-                    seg_total=np.array([400], dtype=np.int64))
-        arena.admit(request=3.0, seg_w=np.array([4], dtype=np.int64),
-                    seg_total=np.array([400], dtype=np.int64))
-        log.set_layout([1, 2])
-        _emit(
-            log,
-            start_step=0,
-            repeat=1,
-            index0=arena.next_q[: arena.n],
-            request=arena.request[: arena.n],
-        )
-        # the next quantum bumps cursors and reuses the same rows
-        arena.next_q[: arena.n] += 1
-        arena.request[: arena.n] = -1.0
+    def test_logged_group_survives_kernel_writes(self):
+        # index0/request are emitted as the kernel's live arrays, which the
+        # loop writes in place right after emission; membership changes
+        # rebuild every array.  The records must show emission-time values.
+        for name, write in _kernel_writes():
+            log = QuantumLog(L)
+            kernel = _kernel([1, 2], [2.0, 3.0])
+            _run_logged_quantum(kernel, log, np.array([2, 3], dtype=np.int64))
+            write(kernel)
 
-        traces = {1: JobTrace(L, job_id=1), 2: JobTrace(L, job_id=2)}
-        log.build_traces(traces)
-        assert traces[1].records[0].index == 1
-        assert traces[1].records[0].request == 2.0
-        assert traces[2].records[0].request == 3.0
+            traces = {1: JobTrace(L, job_id=1), 2: JobTrace(L, job_id=2)}
+            log.build_traces(traces)
+            first, second = traces[1].records[0], traces[2].records[0]
+            assert (first.index, second.index) == (1, 1), name
+            assert (first.request, second.request) == (2.0, 3.0), name
+            assert (first.work, second.work) == (2 * L, 3 * L), name
 
-    def test_records_materialized_after_arena_doubling(self):
-        # grow the arena past its initial capacity *after* emission: the
-        # recorded group must keep reading emission-time values, not the
-        # reallocated (or dead) buffers
-        log = QuantumLog(L)
-        arena = SuperstepArena()
-        seg_w = np.array([4], dtype=np.int64)
-        seg_total = np.array([400], dtype=np.int64)
-        arena.admit(request=2.0, seg_w=seg_w, seg_total=seg_total)
-        cap0 = arena.request.size
-        log.set_layout([1])
-        _emit(
-            log,
-            start_step=0,
-            repeat=1,
-            index0=arena.next_q[: arena.n],
-            request=arena.request[: arena.n],
-        )
-        while arena.request.size == cap0:  # force at least one doubling
-            arena.admit(request=9.0, seg_w=seg_w, seg_total=seg_total)
-        arena.request[:] = -1.0
+    def test_allotment_column_survives_kernel_writes(self):
+        # The kernel keeps the allotment array it ran as ``_prev_allot``,
+        # and the log keeps the same array as the quantum's allotment
+        # column, so the kernel may only rebind ``_prev_allot``: a write
+        # into it would rewrite the logged quantum.
+        for name, write in _kernel_writes():
+            log = QuantumLog(L)
+            kernel = _kernel([1, 2], [2.0, 3.0])
+            alloc = np.array([2, 3], dtype=np.int64)
+            group = _run_logged_quantum(kernel, log, alloc)
+            assert kernel._prev_allot is alloc
+            assert group.allotment is alloc
+            write(kernel)
 
-        traces = {1: JobTrace(L, job_id=1)}
-        log.build_traces(traces)
-        record = traces[1].records[0]
-        assert record.request == 2.0
-        assert record.index == 1
+            assert alloc.tolist() == [2, 3], name
+            traces = {1: JobTrace(L, job_id=1), 2: JobTrace(L, job_id=2)}
+            log.build_traces(traces)
+            assert traces[1].records[0].allotment == 2, name
+            assert traces[2].records[0].allotment == 3, name
 
 
 class TestEmptyLog:
