@@ -77,22 +77,13 @@ def _run_logged_quantum(kernel: MultiBatchKernel, log: QuantumLog, alloc):
     )
 
 
-def _kernel_writes():
-    """``(name, write)`` per kind of write the windowed loop makes to a
-    kernel after logging a quantum: each ``write(kernel)`` runs on a
-    two-slot kernel holding jobs 1 and 2."""
+def _in_place_writes():
+    """``(name, write)`` per kind of write the windowed loop makes into a
+    kernel's arrays after logging a quantum, membership unchanged: each
+    ``write(kernel)`` runs on a two-slot kernel holding jobs 1 and 2."""
 
     def feedback(kernel):
         kernel.request[:] = -1.0
-
-    def migrate_in(kernel):
-        src = _kernel([7, 8], [5.0, 6.0])
-        kernel.absorb(src, [1])
-        src.remove([1])
-
-    def migrate_out(kernel):
-        MultiBatchKernel().absorb(kernel, [0])
-        kernel.remove([0])
 
     def next_quantum(kernel):
         kernel.execute_quantum(np.array([1, 3], dtype=np.int64), L, ReallocationOverhead())
@@ -106,13 +97,51 @@ def _kernel_writes():
     return [
         ("bump_quantum", MultiBatchKernel.bump_quantum),
         ("feedback", feedback),
-        ("admit", lambda kernel: kernel.admit(_arrivals([3], [9.0]))),
-        ("absorb", migrate_in),
-        ("remove", lambda kernel: kernel.remove([0])),
-        ("migrate out", migrate_out),
         ("execute_quantum", next_quantum),
         ("apply_superstep", superstep),
     ]
+
+
+def _membership_writes():
+    """``(name, write)`` per membership change the windowed loop makes to
+    a kernel after logging a quantum; each rebuilds every per-slot array.
+    Runs on the same two-slot kernel as :func:`_in_place_writes`."""
+
+    def migrate_in(kernel):
+        src = _kernel([7, 8], [5.0, 6.0])
+        kernel.absorb(src, [1])
+        src.remove([1])
+
+    def migrate_out(kernel):
+        MultiBatchKernel().absorb(kernel, [0])
+        kernel.remove([0])
+
+    def grow(kernel):
+        kernel.admit(_arrivals(range(3, 40), [9.0] * 37))
+
+    return [
+        ("admit", lambda kernel: kernel.admit(_arrivals([3], [9.0]))),
+        ("admit many", grow),
+        ("absorb", migrate_in),
+        ("remove", lambda kernel: kernel.remove([0])),
+        ("migrate out", migrate_out),
+    ]
+
+
+def _assert_logged_group_survives(writes) -> None:
+    """A logged group must read its emission-time values after ``write``."""
+    for name, write in writes:
+        log = QuantumLog(L)
+        kernel = _kernel([1, 2], [2.0, 3.0])
+        _run_logged_quantum(kernel, log, np.array([2, 3], dtype=np.int64))
+        write(kernel)
+
+        traces = {1: JobTrace(L, job_id=1), 2: JobTrace(L, job_id=2)}
+        log.build_traces(traces)
+        first, second = traces[1].records[0], traces[2].records[0]
+        assert (first.index, second.index) == (1, 1), name
+        assert (first.request, second.request) == (2.0, 3.0), name
+        assert (first.work, second.work) == (2 * L, 3 * L), name
 
 
 class TestSnapshotLifetimes:
@@ -132,29 +161,24 @@ class TestSnapshotLifetimes:
         assert len(traces[7].records) == 1
         assert len(traces[9].records) == 1
 
-    def test_logged_group_survives_kernel_writes(self):
+    def test_index_and_request_survive_arena_reuse(self):
         # index0/request are emitted as the kernel's live arrays, which the
-        # loop writes in place right after emission; membership changes
-        # rebuild every array.  The records must show emission-time values.
-        for name, write in _kernel_writes():
-            log = QuantumLog(L)
-            kernel = _kernel([1, 2], [2.0, 3.0])
-            _run_logged_quantum(kernel, log, np.array([2, 3], dtype=np.int64))
-            write(kernel)
+        # loop writes in place right after emission (the next quantum reuses
+        # the same slots).  The records must show emission-time values.
+        _assert_logged_group_survives(_in_place_writes())
 
-            traces = {1: JobTrace(L, job_id=1), 2: JobTrace(L, job_id=2)}
-            log.build_traces(traces)
-            first, second = traces[1].records[0], traces[2].records[0]
-            assert (first.index, second.index) == (1, 1), name
-            assert (first.request, second.request) == (2.0, 3.0), name
-            assert (first.work, second.work) == (2 * L, 3 * L), name
+    def test_records_materialized_after_arena_doubling(self):
+        # membership changes after emission (admitting past the original
+        # size, absorbing, removing) rebuild every kernel array; records
+        # materialized afterwards must keep reading emission-time values.
+        _assert_logged_group_survives(_membership_writes())
 
     def test_allotment_column_survives_kernel_writes(self):
         # The kernel keeps the allotment array it ran as ``_prev_allot``,
         # and the log keeps the same array as the quantum's allotment
         # column, so the kernel may only rebind ``_prev_allot``: a write
         # into it would rewrite the logged quantum.
-        for name, write in _kernel_writes():
+        for name, write in _in_place_writes() + _membership_writes():
             log = QuantumLog(L)
             kernel = _kernel([1, 2], [2.0, 3.0])
             alloc = np.array([2, 3], dtype=np.int64)
