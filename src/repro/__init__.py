@@ -21,78 +21,83 @@ Quickstart
 True
 """
 
-from .allocators import (
-    Allocator,
-    AvailabilityPolicy,
-    ConstantAvailability,
-    DynamicEquiPartitioning,
-    InverseParallelismAvailability,
-    RandomAvailability,
-    RoundRobinAllocator,
-    TraceAvailability,
-)
-from .analysis import (
-    check_lemma2,
-    classify_quanta,
-    job_set_transition_factor,
-    measured_transition_factor,
-    theorem3_time_bound,
-    theorem4_waste_bound,
-    theorem5_makespan_bound,
-    theorem5_response_bound,
-    trimmed_availability,
-)
-from .control import FirstOrderLoop, analyze_response, theorem1_loop, verify_theorem1
-from .core import (
-    NO_OVERHEAD,
-    AControl,
-    AdaptiveQuantumLength,
-    AGreedy,
-    FeedbackPolicy,
-    FixedQuantumLength,
-    FixedRequest,
-    JobTrace,
-    OracleFeedback,
-    QuantumRecord,
-    ReallocationOverhead,
-)
-from .dag import (
-    Dag,
-    chain,
-    characteristics,
-    diamond,
-    figure2_fragment,
-    fork_join,
-    fork_join_from_phases,
-    random_layered,
-    series_parallel,
-    wide_level,
-)
-from .engine import ExplicitExecutor, Phase, PhasedExecutor, PhasedJob
-from .io import load_trace, load_traces, save_trace, save_traces
-from .report import bar_chart, line_chart, rows_to_csv, rows_to_json, sparkline
-from .sim import (
-    JobSpec,
-    MultiJobResult,
-    job_set_load,
-    make_executor,
-    makespan,
-    makespan_lower_bound,
-    mean_response_time,
-    mean_response_time_lower_bound,
-    simulate_job,
-    simulate_job_set,
-)
-from .stealing import ABPPolicy, ASteal, StealStats, WorkStealingExecutor
-from .workloads import (
-    ForkJoinGenerator,
-    JobSetGenerator,
-    constant_parallelism_job,
-    fork_join_job,
-    job_from_profile,
-    ramped_job,
-    structural_transition_factor,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .allocators import (
+        Allocator,
+        AvailabilityPolicy,
+        ConstantAvailability,
+        DynamicEquiPartitioning,
+        InverseParallelismAvailability,
+        RandomAvailability,
+        RoundRobinAllocator,
+        TraceAvailability,
+    )
+    from .analysis import (
+        check_lemma2,
+        classify_quanta,
+        job_set_transition_factor,
+        measured_transition_factor,
+        theorem3_time_bound,
+        theorem4_waste_bound,
+        theorem5_makespan_bound,
+        theorem5_response_bound,
+        trimmed_availability,
+    )
+    from .control import FirstOrderLoop, analyze_response, theorem1_loop, verify_theorem1
+    from .core import (
+        NO_OVERHEAD,
+        AControl,
+        AdaptiveQuantumLength,
+        AGreedy,
+        FeedbackPolicy,
+        FixedQuantumLength,
+        FixedRequest,
+        JobTrace,
+        OracleFeedback,
+        QuantumRecord,
+        ReallocationOverhead,
+    )
+    from .dag import (
+        Dag,
+        chain,
+        characteristics,
+        diamond,
+        figure2_fragment,
+        fork_join,
+        fork_join_from_phases,
+        random_layered,
+        series_parallel,
+        wide_level,
+    )
+    from .engine import ExplicitExecutor, Phase, PhasedExecutor, PhasedJob
+    from .io import load_trace, load_traces, save_trace, save_traces
+    from .report import bar_chart, line_chart, rows_to_csv, rows_to_json, sparkline
+    from .sim import (
+        JobSpec,
+        MultiJobResult,
+        job_set_load,
+        make_executor,
+        makespan,
+        makespan_lower_bound,
+        mean_response_time,
+        mean_response_time_lower_bound,
+        simulate_job,
+        simulate_job_set,
+    )
+    from .stealing import ABPPolicy, ASteal, StealStats, WorkStealingExecutor
+    from .workloads import (
+        ForkJoinGenerator,
+        JobSetGenerator,
+        constant_parallelism_job,
+        fork_join_job,
+        job_from_profile,
+        ramped_job,
+        structural_transition_factor,
+    )
 
 __version__ = "1.0.0"
 
@@ -188,3 +193,42 @@ __all__ = [
     "load_traces",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".allocators": (
+            "Allocator", "AvailabilityPolicy", "ConstantAvailability", "DynamicEquiPartitioning",
+            "InverseParallelismAvailability", "RandomAvailability", "RoundRobinAllocator",
+            "TraceAvailability",
+        ),
+        ".analysis": (
+            "check_lemma2", "classify_quanta", "job_set_transition_factor",
+            "measured_transition_factor", "theorem3_time_bound", "theorem4_waste_bound",
+            "theorem5_makespan_bound", "theorem5_response_bound", "trimmed_availability",
+        ),
+        ".control": ("FirstOrderLoop", "analyze_response", "theorem1_loop", "verify_theorem1"),
+        ".core": (
+            "NO_OVERHEAD", "AControl", "AdaptiveQuantumLength", "AGreedy", "FeedbackPolicy",
+            "FixedQuantumLength", "FixedRequest", "JobTrace", "OracleFeedback", "QuantumRecord",
+            "ReallocationOverhead",
+        ),
+        ".dag": (
+            "Dag", "chain", "characteristics", "diamond", "figure2_fragment", "fork_join",
+            "fork_join_from_phases", "random_layered", "series_parallel", "wide_level",
+        ),
+        ".engine": ("ExplicitExecutor", "Phase", "PhasedExecutor", "PhasedJob"),
+        ".io": ("load_trace", "load_traces", "save_trace", "save_traces"),
+        ".report": ("bar_chart", "line_chart", "rows_to_csv", "rows_to_json", "sparkline"),
+        ".sim": (
+            "JobSpec", "MultiJobResult", "job_set_load", "make_executor", "makespan",
+            "makespan_lower_bound", "mean_response_time", "mean_response_time_lower_bound",
+            "simulate_job", "simulate_job_set",
+        ),
+        ".stealing": ("ABPPolicy", "ASteal", "StealStats", "WorkStealingExecutor"),
+        ".workloads": (
+            "ForkJoinGenerator", "JobSetGenerator", "constant_parallelism_job", "fork_join_job",
+            "job_from_profile", "ramped_job", "structural_transition_factor",
+        ),
+    },
+)

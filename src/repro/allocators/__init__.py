@@ -1,17 +1,22 @@
 """OS allocators: single-job availability policies and multiprogrammed
 processor partitioning."""
 
-from .availability import (
-    ConstantAvailability,
-    InverseParallelismAvailability,
-    RandomAvailability,
-    TraceAvailability,
-)
-from .base import Allocator, AvailabilityPolicy, validate_allocation
-from .equipartition import DynamicEquiPartitioning
-from .hierarchical import HierarchicalAllocator
-from .machines import DisjointMachines
-from .roundrobin import RoundRobinAllocator
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .availability import (
+        ConstantAvailability,
+        InverseParallelismAvailability,
+        RandomAvailability,
+        TraceAvailability,
+    )
+    from .base import Allocator, AvailabilityPolicy, validate_allocation
+    from .equipartition import DynamicEquiPartitioning
+    from .hierarchical import HierarchicalAllocator
+    from .machines import DisjointMachines
+    from .roundrobin import RoundRobinAllocator
 
 __all__ = [
     "Allocator",
@@ -26,3 +31,18 @@ __all__ = [
     "HierarchicalAllocator",
     "RoundRobinAllocator",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".availability": (
+            "ConstantAvailability", "InverseParallelismAvailability", "RandomAvailability",
+            "TraceAvailability",
+        ),
+        ".base": ("Allocator", "AvailabilityPolicy", "validate_allocation"),
+        ".equipartition": ("DynamicEquiPartitioning",),
+        ".hierarchical": ("HierarchicalAllocator",),
+        ".machines": ("DisjointMachines",),
+        ".roundrobin": ("RoundRobinAllocator",),
+    },
+)

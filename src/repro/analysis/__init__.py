@@ -1,29 +1,34 @@
 """Algorithmic analysis: trim analysis, transition factors, and the paper's
 theorem bounds evaluated on measured traces."""
 
-from .characteristics import (
-    ParallelismCharacteristics,
-    job_structure_characteristics,
-    trace_characteristics,
-)
-from .bounds import (
-    Lemma2Report,
-    Theorem3Report,
-    check_lemma2,
-    lemma2_coefficients,
-    theorem3_time_bound,
-    theorem3_trim_steps,
-    theorem4_waste_bound,
-    theorem5_makespan_bound,
-    theorem5_response_bound,
-)
-from .transition import (
-    job_set_transition_factor,
-    measured_transition_factor,
-    parallelism_transitions,
-)
-from .speedup import SpeedupReport, speedup_report
-from .trim import QuantumClasses, classify_quanta, trimmed_availability
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .characteristics import (
+        ParallelismCharacteristics,
+        job_structure_characteristics,
+        trace_characteristics,
+    )
+    from .bounds import (
+        Lemma2Report,
+        Theorem3Report,
+        check_lemma2,
+        lemma2_coefficients,
+        theorem3_time_bound,
+        theorem3_trim_steps,
+        theorem4_waste_bound,
+        theorem5_makespan_bound,
+        theorem5_response_bound,
+    )
+    from .transition import (
+        job_set_transition_factor,
+        measured_transition_factor,
+        parallelism_transitions,
+    )
+    from .speedup import SpeedupReport, speedup_report
+    from .trim import QuantumClasses, classify_quanta, trimmed_availability
 
 __all__ = [
     "ParallelismCharacteristics",
@@ -47,3 +52,22 @@ __all__ = [
     "theorem5_makespan_bound",
     "theorem5_response_bound",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".characteristics": (
+            "ParallelismCharacteristics", "job_structure_characteristics", "trace_characteristics",
+        ),
+        ".bounds": (
+            "Lemma2Report", "Theorem3Report", "check_lemma2", "lemma2_coefficients",
+            "theorem3_time_bound", "theorem3_trim_steps", "theorem4_waste_bound",
+            "theorem5_makespan_bound", "theorem5_response_bound",
+        ),
+        ".transition": (
+            "job_set_transition_factor", "measured_transition_factor", "parallelism_transitions",
+        ),
+        ".speedup": ("SpeedupReport", "speedup_report"),
+        ".trim": ("QuantumClasses", "classify_quanta", "trimmed_availability"),
+    },
+)

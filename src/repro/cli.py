@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import experiments as exp
-from .experiments.runner import RunInterrupted
 from .runtime.faults import FaultPlan
 
 __all__ = ["build_parser", "main"]
@@ -865,7 +864,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         print(args.func(args))
-    except RunInterrupted as exc:
+    except RuntimeError as exc:
+        # Only ``repro all`` raises RunInterrupted, after it has loaded the
+        # runner; importing the runner here keeps every other command off
+        # the experiment modules it pulls in.
+        from .experiments.runner import RunInterrupted
+
+        if not isinstance(exc, RunInterrupted):
+            raise
         print(f"interrupted: {exc}", file=sys.stderr)
         return 130
     if args.audit and args.command != "audit":

@@ -5,13 +5,18 @@ quantum-length policies.
 is the paper's baseline.
 """
 
-from .abg import AControl
-from .agreedy import AGreedy
-from .feedback import FeedbackPolicy
-from .overhead import NO_OVERHEAD, ReallocationOverhead
-from .quantum_policy import AdaptiveQuantumLength, FixedQuantumLength, QuantumLengthPolicy
-from .reference import FixedRequest, OracleFeedback
-from .types import JobTrace, QuantumRecord, integer_request, transition_factor_of_series
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .abg import AControl
+    from .agreedy import AGreedy
+    from .feedback import FeedbackPolicy
+    from .overhead import NO_OVERHEAD, ReallocationOverhead
+    from .quantum_policy import AdaptiveQuantumLength, FixedQuantumLength, QuantumLengthPolicy
+    from .reference import FixedRequest, OracleFeedback
+    from .types import JobTrace, QuantumRecord, integer_request, transition_factor_of_series
 
 __all__ = [
     "AControl",
@@ -29,3 +34,16 @@ __all__ = [
     "FixedQuantumLength",
     "AdaptiveQuantumLength",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".abg": ("AControl",),
+        ".agreedy": ("AGreedy",),
+        ".feedback": ("FeedbackPolicy",),
+        ".overhead": ("NO_OVERHEAD", "ReallocationOverhead"),
+        ".quantum_policy": ("AdaptiveQuantumLength", "FixedQuantumLength", "QuantumLengthPolicy"),
+        ".reference": ("FixedRequest", "OracleFeedback"),
+        ".types": ("JobTrace", "QuantumRecord", "integer_request", "transition_factor_of_series"),
+    },
+)

@@ -1,18 +1,23 @@
 """Explicit dag job model: graph structure, builders, and structural analysis."""
 
-from .analysis import JobCharacteristics, characteristics, greedy_time_lower_bound
-from .builders import (
-    chain,
-    diamond,
-    figure2_fragment,
-    fork_join,
-    fork_join_from_phases,
-    random_layered,
-    series_parallel,
-    wide_level,
-)
-from .graph import Dag, DagValidationError
-from .structure import LevelStructure, analyze_level_structure
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .analysis import JobCharacteristics, characteristics, greedy_time_lower_bound
+    from .builders import (
+        chain,
+        diamond,
+        figure2_fragment,
+        fork_join,
+        fork_join_from_phases,
+        random_layered,
+        series_parallel,
+        wide_level,
+    )
+    from .graph import Dag, DagValidationError
+    from .structure import LevelStructure, analyze_level_structure
 
 __all__ = [
     "Dag",
@@ -31,3 +36,16 @@ __all__ = [
     "random_layered",
     "series_parallel",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analysis": ("JobCharacteristics", "characteristics", "greedy_time_lower_bound"),
+        ".builders": (
+            "chain", "diamond", "figure2_fragment", "fork_join", "fork_join_from_phases",
+            "random_layered", "series_parallel", "wide_level",
+        ),
+        ".graph": ("Dag", "DagValidationError"),
+        ".structure": ("LevelStructure", "analyze_level_structure"),
+    },
+)

@@ -5,29 +5,35 @@ benchmark harness, the CLI (``python -m repro``), and the examples all feed
 from these.
 """
 
-from .ablations import (
-    AllocatorRow,
-    DisciplineRow,
-    QuantumRow,
-    RateRow,
-    run_allocator_ablation,
-    run_discipline_ablation,
-    run_quantum_ablation,
-    run_rate_ablation,
-)
-from .arrivals import ArrivalRow, run_arrivals
-from .bounds_check import BoundRow, run_bounds_check
-from .characteristics_study import CharacteristicsRow, run_characteristics_study
-from .common import ExperimentTable, default_rng_seed, format_series, format_table
-from .controller_compare import ControllerRow, run_controller_compare
-from .fig2 import Fig2Result, run_fig2
-from .overhead_study import OverheadRow, run_overhead_study
-from .fig4 import TransientResult, run_fig1, run_fig4, run_transient
-from .fig5 import Fig5Point, Fig5Result, run_fig5
-from .fig6 import Fig6Point, Fig6Result, LoadBin, bin_by_load, run_fig6
-from .stealing_compare import StealingRow, run_stealing_compare
-from .theorem1 import Theorem1Row, run_theorem1
-from .trim_demo import TrimDemoRow, run_trim_demo
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .ablations import (
+        AllocatorRow,
+        DisciplineRow,
+        QuantumRow,
+        RateRow,
+        run_allocator_ablation,
+        run_discipline_ablation,
+        run_quantum_ablation,
+        run_rate_ablation,
+    )
+    from .arrivals import ArrivalRow, run_arrivals
+    from .bounds_check import BoundRow, run_bounds_check
+    from .characteristics_study import CharacteristicsRow, run_characteristics_study
+    from .common import ExperimentTable, default_rng_seed, format_series, format_table
+    from .controller_compare import ControllerRow, run_controller_compare
+    from .fig2 import Fig2Result, run_fig2
+    from .overhead_study import OverheadRow, run_overhead_study
+    from .fig4 import TransientResult, run_fig1, run_fig4, run_transient
+    from .fig5 import Fig5Point, Fig5Result, run_fig5
+    from .fig6 import Fig6Point, Fig6Result, LoadBin, bin_by_load, run_fig6
+    from .stealing_compare import StealingRow, run_stealing_compare
+    from .theorem1 import Theorem1Row, run_theorem1
+    from .trim_demo import TrimDemoRow, run_trim_demo
+    from .runner import ExperimentOutcome, RunnerResult, run_everything
 
 __all__ = [
     "ExperimentOutcome",
@@ -77,4 +83,26 @@ __all__ = [
     "run_allocator_ablation",
 ]
 
-from .runner import ExperimentOutcome, RunnerResult, run_everything  # noqa: E402
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".ablations": (
+            "AllocatorRow", "DisciplineRow", "QuantumRow", "RateRow", "run_allocator_ablation",
+            "run_discipline_ablation", "run_quantum_ablation", "run_rate_ablation",
+        ),
+        ".arrivals": ("ArrivalRow", "run_arrivals"),
+        ".bounds_check": ("BoundRow", "run_bounds_check"),
+        ".characteristics_study": ("CharacteristicsRow", "run_characteristics_study"),
+        ".common": ("ExperimentTable", "default_rng_seed", "format_series", "format_table"),
+        ".controller_compare": ("ControllerRow", "run_controller_compare"),
+        ".fig2": ("Fig2Result", "run_fig2"),
+        ".overhead_study": ("OverheadRow", "run_overhead_study"),
+        ".fig4": ("TransientResult", "run_fig1", "run_fig4", "run_transient"),
+        ".fig5": ("Fig5Point", "Fig5Result", "run_fig5"),
+        ".fig6": ("Fig6Point", "Fig6Result", "LoadBin", "bin_by_load", "run_fig6"),
+        ".stealing_compare": ("StealingRow", "run_stealing_compare"),
+        ".theorem1": ("Theorem1Row", "run_theorem1"),
+        ".trim_demo": ("TrimDemoRow", "run_trim_demo"),
+        ".runner": ("ExperimentOutcome", "RunnerResult", "run_everything"),
+    },
+)

@@ -1,18 +1,23 @@
 """Two-level scheduling simulators and performance metrics."""
 
-from .jobs import ExecutorFactory, JobDescription, JobSpec, make_executor
-from .metrics import (
-    JobSummaries,
-    job_set_load,
-    makespan,
-    makespan_lower_bound,
-    mean_response_time,
-    mean_response_time_lower_bound,
-)
-from .multi import MultiJobResult, simulate_job_set
-from .results import SeriesStats, geometric_mean, summarize
-from .stats import ConfidenceInterval, bootstrap_ci, ratio_ci
-from .single import simulate_job
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .jobs import ExecutorFactory, JobDescription, JobSpec, make_executor
+    from .metrics import (
+        JobSummaries,
+        job_set_load,
+        makespan,
+        makespan_lower_bound,
+        mean_response_time,
+        mean_response_time_lower_bound,
+    )
+    from .multi import MultiJobResult, simulate_job_set
+    from .results import SeriesStats, geometric_mean, summarize
+    from .stats import ConfidenceInterval, bootstrap_ci, ratio_ci
+    from .single import simulate_job
 
 __all__ = [
     "JobDescription",
@@ -35,3 +40,18 @@ __all__ = [
     "bootstrap_ci",
     "ratio_ci",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".jobs": ("ExecutorFactory", "JobDescription", "JobSpec", "make_executor"),
+        ".metrics": (
+            "JobSummaries", "job_set_load", "makespan", "makespan_lower_bound",
+            "mean_response_time", "mean_response_time_lower_bound",
+        ),
+        ".multi": ("MultiJobResult", "simulate_job_set"),
+        ".results": ("SeriesStats", "geometric_mean", "summarize"),
+        ".stats": ("ConfidenceInterval", "bootstrap_ci", "ratio_ci"),
+        ".single": ("simulate_job",),
+    },
+)

@@ -17,7 +17,8 @@ Two mechanically-checkable guarantees back this reproduction:
 See docs/ARCHITECTURE.md ("Verification layer") for the invariant-to-theorem
 map, and CONTRIBUTING.md for how to run both locally.
 
-All exports resolve lazily: the engines import
+All exports resolve on first use (:mod:`repro._lazy`).  Here that is
+also needed for correctness: the engines import
 :mod:`repro.verify.violations` for their strict mode, so this package
 ``__init__`` must not (transitively) import the engines back, and
 ``python -m repro lint`` must not import the audit stack at all.
@@ -25,7 +26,9 @@ All exports resolve lazily: the engines import
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .auditor import (
@@ -66,38 +69,15 @@ __all__ = [
     "run_audit_suite",
 ]
 
-_EXPORT_MODULE = {
-    "AuditReport": "violations",
-    "InvariantError": "violations",
-    "Violation": "violations",
-    "merge_reports": "violations",
-    "TraceExpectations": "auditor",
-    "audit_dag_schedule": "auditor",
-    "audit_multi_result": "auditor",
-    "audit_trace": "auditor",
-    "AuditScenario": "scenarios",
-    "audit_scenarios": "scenarios",
-    "format_suite": "scenarios",
-    "run_audit_suite": "scenarios",
-    "LintFinding": "lint",
-    "check_file": "lint",
-    "check_source": "lint",
-    "lint_paths": "lint",
-    "exit_code": "findings",
-    "findings_payload": "findings",
-    "render_findings": "findings",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORT_MODULE.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".violations": ("AuditReport", "InvariantError", "Violation", "merge_reports"),
+        ".auditor": (
+            "TraceExpectations", "audit_dag_schedule", "audit_multi_result", "audit_trace",
+        ),
+        ".scenarios": ("AuditScenario", "audit_scenarios", "format_suite", "run_audit_suite"),
+        ".lint": ("LintFinding", "check_file", "check_source", "lint_paths"),
+        ".findings": ("exit_code", "findings_payload", "render_findings"),
+    },
+)

@@ -159,6 +159,24 @@ class TestMainCommands:
         assert main(["ablation-discipline"]) == 0
         assert "lifo" in capsys.readouterr().out
 
+    def test_interrupted_run_exits_130(self, monkeypatch, capsys):
+        from repro.experiments.runner import RunInterrupted
+
+        def interrupted(args):
+            raise RunInterrupted("rerun with --resume")
+
+        monkeypatch.setattr("repro.cli._cmd_theorem1", interrupted)
+        assert main(["theorem1"]) == 130
+        assert "interrupted: rerun with --resume" in capsys.readouterr().err
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.cli._cmd_theorem1", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["theorem1"])
+
 
 
 class TestLintUsageErrors:
