@@ -32,7 +32,6 @@ if TYPE_CHECKING:
         ConstantAvailability,
         DynamicEquiPartitioning,
         InverseParallelismAvailability,
-        RandomAvailability,
         RoundRobinAllocator,
         TraceAvailability,
     )
@@ -70,16 +69,14 @@ if TYPE_CHECKING:
         fork_join,
         fork_join_from_phases,
         random_layered,
-        series_parallel,
         wide_level,
     )
     from .engine import ExplicitExecutor, Phase, PhasedExecutor, PhasedJob
     from .io import load_trace, load_traces, save_trace, save_traces
-    from .report import bar_chart, line_chart, rows_to_csv, rows_to_json, sparkline
+    from .report import line_chart, rows_to_csv, sparkline
     from .sim import (
         JobSpec,
         MultiJobResult,
-        job_set_load,
         make_executor,
         makespan,
         makespan_lower_bound,
@@ -117,7 +114,6 @@ __all__ = [
     "fork_join_from_phases",
     "figure2_fragment",
     "random_layered",
-    "series_parallel",
     "characteristics",
     # feedback policies
     "FeedbackPolicy",
@@ -136,7 +132,6 @@ __all__ = [
     "AvailabilityPolicy",
     "ConstantAvailability",
     "InverseParallelismAvailability",
-    "RandomAvailability",
     "TraceAvailability",
     "DynamicEquiPartitioning",
     "RoundRobinAllocator",
@@ -152,7 +147,6 @@ __all__ = [
     "mean_response_time",
     "makespan_lower_bound",
     "mean_response_time_lower_bound",
-    "job_set_load",
     # control-theoretic analysis
     "FirstOrderLoop",
     "analyze_response",
@@ -184,9 +178,7 @@ __all__ = [
     # reporting & persistence
     "sparkline",
     "line_chart",
-    "bar_chart",
     "rows_to_csv",
-    "rows_to_json",
     "save_trace",
     "load_trace",
     "save_traces",
@@ -199,8 +191,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".allocators": (
             "Allocator", "AvailabilityPolicy", "ConstantAvailability", "DynamicEquiPartitioning",
-            "InverseParallelismAvailability", "RandomAvailability", "RoundRobinAllocator",
-            "TraceAvailability",
+            "InverseParallelismAvailability", "RoundRobinAllocator", "TraceAvailability",
         ),
         ".analysis": (
             "check_lemma2", "classify_quanta", "job_set_transition_factor",
@@ -215,13 +206,13 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".dag": (
             "Dag", "chain", "characteristics", "diamond", "figure2_fragment", "fork_join",
-            "fork_join_from_phases", "random_layered", "series_parallel", "wide_level",
+            "fork_join_from_phases", "random_layered", "wide_level",
         ),
         ".engine": ("ExplicitExecutor", "Phase", "PhasedExecutor", "PhasedJob"),
         ".io": ("load_trace", "load_traces", "save_trace", "save_traces"),
-        ".report": ("bar_chart", "line_chart", "rows_to_csv", "rows_to_json", "sparkline"),
+        ".report": ("line_chart", "rows_to_csv", "sparkline"),
         ".sim": (
-            "JobSpec", "MultiJobResult", "job_set_load", "make_executor", "makespan",
+            "JobSpec", "MultiJobResult", "make_executor", "makespan",
             "makespan_lower_bound", "mean_response_time", "mean_response_time_lower_bound",
             "simulate_job", "simulate_job_set",
         ),

@@ -9,7 +9,6 @@ if TYPE_CHECKING:
     from .availability import (
         ConstantAvailability,
         InverseParallelismAvailability,
-        RandomAvailability,
         TraceAvailability,
     )
     from .base import Allocator, AvailabilityPolicy, validate_allocation
@@ -24,7 +23,6 @@ __all__ = [
     "validate_allocation",
     "ConstantAvailability",
     "InverseParallelismAvailability",
-    "RandomAvailability",
     "TraceAvailability",
     "DisjointMachines",
     "DynamicEquiPartitioning",
@@ -36,8 +34,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".availability": (
-            "ConstantAvailability", "InverseParallelismAvailability", "RandomAvailability",
-            "TraceAvailability",
+            "ConstantAvailability", "InverseParallelismAvailability", "TraceAvailability",
         ),
         ".base": ("Allocator", "AvailabilityPolicy", "validate_allocation"),
         ".equipartition": ("DynamicEquiPartitioning",),

@@ -3,15 +3,13 @@
 :class:`ConstantAvailability` is the unconstrained setting of the paper's
 first simulation set ("all processor requests from both schedulers are
 granted", Section 7.2, given requests stay within ``P``).  The adversarial
-and random policies exercise the deprived regime that trim analysis
-(Section 6.1) reasons about: an allocator that offers many processors exactly
+policy exercises the deprived regime that trim analysis (Section 6.1)
+reasons about: an allocator that offers many processors exactly
 when the job cannot use them defeats naive speedup accounting, and the
 trimmed availability ``P~`` is the remedy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..core.types import QuantumRecord
 from .base import AvailabilityPolicy
@@ -19,7 +17,6 @@ from .base import AvailabilityPolicy
 __all__ = [
     "ConstantAvailability",
     "InverseParallelismAvailability",
-    "RandomAvailability",
     "TraceAvailability",
 ]
 
@@ -60,20 +57,6 @@ class InverseParallelismAvailability(AvailabilityPolicy):
         if prev is None or prev.avg_parallelism <= self.cutoff:
             return self.high
         return self.low
-
-
-class RandomAvailability(AvailabilityPolicy):
-    """Availability drawn uniformly from ``[low, high]`` each quantum."""
-
-    def __init__(self, rng: np.random.Generator, low: int, high: int):
-        if not (1 <= low <= high):
-            raise ValueError("need 1 <= low <= high")
-        self._rng = rng
-        self.low = int(low)
-        self.high = int(high)
-
-    def available(self, q: int, prev: QuantumRecord | None) -> int:
-        return int(self._rng.integers(self.low, self.high + 1))
 
 
 class TraceAvailability(AvailabilityPolicy):

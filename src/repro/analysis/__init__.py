@@ -6,11 +6,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .characteristics import (
-        ParallelismCharacteristics,
-        job_structure_characteristics,
-        trace_characteristics,
-    )
+    from .characteristics import ParallelismCharacteristics, job_structure_characteristics
     from .bounds import (
         Lemma2Report,
         Theorem3Report,
@@ -22,17 +18,12 @@ if TYPE_CHECKING:
         theorem5_makespan_bound,
         theorem5_response_bound,
     )
-    from .transition import (
-        job_set_transition_factor,
-        measured_transition_factor,
-        parallelism_transitions,
-    )
+    from .transition import job_set_transition_factor, measured_transition_factor
     from .speedup import SpeedupReport, speedup_report
     from .trim import QuantumClasses, classify_quanta, trimmed_availability
 
 __all__ = [
     "ParallelismCharacteristics",
-    "trace_characteristics",
     "job_structure_characteristics",
     "SpeedupReport",
     "speedup_report",
@@ -41,7 +32,6 @@ __all__ = [
     "trimmed_availability",
     "measured_transition_factor",
     "job_set_transition_factor",
-    "parallelism_transitions",
     "lemma2_coefficients",
     "check_lemma2",
     "Lemma2Report",
@@ -56,17 +46,13 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".characteristics": (
-            "ParallelismCharacteristics", "job_structure_characteristics", "trace_characteristics",
-        ),
+        ".characteristics": ("ParallelismCharacteristics", "job_structure_characteristics"),
         ".bounds": (
             "Lemma2Report", "Theorem3Report", "check_lemma2", "lemma2_coefficients",
             "theorem3_time_bound", "theorem3_trim_steps", "theorem4_waste_bound",
             "theorem5_makespan_bound", "theorem5_response_bound",
         ),
-        ".transition": (
-            "job_set_transition_factor", "measured_transition_factor", "parallelism_transitions",
-        ),
+        ".transition": ("job_set_transition_factor", "measured_transition_factor"),
         ".speedup": ("SpeedupReport", "speedup_report"),
         ".trim": ("QuantumClasses", "classify_quanta", "trimmed_availability"),
     },

@@ -3,8 +3,8 @@
 "Beside the transition factor, alternative job characteristics such as the
 frequency on the change of parallelism, or the variance, etc. can be
 considered when analyzing adaptive schedulers."  This module computes those
-characteristics from quantum traces and from phased-job structure so the
-characteristics experiment can correlate them with scheduler performance.
+characteristics from phased-job structure so the characteristics experiment
+can correlate them with scheduler performance.
 """
 
 from __future__ import annotations
@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.types import JobTrace
 from ..engine.phased import PhasedJob
 
-__all__ = [
-    "ParallelismCharacteristics",
-    "trace_characteristics",
-    "job_structure_characteristics",
-]
+__all__ = ["ParallelismCharacteristics", "job_structure_characteristics"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,21 +59,6 @@ def _characterize(series: np.ndarray) -> ParallelismCharacteristics:
         coefficient_of_variation=float(np.sqrt(var) / mean) if mean else 0.0,
         mean=mean,
     )
-
-
-def trace_characteristics(trace: JobTrace) -> ParallelismCharacteristics:
-    """Characteristics of the measured per-quantum parallelism.
-
-    Uses full quanta (the paper's convention for ``CL``); a job so short it
-    never completes a full quantum falls back to all its quanta."""
-    series = np.array(
-        [r.avg_parallelism for r in trace.full_quanta if r.avg_parallelism > 0]
-    )
-    if series.size == 0:
-        series = np.array(
-            [r.avg_parallelism for r in trace if r.avg_parallelism > 0]
-        )
-    return _characterize(series)
 
 
 def job_structure_characteristics(job: PhasedJob) -> ParallelismCharacteristics:

@@ -8,7 +8,7 @@ parallelism between any two adjacent full quanta for quantum length ``L``
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..core.types import JobTrace, transition_factor_of_series
 
@@ -16,7 +16,6 @@ __all__ = [
     "measured_transition_factor",
     "transition_factor_of_series",
     "job_set_transition_factor",
-    "parallelism_transitions",
 ]
 
 
@@ -32,17 +31,3 @@ def job_set_transition_factor(traces: Iterable[JobTrace]) -> float:
     if not factors:
         raise ValueError("no traces")
     return max(factors)
-
-
-def parallelism_transitions(series: Sequence[float]) -> list[float]:
-    """Per-step ratio series ``max(A(q)/A(q-1), A(q-1)/A(q))`` including the
-    initial ``A(0) = 1`` transition; useful for locating where a job's
-    parallelism swings."""
-    out: list[float] = []
-    prev = 1.0
-    for a in series:
-        if a <= 0:
-            continue
-        out.append(max(a / prev, prev / a))
-        prev = a
-    return out

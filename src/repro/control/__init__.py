@@ -3,14 +3,13 @@
 from .analysis import ResponseMetrics, analyze_response
 from .controllers import FixedGainIntegral, tuned_gain
 from .limit_cycle import AGreedyLimitCycle, agreedy_limit_cycle, iterate_agreedy_requests
-from .lti import FirstOrderLoop, step_response_of_requests
+from .lti import FirstOrderLoop
 from .theory import Theorem1Verdict, theorem1_gain, theorem1_loop, verify_theorem1
 
 __all__ = [
     "FirstOrderLoop",
     "FixedGainIntegral",
     "tuned_gain",
-    "step_response_of_requests",
     "AGreedyLimitCycle",
     "agreedy_limit_cycle",
     "iterate_agreedy_requests",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FirstOrderLoop", "step_response_of_requests"]
+__all__ = ["FirstOrderLoop"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,12 +97,3 @@ class FirstOrderLoop:
             out[i] = d
             d = d + self.gain * (1.0 - d / self.parallelism)
         return out
-
-
-def step_response_of_requests(requests: np.ndarray, parallelism: float) -> np.ndarray:
-    """Convert a measured request series into the loop's normalized output
-    ``y = d / A`` so simulation traces can be scored with the same metrics as
-    analytic responses."""
-    if parallelism <= 0:
-        raise ValueError("parallelism must be positive")
-    return np.asarray(requests, dtype=np.float64) / parallelism

@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .analysis import JobCharacteristics, characteristics, greedy_time_lower_bound
+    from .analysis import JobCharacteristics, characteristics
     from .builders import (
         chain,
         diamond,
@@ -13,7 +13,6 @@ if TYPE_CHECKING:
         fork_join,
         fork_join_from_phases,
         random_layered,
-        series_parallel,
         wide_level,
     )
     from .graph import Dag, DagValidationError
@@ -26,7 +25,6 @@ __all__ = [
     "analyze_level_structure",
     "JobCharacteristics",
     "characteristics",
-    "greedy_time_lower_bound",
     "chain",
     "wide_level",
     "diamond",
@@ -34,16 +32,15 @@ __all__ = [
     "fork_join_from_phases",
     "figure2_fragment",
     "random_layered",
-    "series_parallel",
 ]
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".analysis": ("JobCharacteristics", "characteristics", "greedy_time_lower_bound"),
+        ".analysis": ("JobCharacteristics", "characteristics"),
         ".builders": (
             "chain", "diamond", "figure2_fragment", "fork_join", "fork_join_from_phases",
-            "random_layered", "series_parallel", "wide_level",
+            "random_layered", "wide_level",
         ),
         ".graph": ("Dag", "DagValidationError"),
         ".structure": ("LevelStructure", "analyze_level_structure"),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .graph import Dag
 
-__all__ = ["JobCharacteristics", "characteristics", "greedy_time_lower_bound"]
+__all__ = ["JobCharacteristics", "characteristics"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,13 +46,3 @@ def characteristics(dag: Dag) -> JobCharacteristics:
         max_level_width=int(profile.max()),
         min_level_width=int(profile.min()),
     )
-
-
-def greedy_time_lower_bound(dag: Dag, processors: int) -> float:
-    """The classic lower bound ``max(T1 / P, Tinf)`` on any schedule's length
-    with ``processors`` processors — the optimum the paper normalizes Figure 5
-    running times against (span, in the unconstrained case ``P >= max
-    parallelism``)."""
-    if processors < 1:
-        raise ValueError("need at least one processor")
-    return max(dag.work / processors, float(dag.span))

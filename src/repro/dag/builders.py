@@ -3,8 +3,8 @@
 The paper's evaluation uses data-parallel *fork-join* jobs that alternate
 serial and parallel phases (Section 7.1); the analytical examples use constant
 parallelism dags (Figures 1 and 4) and the level-measurement fragment of
-Figure 2.  Random layered and series-parallel dags support property tests and
-extensions beyond the paper's workload.
+Figure 2.  Random layered dags support property tests beyond the paper's
+workload.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "fork_join_from_phases",
     "figure2_fragment",
     "random_layered",
-    "series_parallel",
 ]
 
 
@@ -171,45 +170,3 @@ def random_layered(
                 if u != anchor and rng.random() < edge_density:
                     edges.append((u, v))
     return Dag(int(starts[-1]), edges)
-
-
-def series_parallel(
-    rng: np.random.Generator,
-    depth: int,
-    *,
-    max_branch: int = 4,
-    p_parallel: float = 0.5,
-) -> Dag:
-    """A random series-parallel dag built by recursive composition.
-
-    At each node of the recursion we either compose two sub-dags in series or
-    fan out ``2..max_branch`` sub-dags in parallel between a fork and a join
-    task.  Depth 0 yields a single task.
-    """
-    edges: list[tuple[int, int]] = []
-    counter = [0]
-
-    def new_task() -> int:
-        t = counter[0]
-        counter[0] += 1
-        return t
-
-    def build(d: int) -> tuple[int, int]:
-        """Return (entry task, exit task) of a sub-dag."""
-        if d <= 0:
-            t = new_task()
-            return t, t
-        if rng.random() < p_parallel:
-            fork, join = new_task(), new_task()
-            for _ in range(int(rng.integers(2, max_branch + 1))):
-                entry, exit_ = build(d - 1)
-                edges.append((fork, entry))
-                edges.append((exit_, join))
-            return fork, join
-        a_entry, a_exit = build(d - 1)
-        b_entry, b_exit = build(d - 1)
-        edges.append((a_exit, b_entry))
-        return a_entry, b_exit
-
-    build(depth)
-    return Dag(counter[0], edges)

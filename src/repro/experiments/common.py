@@ -7,7 +7,7 @@ text renderer prints the rows/series the paper's figures plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -17,7 +17,6 @@ __all__ = [
     "format_table",
     "format_series",
     "default_rng_seed",
-    "dataclass_columns",
 ]
 
 #: Seed used by every experiment unless overridden — reproducibility first.
@@ -81,8 +80,3 @@ def format_series(name: str, values: Sequence[float], *, per_line: int = 10) -> 
     if line:
         chunks.append("  " + " ".join(line))
     return "\n".join(chunks)
-
-
-def dataclass_columns(row_type: type) -> tuple[str, ...]:
-    """Column order straight from a dataclass's field order."""
-    return tuple(f.name for f in fields(row_type))

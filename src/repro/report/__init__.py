@@ -1,24 +1,27 @@
-"""Reporting: ASCII figure rendering and CSV/JSON export of experiment
-tables.
+"""Reporting: ASCII figure rendering and CSV export of experiment tables."""
 
-This package imports its modules eagerly, unlike the lazy packages
-(:mod:`repro._lazy`): its export ``timeline`` shares the name of its
-submodule, and importing ``repro.report.timeline`` would bind the module
-over a lazy export of that name.
-"""
+from typing import TYPE_CHECKING
 
-from .ascii import bar_chart, line_chart, sparkline
-from .export import rows_to_csv, rows_to_json, write_csv, write_json
-from .timeline import allotment_strip, timeline
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .ascii import line_chart, sparkline
+    from .export import rows_to_csv, write_csv
+    from .timeline import allotment_strip
 
 __all__ = [
     "sparkline",
     "line_chart",
-    "bar_chart",
     "rows_to_csv",
-    "rows_to_json",
     "write_csv",
-    "write_json",
-    "timeline",
     "allotment_strip",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".ascii": ("line_chart", "sparkline"),
+        ".export": ("rows_to_csv", "write_csv"),
+        ".timeline": ("allotment_strip",),
+    },
+)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["sparkline", "line_chart", "bar_chart"]
+__all__ = ["sparkline", "line_chart"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -82,23 +82,4 @@ def line_chart(
         f"{marker} {name}" for (name, _), marker in zip(points, markers)
     )
     lines.append(f"{'':12}{legend}   [y: {y_label}]")
-    return "\n".join(lines)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Horizontal bars, one per label (for ablation tables)."""
-    if len(labels) != len(values) or not labels:
-        raise ValueError("labels and values must align and be non-empty")
-    vmax = max(values)
-    label_w = max(len(l) for l in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = "█" * (int(round(value / vmax * width)) if vmax > 0 else 0)
-        lines.append(f"{label:<{label_w}}  {bar} {value:.3g}")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Tabular export of experiment results (CSV / JSON).
+"""Tabular export of experiment results as CSV.
 
 File writes go through :func:`repro.runtime.write_atomic`, so an exported
 artifact is never observable half-written.
@@ -9,13 +9,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 from pathlib import Path
 from typing import Any, Sequence
 
 from ..runtime import write_atomic
 
-__all__ = ["rows_to_csv", "rows_to_json", "write_csv", "write_json"]
+__all__ = ["rows_to_csv", "write_csv"]
 
 
 def _nests(value: Any) -> bool:
@@ -48,15 +47,5 @@ def rows_to_csv(rows: Sequence[Any]) -> str:
     return buf.getvalue()
 
 
-def rows_to_json(rows: Sequence[Any], *, indent: int = 2) -> str:
-    if not rows:
-        raise ValueError("no rows to export")
-    return json.dumps([_record_of(r) for r in rows], indent=indent)
-
-
 def write_csv(rows: Sequence[Any], path: str | Path) -> Path:
     return write_atomic(path, rows_to_csv(rows))
-
-
-def write_json(rows: Sequence[Any], path: str | Path) -> Path:
-    return write_atomic(path, rows_to_json(rows))

@@ -41,13 +41,15 @@ import os
 import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from .checkpoint import CheckpointJournal, stable_fraction
 from .faults import FaultPlan
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "RetryPolicy",
@@ -273,6 +275,10 @@ class _Supervisor(Generic[T, R]):
     # -- pool execution -------------------------------------------------------
 
     def run_pool(self, indices: list[int]) -> None:
+        # Imported here, not at module level: ``concurrent.futures.process``
+        # loads ``multiprocessing``, which a run that opens no pool never needs.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         pending: deque[int] = deque(indices)
         in_flight: dict[Future[R], tuple[int, float]] = {}
         pool: ProcessPoolExecutor | None = None

@@ -8,15 +8,14 @@ if TYPE_CHECKING:
     from .jobs import ExecutorFactory, JobDescription, JobSpec, make_executor
     from .metrics import (
         JobSummaries,
-        job_set_load,
         makespan,
         makespan_lower_bound,
         mean_response_time,
         mean_response_time_lower_bound,
     )
     from .multi import MultiJobResult, simulate_job_set
-    from .results import SeriesStats, geometric_mean, summarize
-    from .stats import ConfidenceInterval, bootstrap_ci, ratio_ci
+    from .results import SeriesStats, summarize
+    from .stats import ConfidenceInterval, bootstrap_ci
     from .single import simulate_job
 
 __all__ = [
@@ -32,13 +31,10 @@ __all__ = [
     "mean_response_time",
     "makespan_lower_bound",
     "mean_response_time_lower_bound",
-    "job_set_load",
     "SeriesStats",
     "summarize",
-    "geometric_mean",
     "ConfidenceInterval",
     "bootstrap_ci",
-    "ratio_ci",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -46,12 +42,12 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".jobs": ("ExecutorFactory", "JobDescription", "JobSpec", "make_executor"),
         ".metrics": (
-            "JobSummaries", "job_set_load", "makespan", "makespan_lower_bound",
+            "JobSummaries", "makespan", "makespan_lower_bound",
             "mean_response_time", "mean_response_time_lower_bound",
         ),
         ".multi": ("MultiJobResult", "simulate_job_set"),
-        ".results": ("SeriesStats", "geometric_mean", "summarize"),
-        ".stats": ("ConfidenceInterval", "bootstrap_ci", "ratio_ci"),
+        ".results": ("SeriesStats", "summarize"),
+        ".stats": ("ConfidenceInterval", "bootstrap_ci"),
         ".single": ("simulate_job",),
     },
 )

@@ -35,7 +35,6 @@ __all__ = [
     "mean_response_time",
     "makespan_lower_bound",
     "mean_response_time_lower_bound",
-    "job_set_load",
 ]
 
 
@@ -144,12 +143,3 @@ def mean_response_time_lower_bound(
     weights = np.arange(n, 0, -1, dtype=np.float64)  # n, n-1, ..., 1
     squashed = float(np.dot(weights, sorted_works)) / processors
     return max(mean_span, squashed / n)
-
-
-def job_set_load(works: Sequence[int], spans: Sequence[int], processors: int) -> float:
-    """The paper's load measure (Section 7.2): total average parallelism of
-    the job set normalized by the machine size."""
-    if not works or len(works) != len(spans):
-        raise ValueError("works and spans must be equal-length and non-empty")
-    total_parallelism = sum(w / s for w, s in zip(works, spans))
-    return total_parallelism / processors

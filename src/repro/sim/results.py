@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["SeriesStats", "summarize", "geometric_mean"]
+__all__ = ["SeriesStats", "summarize"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,12 +35,3 @@ def summarize(values: Sequence[float]) -> SeriesStats:
         maximum=float(arr.max()),
         count=int(arr.size),
     )
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot average an empty series")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))

@@ -3,8 +3,7 @@
 The paper reports point averages ("an average 20% improvement"); for a
 reproduction it is worth knowing how tight those averages are at a given
 sample size.  :func:`bootstrap_ci` resamples any per-job/per-set metric and
-returns a percentile confidence interval; :func:`ratio_ci` does the same for
-the mean of paired ratios (the Figure 5(b)/(d) and 6(b)/(d) quantities).
+returns a percentile confidence interval.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["ConfidenceInterval", "bootstrap_ci", "ratio_ci"]
+__all__ = ["ConfidenceInterval", "bootstrap_ci"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,23 +63,3 @@ def bootstrap_ci(
     alpha = (1.0 - confidence) / 2.0
     low, high = np.quantile(stats, [alpha, 1.0 - alpha])
     return ConfidenceInterval(point, float(low), float(high), confidence)
-
-
-def ratio_ci(
-    numerators: Sequence[float],
-    denominators: Sequence[float],
-    *,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    rng: np.random.Generator | None = None,
-) -> ConfidenceInterval:
-    """CI of the mean per-pair ratio (paired resampling)."""
-    num = np.asarray(list(numerators), dtype=np.float64)
-    den = np.asarray(list(denominators), dtype=np.float64)
-    if num.shape != den.shape or num.size == 0:
-        raise ValueError("numerators and denominators must align and be non-empty")
-    if np.any(den == 0):
-        raise ValueError("zero denominator")
-    return bootstrap_ci(
-        num / den, confidence=confidence, resamples=resamples, rng=rng
-    )

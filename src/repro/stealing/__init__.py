@@ -1,7 +1,7 @@
 """Work-stealing substrate: the ABP deque, a discrete-time work-stealing
 executor, and the A-Steal / ABP schedulers from the paper's related work."""
 
-from .asteal import ABPPolicy, ASteal, make_abp, make_asteal
+from .asteal import ABPPolicy, ASteal
 from .deque import WorkStealingDeque
 from .executor import StealStats, WorkStealingExecutor
 
@@ -11,6 +11,4 @@ __all__ = [
     "StealStats",
     "ASteal",
     "ABPPolicy",
-    "make_asteal",
-    "make_abp",
 ]

@@ -18,14 +18,10 @@ machine through a job's serial phases).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.agreedy import AGreedy
 from ..core.reference import FixedRequest
-from ..dag.graph import Dag
-from .executor import WorkStealingExecutor
 
-__all__ = ["ASteal", "ABPPolicy", "make_asteal", "make_abp"]
+__all__ = ["ASteal", "ABPPolicy"]
 
 
 class ASteal(AGreedy):
@@ -45,17 +41,3 @@ class ABPPolicy(FixedRequest):
     def __init__(self, processors: int):
         super().__init__(processors)
         self.name = f"ABP(P={processors})"
-
-
-def make_asteal(
-    dag: Dag, rng: np.random.Generator, **kwargs: float
-) -> tuple[WorkStealingExecutor, ASteal]:
-    """(executor, feedback) pair implementing A-Steal on ``dag``."""
-    return WorkStealingExecutor(dag, rng), ASteal(**kwargs)
-
-
-def make_abp(
-    dag: Dag, rng: np.random.Generator, processors: int
-) -> tuple[WorkStealingExecutor, ABPPolicy]:
-    """(executor, feedback) pair implementing ABP on ``dag``."""
-    return WorkStealingExecutor(dag, rng), ABPPolicy(processors)

@@ -6,12 +6,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .arrivals import (
-        poisson_releases,
-        staggered_releases,
-        trace_releases,
-        uniform_releases,
-    )
+    from .arrivals import poisson_releases, staggered_releases
     from .forkjoin import (
         ForkJoinGenerator,
         constant_parallelism_job,
@@ -25,9 +20,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "poisson_releases",
-    "uniform_releases",
     "staggered_releases",
-    "trace_releases",
     "ForkJoinGenerator",
     "constant_parallelism_job",
     "fork_join_job",
@@ -45,9 +38,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".arrivals": (
-            "poisson_releases", "staggered_releases", "trace_releases", "uniform_releases",
-        ),
+        ".arrivals": ("poisson_releases", "staggered_releases"),
         ".forkjoin": (
             "ForkJoinGenerator", "constant_parallelism_job", "fork_join_job", "ramped_job",
             "structural_transition_factor",

@@ -9,16 +9,10 @@ variants of the Figure 6 experiment.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "poisson_releases",
-    "uniform_releases",
-    "staggered_releases",
-    "trace_releases",
-]
+__all__ = ["poisson_releases", "staggered_releases"]
 
 
 def poisson_releases(
@@ -37,20 +31,6 @@ def poisson_releases(
     return [int(round(t)) for t in times]
 
 
-def uniform_releases(
-    rng: np.random.Generator, count: int, horizon: int
-) -> list[int]:
-    """Release times uniform over ``[0, horizon]`` (first job forced to 0 so
-    the system is never trivially empty at the start)."""
-    if count < 1:
-        raise ValueError("need at least one job")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    times = sorted(int(rng.integers(0, horizon + 1)) for _ in range(count))
-    times[0] = 0
-    return times
-
-
 def staggered_releases(count: int, gap: int) -> list[int]:
     """Deterministic arithmetic arrivals: 0, gap, 2*gap, ..."""
     if count < 1:
@@ -58,38 +38,3 @@ def staggered_releases(count: int, gap: int) -> list[int]:
     if gap < 0:
         raise ValueError("gap must be non-negative")
     return [i * gap for i in range(count)]
-
-
-def trace_releases(trace: Sequence[float]) -> list[int]:
-    """Release times replayed from a recorded arrival trace.
-
-    The trace must be non-negative and nondecreasing; times are rounded to
-    integer quanta and shifted so the first job releases at 0 (the
-    open-system experiments measure everything relative to the first
-    arrival, matching the other generators).
-    """
-    if len(trace) == 0:
-        raise ValueError("trace contains no release times")
-    times: list[int] = []
-    for i, raw in enumerate(trace):
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"trace[{i}] must be a number, got {raw!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise ValueError(f"trace[{i}] must be finite, got {value!r}")
-        if value < 0:
-            raise ValueError(
-                f"trace[{i}] must be non-negative, got {value!r}"
-            )
-        times.append(int(round(value)))
-    for i, (a, b) in enumerate(zip(times, times[1:]), start=1):
-        if b < a:
-            raise ValueError(
-                f"trace release times must be nondecreasing, but "
-                f"trace[{i}] ({b}) < trace[{i - 1}] ({a})"
-            )
-    base = times[0]
-    return [t - base for t in times]

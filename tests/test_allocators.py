@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.allocators.availability import (
     ConstantAvailability,
     InverseParallelismAvailability,
-    RandomAvailability,
     TraceAvailability,
 )
 from repro.allocators.base import validate_allocation
@@ -56,19 +55,6 @@ class TestInverseParallelismAvailability:
             InverseParallelismAvailability(high=2, low=5, cutoff=1.0)
         with pytest.raises(ValueError):
             InverseParallelismAvailability(high=5, low=2, cutoff=-1.0)
-
-
-class TestRandomAvailability:
-    def test_within_bounds(self):
-        p = RandomAvailability(np.random.default_rng(0), 3, 9)
-        vals = [p.available(q, None) for q in range(1, 200)]
-        assert min(vals) >= 3 and max(vals) <= 9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomAvailability(np.random.default_rng(0), 0, 5)
-        with pytest.raises(ValueError):
-            RandomAvailability(np.random.default_rng(0), 6, 5)
 
 
 class TestTraceAvailability:

@@ -13,11 +13,7 @@ from repro.analysis.bounds import (
     theorem5_makespan_bound,
     theorem5_response_bound,
 )
-from repro.analysis.transition import (
-    job_set_transition_factor,
-    measured_transition_factor,
-    parallelism_transitions,
-)
+from repro.analysis.transition import job_set_transition_factor, measured_transition_factor
 from repro.analysis.trim import classify_quanta, trimmed_availability
 from repro.core.abg import AControl
 from repro.core.types import JobTrace
@@ -131,10 +127,6 @@ class TestTransitionFactor:
     def test_job_set_empty(self):
         with pytest.raises(ValueError):
             job_set_transition_factor([])
-
-    def test_parallelism_transitions_series(self):
-        ts = parallelism_transitions([2.0, 8.0, 4.0])
-        assert ts == [pytest.approx(2.0), pytest.approx(4.0), pytest.approx(2.0)]
 
 
 # ---------------------------------------------------------------------------

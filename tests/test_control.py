@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control.analysis import analyze_response
-from repro.control.lti import FirstOrderLoop, step_response_of_requests
+from repro.control.lti import FirstOrderLoop
 from repro.control.theory import theorem1_gain, theorem1_loop, verify_theorem1
 
 
@@ -65,12 +65,6 @@ class TestFirstOrderLoop:
             FirstOrderLoop(0.0, 1.0)
         with pytest.raises(ValueError):
             FirstOrderLoop(5.0, 1.0).request_response(0)
-
-    def test_step_response_of_requests(self):
-        y = step_response_of_requests(np.array([1.0, 5.0, 10.0]), 10.0)
-        assert np.allclose(y, [0.1, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            step_response_of_requests(np.array([1.0]), 0.0)
 
 
 class TestTheorem1Gain:

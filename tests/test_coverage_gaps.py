@@ -8,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocators.equipartition import DynamicEquiPartitioning
-from repro.analysis.characteristics import (
-    job_structure_characteristics,
-    trace_characteristics,
-)
+from repro.analysis.characteristics import job_structure_characteristics
 from repro.core.abg import AControl
 from repro.engine.phased import PhasedJob
 from repro.experiments.common import ExperimentTable, format_table
@@ -54,13 +51,6 @@ class TestDEQOrderIndependence:
 
 
 class TestCharacteristicsEdgeCases:
-    def test_single_quantum_trace(self):
-        job = PhasedJob([(4, 10)])
-        trace = simulate_job(job, AControl(0.2), 16, quantum_length=100)
-        c = trace_characteristics(trace)
-        assert c.change_frequency == 0.0
-        assert c.mean > 0
-
     def test_nonpositive_profile_rejected(self):
         from repro.analysis.characteristics import _characterize
 
@@ -75,8 +65,7 @@ class TestCharacteristicsEdgeCases:
         job = PhasedJob([(1, 2500), (10, 2500)])
         structural = job_structure_characteristics(job)
         trace = simulate_job(job, AControl(0.2), 64, quantum_length=1000)
-        measured = trace_characteristics(trace)
-        assert measured.transition_factor <= structural.transition_factor + 1e-9
+        assert trace.measured_transition_factor() <= structural.transition_factor + 1e-9
 
 
 class TestCliRemainingCommands:

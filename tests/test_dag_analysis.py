@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dag import builders
-from repro.dag.analysis import characteristics, greedy_time_lower_bound
+from repro.dag.analysis import characteristics
 
 
 class TestCharacteristics:
@@ -22,21 +22,3 @@ class TestCharacteristics:
         c = characteristics(builders.chain(3))
         assert "T1=3" in str(c)
         assert "Tinf=3" in str(c)
-
-
-class TestGreedyTimeLowerBound:
-    def test_span_dominates_with_many_processors(self):
-        d = builders.fork_join_from_phases([(1, 3), (6, 2)])
-        assert greedy_time_lower_bound(d, 100) == 5.0
-
-    def test_work_dominates_with_one_processor(self):
-        d = builders.wide_level(10)
-        assert greedy_time_lower_bound(d, 1) == 10.0
-
-    def test_crossover(self):
-        d = builders.wide_level(10)  # T1=10, Tinf=1
-        assert greedy_time_lower_bound(d, 5) == pytest.approx(2.0)
-
-    def test_invalid_processors(self):
-        with pytest.raises(ValueError):
-            greedy_time_lower_bound(builders.chain(2), 0)

@@ -212,22 +212,3 @@ class TestRandomLayered:
             builders.random_layered(rng, 0)
         with pytest.raises(ValueError):
             builders.random_layered(rng, 3, min_width=5, max_width=2)
-
-
-class TestSeriesParallel:
-    def test_depth_zero_single_task(self, rng):
-        d = builders.series_parallel(rng, 0)
-        assert d.work == 1
-
-    def test_valid_dag(self, rng):
-        d = builders.series_parallel(rng, 4)
-        assert d.work >= 1
-        assert d.span >= 1
-        # single entry, single exit by construction
-        assert len(d.sources()) == 1
-        assert len(d.sinks()) == 1
-
-    def test_deterministic_given_seed(self):
-        a = builders.series_parallel(np.random.default_rng(9), 3)
-        b = builders.series_parallel(np.random.default_rng(9), 3)
-        assert a == b

@@ -1,24 +1,45 @@
 """Every example script must run cleanly end-to-end (reduced settings where
-the script exposes them)."""
+the script exposes them) and write nothing into the checkout."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = REPO_ROOT / "examples"
+ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+_CACHES = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
+
+
+def _checkout_files() -> dict[str, tuple[int, int]]:
+    """Size and modification time of every file in the checkout outside
+    version control and the interpreter's and test tools' caches."""
+    files = {}
+    for root, dirs, names in os.walk(REPO_ROOT):
+        dirs[:] = [d for d in dirs if d not in _CACHES]
+        for name in names:
+            stat = os.stat(os.path.join(root, name))
+            files[os.path.join(root, name)] = (stat.st_size, stat.st_mtime_ns)
+    return files
 
 
 def run_example(name: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
+    before = _checkout_files()
+    proc = subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
+        env=ENV,
+        cwd=REPO_ROOT,
         capture_output=True,
         text=True,
         timeout=300,
     )
+    assert _checkout_files() == before, f"{name} wrote into the checkout"
+    return proc
 
 
 class TestExamples:
@@ -60,6 +81,10 @@ class TestExamples:
         assert proc.returncode == 0, proc.stderr
         assert "reloaded" in proc.stdout
         assert list(tmp_path.glob("*.json"))
+
+    def test_every_example_has_a_run_test(self):
+        runs = {name.removeprefix("test_") for name in vars(TestExamples)}
+        assert {script.stem for script in EXAMPLES.glob("*.py")} <= runs
 
     def test_all_examples_have_docstrings_and_main(self):
         for script in sorted(EXAMPLES.glob("*.py")):

@@ -69,12 +69,9 @@ def _imported_names(package: str) -> dict[str, str]:
     return names
 
 
-def _loaded_after(statement: str) -> list[str]:
-    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
-    code = (
-        f"import sys, json; {statement}; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
-    )
+def _modules_after(statement: str) -> list[str]:
+    """The modules a fresh interpreter holds after ``statement``."""
+    code = f"import sys, json; {statement}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=ENV,
@@ -85,8 +82,19 @@ def _loaded_after(statement: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _loaded_after(statement: str) -> list[str]:
+    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+    return [m for m in _modules_after(statement) if m.split(".")[0] == "repro"]
+
+
 def test_the_packages_on_every_start_up_path_are_lazy() -> None:
     assert {"repro", "repro.experiments", "repro.verify", "repro.sim"} <= set(LAZY)
+
+
+def test_only_the_documented_packages_are_eager() -> None:
+    """docs/ARCHITECTURE.md lists these packages as importing eagerly."""
+    eager = {p.removeprefix("repro.") for p in set(PACKAGES) - set(LAZY)}
+    assert eager == {"control", "engine", "goldens", "io", "runtime", "stealing"}
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -147,7 +155,11 @@ def test_import_repro_loads_no_subpackage() -> None:
     assert _loaded_after("import repro") == ["repro", "repro._lazy"]
 
 
-def _assert_fig6_modules_only(loaded: list[str]) -> None:
+def _assert_fig6_modules_only(modules: list[str]) -> None:
+    # A run that opens no process pool loads no process-pool machinery.
+    assert "concurrent.futures.process" not in modules
+    assert "multiprocessing" not in modules
+    loaded = [m for m in modules if m.split(".")[0] == "repro"]
     experiments = {m for m in loaded if m.startswith("repro.experiments.")}
     assert experiments == {
         "repro.experiments.common",
@@ -159,7 +171,7 @@ def _assert_fig6_modules_only(loaded: list[str]) -> None:
 
 
 def test_fig6_loads_only_its_own_experiment_modules() -> None:
-    _assert_fig6_modules_only(_loaded_after("import repro.experiments.fig6"))
+    _assert_fig6_modules_only(_modules_after("import repro.experiments.fig6"))
 
 
 def test_cli_loads_no_experiment_module() -> None:
@@ -169,5 +181,5 @@ def test_cli_loads_no_experiment_module() -> None:
 
 def test_cli_fig6_loads_only_the_fig6_modules() -> None:
     _assert_fig6_modules_only(
-        _loaded_after("from repro.cli import main; main(['fig6', '--sets', '2', '--bins', '1'])")
+        _modules_after("from repro.cli import main; main(['fig6', '--sets', '2', '--bins', '1'])")
     )

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from repro.core.types import JobTrace
 from repro.sim.metrics import (
-    job_set_load,
     makespan,
     makespan_lower_bound,
     mean_response_time,
     mean_response_time_lower_bound,
 )
-from repro.sim.results import geometric_mean, summarize
+from repro.sim.results import summarize
 
 from conftest import make_record
 
@@ -118,16 +117,6 @@ class TestResponseLowerBound:
         assert bound <= sjf_mean + 1e-9
 
 
-class TestLoad:
-    def test_load_definition(self):
-        # parallelism 20 + 12 = 32 over 128 procs
-        assert job_set_load([2000, 1200], [100, 100], 128) == pytest.approx(0.25)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            job_set_load([], [], 4)
-
-
 class TestResultsHelpers:
     def test_summarize(self):
         s = summarize([1.0, 2.0, 3.0])
@@ -141,13 +130,6 @@ class TestResultsHelpers:
     def test_summarize_empty(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
 
     def test_str_of_stats(self):
         assert "n=3" in str(summarize([1.0, 2.0, 3.0]))

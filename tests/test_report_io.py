@@ -1,4 +1,4 @@
-"""Unit tests for reporting (ASCII charts, CSV/JSON export) and trace
+"""Unit tests for reporting (ASCII charts, CSV export) and trace
 serialization."""
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from repro.io.traces import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.report.ascii import bar_chart, line_chart, sparkline
-from repro.report.export import rows_to_csv, rows_to_json, write_csv, write_json
+from repro.report.ascii import line_chart, sparkline
+from repro.report.export import rows_to_csv, write_csv
 from repro.sim.single import simulate_job
 
 
@@ -84,20 +84,6 @@ class TestLineChart:
         assert "3" in chart
 
 
-class TestBarChart:
-    def test_bars_scale(self):
-        chart = bar_chart(["x", "yy"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("█") == 5
-        assert lines[1].count("█") == 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart([], [])
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-
 class TestExport:
     def test_csv_of_dataclasses(self):
         text = rows_to_csv([Row("a", 1.5), Row("b", 2.0)])
@@ -109,41 +95,26 @@ class TestExport:
         text = rows_to_csv([{"x": 1}, {"x": 2}])
         assert text.strip().splitlines() == ["x", "1", "2"]
 
-    def test_json(self):
-        data = json.loads(rows_to_json([Row("a", 1.0)]))
-        assert data == [{"name": "a", "value": 1.0}]
-
     def test_scalar_and_nested_rows_pinned(self):
         # Scalar rows are read field by field; a row with a nested field
         # goes through dataclasses.asdict, which renders the nested values
         # as dicts and tuples.
         scalar = [Row("a", 1.5), Row("b,c", -0.0)]
         assert rows_to_csv(scalar) == 'name,value\r\na,1.5\r\n"b,c",-0.0\r\n'
-        assert rows_to_json(scalar, indent=None) == (
-            '[{"name": "a", "value": 1.5}, {"name": "b,c", "value": -0.0}]'
-        )
         nested = [Nested("n", Row("a", 1.5), (1, 2), {"k": [Row("b", 2.0)]})]
         assert rows_to_csv(nested) == (
             "label,inner,tags,extra\r\n"
             "n,\"{'name': 'a', 'value': 1.5}\",\"(1, 2)\","
             "\"{'k': [{'name': 'b', 'value': 2.0}]}\"\r\n"
         )
-        assert rows_to_json(nested, indent=None) == (
-            '[{"label": "n", "inner": {"name": "a", "value": 1.5}, "tags": [1, 2], '
-            '"extra": {"k": [{"name": "b", "value": 2.0}]}}]'
-        )
 
     def test_write_files(self, tmp_path):
-        p1 = write_csv([Row("a", 1.0)], tmp_path / "r.csv")
-        p2 = write_json([Row("a", 1.0)], tmp_path / "r.json")
-        assert p1.read_text().startswith("name,value")
-        assert json.loads(p2.read_text())[0]["name"] == "a"
+        path = write_csv([Row("a", 1.0)], tmp_path / "r.csv")
+        assert path.read_text().startswith("name,value")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rows_to_csv([])
-        with pytest.raises(ValueError):
-            rows_to_json([])
 
     def test_bad_row_type(self):
         with pytest.raises(TypeError):

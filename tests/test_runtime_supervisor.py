@@ -268,11 +268,10 @@ class TestPoolSupervision:
         # Regression: a BrokenProcessPool raised by submit() itself (worker
         # died between scheduler iterations) used to drop the popped unit,
         # leaving a None hole in the results.
+        from concurrent.futures import process
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.runtime import supervisor as sup_mod
-
-        real_pool = sup_mod.ProcessPoolExecutor
+        real_pool = process.ProcessPoolExecutor
         state = {"broken": False}
 
         class _FlakySubmitPool(real_pool):  # type: ignore[valid-type, misc]
@@ -282,7 +281,9 @@ class TestPoolSupervision:
                     raise BrokenProcessPool("simulated submit-time breakage")
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(sup_mod, "ProcessPoolExecutor", _FlakySubmitPool)
+        # the supervisor looks the pool class up in its defining module
+        # each time it opens a pool
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _FlakySubmitPool)
         outcome = run_supervised(_double, list(range(6)), workers=3, **NO_SLEEP)
         assert outcome.results == [0, 2, 4, 6, 8, 10]
         assert outcome.pool_restarts == 1

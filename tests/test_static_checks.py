@@ -67,6 +67,25 @@ def test_docstring_cross_references_resolve() -> None:
     assert broken == [], "\n".join(broken)
 
 
+#: A dotted name into the package cited in a document.
+_DOC_CITATION = re.compile(r"\b(repro(?:\.\w+)+)")
+
+
+@pytest.mark.parametrize("doc", ["docs/API.md", "docs/PAPER_MAP.md"])
+def test_doc_citations_resolve(doc: str) -> None:
+    """Every dotted ``repro....`` symbol the API overview and the paper map
+    cite names something that exists."""
+    citations = set(_DOC_CITATION.findall((REPO_ROOT / doc).read_text(encoding="utf-8")))
+    broken = []
+    for target in sorted(citations):
+        try:
+            _resolve(target)
+        except (ImportError, AttributeError) as exc:
+            broken.append(f"{target} ({exc})")
+    assert citations
+    assert broken == [], "\n".join(broken)
+
+
 def test_all_signatures_annotated() -> None:
     """Cheap proxy for ``mypy --strict``'s no-untyped-def: every function in
     ``src/repro`` annotates its parameters and return type."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.dag import builders
 from repro.sim.single import simulate_job
-from repro.stealing.asteal import ABPPolicy, ASteal, make_abp, make_asteal
+from repro.stealing.asteal import ABPPolicy, ASteal
 from repro.stealing.deque import WorkStealingDeque
 from repro.stealing.executor import WorkStealingExecutor
 
@@ -156,12 +156,8 @@ class TestASteal:
         rec = make_record(request=8.0, request_int=8, allotment=8, work=8000, span=1000.0)
         assert p.next_request(rec) == 16.0
 
-    def test_factories(self):
-        dag = builders.chain(3)
-        ex, policy = make_asteal(dag, np.random.default_rng(0))
-        assert isinstance(ex, WorkStealingExecutor)
-        assert isinstance(policy, ASteal)
-        ex, abp = make_abp(dag, np.random.default_rng(0), 16)
+    def test_abp_requests_the_whole_machine(self):
+        abp = ABPPolicy(16)
         assert abp.first_request() == 16.0
         assert abp.name == "ABP(P=16)"
 
